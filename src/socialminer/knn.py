@@ -2,15 +2,27 @@
 sample corpus.
 
 A target text is reduced to a count vector over its own highest-frequency
-terms; the same projection is applied to every sample document. One Euclidean
-distance per sample document forms the distance matrix, and the majority label
-among the k nearest samples wins.
+terms; the same projection is applied to every sample document, and the
+majority label among the k samples at smallest Euclidean distance wins.
+
+Classification scores against a ``CorpusIndex``: an inverted index from each
+term to the documents containing it and their counts, built once per batch.
+Every document starts at d² = Σ t_f² over the target's features; each posting
+(i, s) of a feature f adds s·(s − 2·t_f). Only the k smallest (d², doc_id)
+are kept, and only those k get a square root. Counts are integers, so d² is
+exact, and its square root equals the dense path's float sum of float
+squares bit for bit. That holds while d² stays below 2**50, where integer d²
+values are exact floats and distinct ones keep distinct, equally ordered
+square roots; the index refuses targets that could reach it. The dense
+``distance_matrix`` (one row per sample) is kept as the reference path.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -140,14 +152,96 @@ def knn_classify(
     return winner, nearest
 
 
+EXACT_LIMIT = 2**50
+"""Bound on Σ t² plus the largest per-document Σ s², which bounds d²."""
+
+
+class CorpusIndex:
+    """The sample documents plus ``term -> (doc positions, counts)`` postings.
+
+    Documents are held in a stable doc-id order, so position order breaks
+    distance ties the same way (distance, doc_id) does.
+    """
+
+    def __init__(
+        self,
+        docs: list[SampleDocument],
+        postings: dict[str, tuple[array, array]],
+        max_norm: int,
+    ):
+        self.docs = docs
+        self.postings = postings
+        self.max_norm = max_norm
+
+    @classmethod
+    def build(cls, corpus: Sequence[SampleDocument]) -> "CorpusIndex":
+        if not corpus:
+            raise CorpusError("sample corpus is empty")
+        docs = sorted(corpus, key=lambda doc: doc.doc_id)
+        postings: dict[str, tuple[array, array]] = {}
+        max_norm = 0
+        for position, doc in enumerate(docs):
+            norm = 0
+            for term, count in doc.counts.counts.items():
+                entry = postings.get(term)
+                if entry is None:
+                    entry = postings[term] = (array("I"), array("I"))
+                entry[0].append(position)
+                try:
+                    entry[1].append(count)
+                except OverflowError:
+                    raise DimensionError(
+                        f"{doc.doc_id}: count {count} of {term!r} outside [0, 2**32)"
+                    ) from None
+                norm += count * count
+            max_norm = max(max_norm, norm)
+        return cls(docs, postings, max_norm)
+
+    def __len__(self) -> int:
+        return len(self.docs)
+
+    def check_k(self, k: int) -> None:
+        if k < 1 or k > len(self.docs):
+            raise ParameterError(f"k={k} outside [1, {len(self.docs)}]")
+
+    def nearest(
+        self, target_vec: Sequence[int], features: Sequence[str], k: int
+    ) -> DistanceMatrix:
+        """The k rows of ``distance_matrix(target_vec, docs, features)`` with
+        smallest (distance, doc_id), in that order."""
+        if not features:
+            raise DimensionError("feature set is empty")
+        self.check_k(k)
+        base = sum(t * t for t in target_vec)
+        if base + self.max_norm >= EXACT_LIMIT:
+            raise DimensionError(
+                f"squared distances may reach 2**50 (target {base}, corpus {self.max_norm})"
+            )
+        d2 = [base] * len(self.docs)
+        for term, t in zip(features, target_vec):
+            entry = self.postings.get(term)
+            if entry is None:
+                continue
+            two_t = 2 * t
+            for position, s in zip(*entry):
+                d2[position] += s * (s - two_t)
+        docs = self.docs
+        return [
+            DistanceRow(docs[i].doc_id, docs[i].label, math.sqrt(d2[i]))
+            for i in heapq.nsmallest(k, range(len(d2)), key=d2.__getitem__)
+        ]
+
+
 def classify_text(
     text: str,
-    corpus: Sequence[SampleDocument],
+    corpus: Sequence[SampleDocument] | CorpusIndex,
     n_features: int = 50,
     k: int = 5,
     stopwords: frozenset[str] = DEFAULT_STOPWORDS,
 ) -> ClassLabel:
-    """Full classification of one raw text against the sample corpus."""
+    """Full classification of one raw text against the sample corpus. A
+    sequence of documents is indexed on each call; pass a ``CorpusIndex`` to
+    classify many texts against one corpus."""
     if not corpus:
         raise CorpusError("sample corpus is empty")
     if n_features < 1:
@@ -155,11 +249,11 @@ def classify_text(
     tokens = prepare(text, stopwords)
     if not tokens:
         return ClassLabel.UNCLASSIFIABLE
+    index = corpus if isinstance(corpus, CorpusIndex) else CorpusIndex.build(corpus)
     target_counts = term_counts(tokens)
     features = select_features(term_frequency(target_counts), n_features)
     target_vec = count_vector(features, target_counts)
-    dm = distance_matrix(target_vec, corpus, features)
-    label, _ = knn_classify(dm, k)
+    label, _ = knn_classify(index.nearest(target_vec, features, k), k)
     return label
 
 

@@ -31,7 +31,7 @@ from .ingest import (
     validate_and_filter,
 )
 from .io_utils import atomic_write_text
-from .knn import ClassLabel, SampleDocument, classify_text, load_sample_corpus
+from .knn import ClassLabel, CorpusIndex, SampleDocument, classify_text, load_sample_corpus
 from .report import aggregate, compare, emit_chart, emit_comparison_chart, emit_table
 from .textprep import DEFAULT_STOPWORDS, load_stopwords
 
@@ -124,10 +124,13 @@ def stage_classify(
     stopwords: frozenset[str],
     out_dir: Path,
 ) -> tuple[int, int]:
-    """Label every profile's about_me text; returns (classified, unclassifiable)."""
+    """Label every profile's about_me text; returns (classified, unclassifiable).
+    The corpus is indexed once, and k is checked against it before any text."""
+    index = CorpusIndex.build(corpus)
+    index.check_k(k)
     unclassifiable = 0
     for profile in profiles:
-        label = classify_text(profile.about_me, corpus, n_features, k, stopwords)
+        label = classify_text(profile.about_me, index, n_features, k, stopwords)
         profile.about_me_class = label
         if label is ClassLabel.UNCLASSIFIABLE:
             unclassifiable += 1

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from socialminer.errors import CorpusError, DimensionError, ParameterError
+from socialminer.features import TermCounts, count_vector, select_features, term_counts, term_frequency
 from socialminer.knn import (
+    EXACT_LIMIT,
     ClassLabel,
+    CorpusIndex,
     DistanceRow,
     SampleDocument,
     classify_text,
@@ -16,6 +19,7 @@ from socialminer.knn import (
     load_sample_corpus,
     squared_diff_row,
 )
+from socialminer.textprep import prepare
 
 from knn_oracle import brute_classify, brute_distance
 
@@ -244,6 +248,102 @@ class TestClassifyText:
             words = [f"{label.value.lower()}{i}" for i in range(6)]
             target = " ".join(rng.choices(words, k=10))
             assert classify_text(target, corpus, n_features=50, k=3) is label
+
+
+TINY_VOCAB = ["ant", "bee", "cat"]
+
+
+def target_projection(text, n_features):
+    counts = term_counts(prepare(text))
+    features = select_features(term_frequency(counts), n_features)
+    return count_vector(features, counts), features
+
+
+class TestCorpusIndex:
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_matches_dense_path_and_oracle(self, data):
+        labels = list(ClassLabel)[:3]
+        n_docs = data.draw(st.integers(min_value=1, max_value=8))
+        # ids in an order unrelated to corpus order, so the doc-id tie-break shows
+        ids = data.draw(st.permutations([f"d{i}" for i in range(n_docs)]))
+        corpus = [
+            SampleDocument.from_text(
+                doc_id,
+                " ".join(data.draw(st.lists(st.sampled_from(TINY_VOCAB), min_size=1, max_size=5))),
+                data.draw(st.sampled_from(labels)),
+            )
+            for doc_id in ids
+        ]
+        # "eel" and "fox" never occur in the corpus: zero-overlap targets
+        target = " ".join(
+            data.draw(st.lists(st.sampled_from(TINY_VOCAB + ["eel", "fox"]), min_size=1, max_size=6))
+        )
+        n_features = data.draw(st.integers(min_value=1, max_value=5))
+        k = data.draw(st.integers(min_value=1, max_value=n_docs))
+        target_vec, features = target_projection(target, n_features)
+
+        dense = distance_matrix(target_vec, corpus, features)
+        expected = sorted(dense, key=lambda r: (r.distance, r.doc_id))[:k]
+        index = CorpusIndex.build(corpus)
+        rows = index.nearest(target_vec, features, k)
+        assert [r.doc_id for r in rows] == [r.doc_id for r in expected]
+        assert [r.distance.hex() for r in rows] == [r.distance.hex() for r in expected]
+
+        label, _ = knn_classify(rows, k)
+        assert label is knn_classify(dense, k)[0]
+        oracle_rows = [
+            (d.doc_id, d.label.value, brute_distance(target_vec, count_vector(features, d.counts)))
+            for d in corpus
+        ]
+        assert label.value == brute_classify(oracle_rows, k)
+        assert classify_text(target, index, n_features, k) is label
+        assert classify_text(target, corpus, n_features, k) is label
+
+    def test_k_checked_against_corpus(self):
+        index = CorpusIndex.build([doc("s1", "honest"), doc("s2", "kind")])
+        assert len(index) == 2
+        for k in (0, 3):
+            with pytest.raises(ParameterError):
+                index.nearest([1], ["honest"], k)
+            with pytest.raises(ParameterError):
+                classify_text("honest", index, 50, k)
+
+    def test_empty_corpus(self):
+        with pytest.raises(CorpusError):
+            CorpusIndex.build([])
+
+    def test_postings_hold_positions_and_counts(self):
+        index = CorpusIndex.build([doc("s2", "kind kind honest"), doc("s1", "kind")])
+        assert [d.doc_id for d in index.docs] == ["s1", "s2"]
+        positions, counts = index.postings["kind"]
+        assert (list(positions), list(counts)) == ([0, 1], [1, 2])
+        assert index.max_norm == 5
+
+
+def huge_doc(count):
+    return SampleDocument("big", "honest", ClassLabel.HONEST, ["honest"], TermCounts({"honest": count}, count))
+
+
+class TestExactnessGuard:
+    def test_just_below_limit_matches_dense(self):
+        big = huge_doc(2**25 - 1)  # Σ s² = 2**50 - 2**26 + 1
+        index = CorpusIndex.build([big])
+        assert 1 + index.max_norm < EXACT_LIMIT
+        rows = index.nearest([1], ["honest"], 1)
+        assert rows == distance_matrix([1], [big], ["honest"])
+        assert classify_text("honest", index, 50, 1) is ClassLabel.HONEST
+
+    def test_limit_raises(self):
+        index = CorpusIndex.build([huge_doc(2**25)])  # Σ s² = 2**50
+        with pytest.raises(DimensionError):
+            index.nearest([1], ["honest"], 1)
+        with pytest.raises(DimensionError):
+            classify_text("honest", index, 50, 1)
+
+    def test_count_outside_index_range(self):
+        with pytest.raises(DimensionError):
+            CorpusIndex.build([huge_doc(2**32)])
 
 
 class TestLoadSampleCorpus:

@@ -6,8 +6,11 @@ import pytest
 
 from socialminer.arff import parse_arff
 from socialminer.cli import main
-from socialminer.errors import DomainError, StorageError
-from socialminer.pipeline import RunConfig, run_pipeline
+from socialminer import knn
+from socialminer.errors import DomainError, ParameterError, StorageError
+from socialminer.knn import load_sample_corpus
+from socialminer.pipeline import RunConfig, run_pipeline, stage_classify, stage_ingest
+from socialminer.textprep import DEFAULT_STOPWORDS
 from socialminer.synth import make_corpus_records, write_jsonl
 
 REF = date(2015, 6, 1)
@@ -140,6 +143,49 @@ class TestRunPipeline:
             assert (out / artifact).is_file(), artifact
         saved = json.loads((out / "summary.json").read_text())
         assert saved == summary.to_record()
+
+
+class TestStageClassify:
+    def test_index_built_once_per_stage(self, tmp_path, monkeypatch):
+        write_jsonl(tmp_path / "profiles.jsonl", [record(i) for i in range(7)])
+        write_corpus(tmp_path / "corpus.jsonl")
+        profiles, _, _ = stage_ingest(tmp_path / "profiles.jsonl", tmp_path)
+        corpus = load_sample_corpus(tmp_path / "corpus.jsonl")
+        builds = []
+        build = knn.CorpusIndex.build
+
+        def counting_build(corpus):
+            builds.append(len(corpus))
+            return build(corpus)
+
+        monkeypatch.setattr(knn.CorpusIndex, "build", counting_build)
+        assert stage_classify(profiles, corpus, 50, 5, DEFAULT_STOPWORDS, tmp_path) == (7, 0)
+        assert builds == [len(corpus)]
+
+    def test_k_checked_before_any_text(self, tmp_path):
+        write_jsonl(tmp_path / "profiles.jsonl", [record(0, about_me="i am the and of to")])
+        write_corpus(tmp_path / "corpus.jsonl")
+        profiles, _, _ = stage_ingest(tmp_path / "profiles.jsonl", tmp_path)
+        corpus = load_sample_corpus(tmp_path / "corpus.jsonl")
+        with pytest.raises(ParameterError):
+            stage_classify(profiles, corpus, 50, len(corpus) + 1, DEFAULT_STOPWORDS, tmp_path)
+        assert not (tmp_path / "classified.jsonl").exists()
+
+    def test_k_above_corpus_fails_run_on_stopword_texts(self, tmp_path, capsys):
+        write_jsonl(
+            tmp_path / "profiles.jsonl",
+            [record(i, about_me="i am the and of to") for i in range(3)],
+        )
+        write_corpus(tmp_path / "corpus.jsonl")
+        out = tmp_path / "out"
+        code = main(
+            ["run", "--input", str(tmp_path / "profiles.jsonl"),
+             "--corpus", str(tmp_path / "corpus.jsonl"),
+             "--ref-date", "2015-06-01", "--out", str(out), "--k", "10000"]
+        )
+        assert code == 1
+        assert "k=10000" in capsys.readouterr().err
+        assert (out / "FAILED").read_text().startswith("ParameterError")
 
 
 class TestCli:
