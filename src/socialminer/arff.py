@@ -59,22 +59,25 @@ def _format_field(value: str) -> str:
 
 
 def _format_value(value, attr: ArffAttribute, row_no: int) -> str:
-    where = f"row {row_no}, column {attr.name!r}"
     if value is None:
         return "?"
     if attr.kind == NUMERIC:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ArffEncodeError(f"{where}: numeric value expected, got {value!r}")
+            raise _cell_error(attr, row_no, f"numeric value expected, got {value!r}")
         if isinstance(value, float):
             if not math.isfinite(value):
-                raise ArffEncodeError(f"{where}: non-finite numeric value")
+                raise _cell_error(attr, row_no, "non-finite numeric value")
             return repr(value)
         return str(value)
     if not isinstance(value, str):
-        raise ArffEncodeError(f"{where}: expected text, got {value!r}")
+        raise _cell_error(attr, row_no, f"expected text, got {value!r}")
     if attr.kind == NOMINAL and value not in attr.domain:
-        raise ArffEncodeError(f"{where}: {value!r} not in nominal domain")
+        raise _cell_error(attr, row_no, f"{value!r} not in nominal domain")
     return _format_field(value)
+
+
+def _cell_error(attr: ArffAttribute, row_no: int, problem: str) -> ArffEncodeError:
+    return ArffEncodeError(f"row {row_no}, column {attr.name!r}: {problem}")
 
 
 def _attribute_line(attr: ArffAttribute) -> str:
@@ -98,23 +101,30 @@ def _attribute_line(attr: ArffAttribute) -> str:
 
 
 def emit_arff(ds: ArffDataset) -> str:
-    """Serialize a dataset; raises ArffEncodeError when invariants fail."""
+    """Serialize a dataset; raises ArffEncodeError when invariants fail.
+
+    Each nominal domain value is formatted once per attribute; a text cell
+    found in its attribute's table is emitted by lookup, and every other
+    cell is checked and formatted by ``_format_value``.
+    """
     if not ds.relation:
         raise ArffEncodeError("relation name must be non-empty")
     lines = [f"@relation {_format_field(ds.relation)}"]
     lines.extend(_attribute_line(attr) for attr in ds.attributes)
     lines.append("@data")
+    columns = [
+        (attr, {v: _format_field(v) for v in attr.domain} if attr.kind == NOMINAL else {})
+        for attr in ds.attributes
+    ]
+    width = len(columns)
     for row_no, row in enumerate(ds.rows, start=1):
-        if len(row) != len(ds.attributes):
-            raise ArffEncodeError(
-                f"row {row_no}: {len(row)} values for {len(ds.attributes)} attributes"
-            )
-        lines.append(
-            ",".join(
-                _format_value(value, attr, row_no)
-                for value, attr in zip(row, ds.attributes)
-            )
-        )
+        if len(row) != width:
+            raise ArffEncodeError(f"row {row_no}: {len(row)} values for {width} attributes")
+        cells = []
+        for value, (attr, formatted) in zip(row, columns):
+            text = formatted.get(value) if type(value) is str else None
+            cells.append(text if text is not None else _format_value(value, attr, row_no))
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -302,17 +312,18 @@ def build_dataset(profiles) -> ArffDataset:
             raise ArffEncodeError(
                 f"profile {profile.record_id!r} is not fully classified and binned"
             )
+        # _value_ is the member's value without the value property's call.
         rows.append(
             (
-                profile.age_range.value,
-                profile.gender.value,
-                profile.about_me_class.value,
+                profile.age_range._value_,
+                profile.gender._value_,
+                profile.about_me_class._value_,
                 profile.wall_count,
-                profile.wall_count_class.value,
+                profile.wall_count_class._value_,
                 profile.music_count,
-                profile.music_share_class.value,
+                profile.music_share_class._value_,
                 profile.activity_interest_count,
-                profile.activity_interest_class.value,
+                profile.activity_interest_class._value_,
             )
         )
     return ArffDataset(PROFILE_RELATION, _profile_attributes(), rows)

@@ -4,7 +4,10 @@ The feature vocabulary is always selected from the *target* document's TF
 ranking; occurrence counts are then projected onto that vocabulary for the
 target and for every sample document. Distance computations use the raw
 occurrence counts, not the normalized frequencies — normalization only ranks
-the features.
+the features. All terms of a document share one denominator, so ranking its
+raw counts selects the same features as ranking its frequencies (distinct
+counts give distinct frequencies while the total stays below 2**53), and the
+classifier ranks the counts without building the frequencies.
 """
 
 from __future__ import annotations
@@ -41,15 +44,18 @@ def term_frequency(counts: TermCounts) -> dict[str, float]:
 
 
 def select_features(tf: Mapping[str, float], n: int) -> list[str]:
-    """The min(n, vocabulary) terms with highest frequency, descending.
+    """The min(n, vocabulary) terms with highest frequency (or count),
+    descending.
 
     Equal frequencies are broken lexicographically ascending so the selection
-    is deterministic across runs and platforms.
+    is deterministic across runs and platforms: the terms are sorted first,
+    and the stable descending sort by frequency keeps that order among ties.
     """
     if not tf:
         raise EmptyDocumentError("cannot select features from an empty document")
-    ranked = sorted(tf.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [term for term, _ in ranked[:n]]
+    ranked = sorted(tf)
+    ranked.sort(key=tf.__getitem__, reverse=True)
+    return ranked[:n]
 
 
 def count_vector(features: Sequence[str], counts: TermCounts) -> list[int]:

@@ -48,7 +48,9 @@ INPUT_KEYS = (
     "music_count",
 )
 
+_INPUT_KEY_SET = frozenset(INPUT_KEYS)
 _ISO_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 @dataclass(frozen=True)
@@ -95,51 +97,86 @@ class Profile:
     activity_interest_class: Optional[ShareClass] = None
 
     def to_record(self) -> dict:
-        record = {
-            "id": self.record_id,
-            "birthday": self.birthday,
-            "about_me": self.about_me,
-            "activities": self.activities,
-            "gender": self.gender.value,
-            "interests": self.interests,
-            "wall_count": self.wall_count,
-            "political": self.political,
-            "music_count": self.music_count,
-            "activity_interest_count": self.activity_interest_count,
-        }
-        for key, value in (
+        """The persisted form, in a fixed key order. Absent optional fields are
+        left out and enum members become their values (read from ``_value_``,
+        which skips the ``value`` property's descriptor call)."""
+        record = {"id": self.record_id}
+        if self.birthday is not None:
+            record["birthday"] = self.birthday
+        record["about_me"] = self.about_me
+        if self.activities is not None:
+            record["activities"] = self.activities
+        record["gender"] = self.gender._value_
+        if self.interests is not None:
+            record["interests"] = self.interests
+        record["wall_count"] = self.wall_count
+        if self.political is not None:
+            record["political"] = self.political
+        record["music_count"] = self.music_count
+        record["activity_interest_count"] = self.activity_interest_count
+        for key, member in (
             ("about_me_class", self.about_me_class),
             ("age_range", self.age_range),
             ("wall_count_class", self.wall_count_class),
             ("music_share_class", self.music_share_class),
             ("activity_interest_class", self.activity_interest_class),
         ):
-            if value is not None:
-                record[key] = value.value
-        return {k: v for k, v in record.items() if v is not None}
+            if member is not None:
+                record[key] = member._value_
+        return record
 
     @classmethod
     def from_record(cls, record: dict) -> "Profile":
-        def enum_or_none(enum_type, key):
-            return enum_type(record[key]) if key in record else None
-
+        """Inverse of ``to_record``. A missing key raises KeyError, a value of
+        the wrong type TypeError, and a value outside its enumeration (null
+        included) ValueError."""
+        if type(record["id"]) is not str or type(record["about_me"]) is not str:
+            raise TypeError("id and about_me must be strings")
+        for key in ("wall_count", "music_count", "activity_interest_count"):
+            if type(record[key]) is not int:
+                raise TypeError(f"{key} must be an integer, got {record[key]!r}")
+        get = record.get
+        for key in ("birthday", "activities", "interests", "political"):
+            value = get(key)
+            if value is not None and type(value) is not str:
+                raise TypeError(f"{key} must be a string, got {value!r}")
         return cls(
             record_id=record["id"],
             about_me=record["about_me"],
-            gender=Gender(record["gender"]),
+            gender=_decode(Gender, record["gender"]),
             wall_count=record["wall_count"],
             music_count=record["music_count"],
             activity_interest_count=record["activity_interest_count"],
-            birthday=record.get("birthday"),
-            activities=record.get("activities"),
-            interests=record.get("interests"),
-            political=record.get("political"),
-            about_me_class=enum_or_none(ClassLabel, "about_me_class"),
-            age_range=enum_or_none(AgeRange, "age_range"),
-            wall_count_class=enum_or_none(WallCountClass, "wall_count_class"),
-            music_share_class=enum_or_none(ShareClass, "music_share_class"),
-            activity_interest_class=enum_or_none(ShareClass, "activity_interest_class"),
+            birthday=get("birthday"),
+            activities=get("activities"),
+            interests=get("interests"),
+            political=get("political"),
+            about_me_class=_decode(ClassLabel, record["about_me_class"])
+            if "about_me_class" in record else None,
+            age_range=_decode(AgeRange, record["age_range"])
+            if "age_range" in record else None,
+            wall_count_class=_decode(WallCountClass, record["wall_count_class"])
+            if "wall_count_class" in record else None,
+            music_share_class=_decode(ShareClass, record["music_share_class"])
+            if "music_share_class" in record else None,
+            activity_interest_class=_decode(ShareClass, record["activity_interest_class"])
+            if "activity_interest_class" in record else None,
         )
+
+
+_MEMBERS = {
+    enum_type: {member.value: member for member in enum_type}
+    for enum_type in (Gender, ClassLabel, AgeRange, WallCountClass, ShareClass)
+}
+
+
+def _decode(enum_type, value):
+    """``enum_type(value)``, looked up in a value table first; a miss (an
+    unknown, null or unhashable value) goes to ``enum_type`` for its error."""
+    try:
+        return _MEMBERS[enum_type][value]
+    except (KeyError, TypeError):
+        return enum_type(value)
 
 
 @dataclass
@@ -162,32 +199,38 @@ class RejectionReport:
 
 
 def _parse_record_line(line_no: int, line: str) -> RawProfile:
+    # Bytes that are not UTF-8 were decoded to lone surrogates.
+    if not line.isascii() and _LONE_SURROGATE.search(line):
+        raise ValueError("not valid UTF-8")
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise ValueError("line is not an object")
-    unknown = set(record) - set(INPUT_KEYS)
-    if unknown:
-        raise ValueError(f"unknown keys: {sorted(unknown)}")
+    if not record.keys() <= _INPUT_KEY_SET:
+        raise ValueError(f"unknown keys: {sorted(record.keys() - _INPUT_KEY_SET)}")
 
-    record_id = record.get("id")
+    get = record.get
+    record_id = get("id")
     if not isinstance(record_id, str) or not record_id:
         raise ValueError("id must be a non-empty string")
-
-    fields: dict = {"record_id": record_id}
     for key in _TEXT_KEYS:
-        value = record.get(key)
+        value = get(key)
         if value is not None and not isinstance(value, str):
             raise ValueError(f"{key} must be a string")
-        fields[key] = value
     for key in _INT_KEYS:
-        value = record.get(key)
+        value = get(key)
         if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
             raise ValueError(f"{key} must be an integer")
-        fields[key] = value
-    return RawProfile(**fields)
+    # A \u escape can spell a lone surrogate, which no UTF-8 file can hold.
+    if "\\" in line:
+        for key in ("id", *_TEXT_KEYS):
+            value = get(key)
+            if value is not None and _LONE_SURROGATE.search(value):
+                raise ValueError(f"{key} is not valid UTF-8: lone surrogate")
+    record["record_id"] = record.pop("id")
+    return RawProfile(**record)
 
 
 def load_profiles(
@@ -195,17 +238,22 @@ def load_profiles(
 ) -> tuple[list[RawProfile], list[ParseIssue]]:
     """Parse line-delimited records into RawProfiles, in input order.
 
-    Malformed lines become ParseIssues with their line number. A duplicate
-    id raises DuplicateIdError; an unreadable path raises StorageError.
+    Malformed lines become ParseIssues with their line number, and so do
+    lines that are not valid UTF-8. A duplicate id raises DuplicateIdError;
+    an unreadable path raises StorageError.
     """
     if isinstance(source, (str, Path)):
         try:
-            lines = Path(source).read_text(encoding="utf-8").splitlines()
+            data = Path(source).read_bytes()
         except OSError as exc:
             raise StorageError(f"cannot read {source}: {exc}") from exc
+        # Bytes that are not UTF-8 decode to lone surrogates, which mark their
+        # line as malformed; lines split exactly as in strictly decoded text.
+        lines = data.decode("utf-8", "surrogateescape").splitlines()
     else:
         lines = [
-            line.decode("utf-8") if isinstance(line, bytes) else line for line in source
+            line.decode("utf-8", "surrogateescape") if isinstance(line, bytes) else line
+            for line in source
         ]
 
     profiles: list[RawProfile] = []
@@ -301,26 +349,36 @@ def validate_and_filter(
     return accepted, report
 
 
+# One encoder for every record; json.dumps would build a new one per call.
+_encode_record = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def persist_corpus(profiles: list[Profile], path: str | Path) -> None:
     """Write the accepted corpus as JSON lines, atomically."""
-    text = "".join(
-        json.dumps(p.to_record(), ensure_ascii=False) + "\n" for p in profiles
-    )
+    text = "".join([_encode_record(p.to_record()) + "\n" for p in profiles])
     atomic_write_text(path, text)
 
 
 def load_corpus(path: str | Path) -> list[Profile]:
-    """Read back a persisted corpus, reproducing the profiles exactly."""
+    """Read back a persisted corpus, reproducing the profiles exactly.
+
+    An unreadable or non-UTF-8 file raises StorageError, and so does a line
+    that is not a JSON object of the fields ``to_record`` writes, with their
+    types; the message names the path and the line.
+    """
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise StorageError(f"cannot read corpus {path}: {exc}") from exc
     profiles = []
     for line_no, line in enumerate(raw.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            profiles.append(Profile.from_record(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise TypeError("line is not an object")
+            profiles.append(Profile.from_record(record))
+        except (KeyError, TypeError, ValueError) as exc:
             raise StorageError(f"corrupt corpus {path}:{line_no}: {exc}") from exc
     return profiles

@@ -25,11 +25,18 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter, mul
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .errors import CorpusError, DimensionError, ParameterError, StorageError
-from .features import TermCounts, count_vector, select_features, term_counts, term_frequency
+from .features import (  # noqa: F401 (perfbench/tracer.py wraps knn.term_frequency)
+    TermCounts,
+    count_vector,
+    select_features,
+    term_counts,
+    term_frequency,
+)
 from .textprep import DEFAULT_STOPWORDS, prepare
 
 
@@ -125,6 +132,9 @@ def distance_matrix(
     return rows
 
 
+_DISTANCE_THEN_ID = itemgetter(2, 0)
+
+
 def knn_classify(
     dm: DistanceMatrix, k: int
 ) -> tuple[ClassLabel, list[DistanceRow]]:
@@ -139,16 +149,18 @@ def knn_classify(
         raise CorpusError("distance matrix is empty")
     if k < 1 or k > len(dm):
         raise ParameterError(f"k={k} outside [1, {len(dm)}]")
-    nearest = sorted(dm, key=lambda r: (r.distance, r.doc_id))[:k]
+    nearest = sorted(dm, key=_DISTANCE_THEN_ID)[:k]
 
     votes: dict[ClassLabel, int] = {}
     summed: dict[ClassLabel, float] = {}
-    for row in nearest:
-        votes[row.label] = votes.get(row.label, 0) + 1
-        summed[row.label] = summed.get(row.label, 0.0) + row.distance
+    for _, label, distance in nearest:
+        votes[label] = votes.get(label, 0) + 1
+        summed[label] = summed.get(label, 0.0) + distance
     top = max(votes.values())
-    tied = [label for label, n in votes.items() if n == top]
-    winner = min(tied, key=lambda label: (summed[label], label.value))
+    # Label values are distinct, so the member itself is never compared.
+    _, _, winner = min(
+        (summed[label], label._value_, label) for label, n in votes.items() if n == top
+    )
     return winner, nearest
 
 
@@ -212,7 +224,7 @@ class CorpusIndex:
         if not features:
             raise DimensionError("feature set is empty")
         self.check_k(k)
-        base = sum(t * t for t in target_vec)
+        base = sum(map(mul, target_vec, target_vec))
         if base + self.max_norm >= EXACT_LIMIT:
             raise DimensionError(
                 f"squared distances may reach 2**50 (target {base}, corpus {self.max_norm})"
@@ -251,7 +263,8 @@ def classify_text(
         return ClassLabel.UNCLASSIFIABLE
     index = corpus if isinstance(corpus, CorpusIndex) else CorpusIndex.build(corpus)
     target_counts = term_counts(tokens)
-    features = select_features(term_frequency(target_counts), n_features)
+    # Ranking the counts ranks the frequencies: they share one denominator.
+    features = select_features(target_counts.counts, n_features)
     target_vec = count_vector(features, target_counts)
     label, _ = knn_classify(index.nearest(target_vec, features, k), k)
     return label
@@ -269,6 +282,8 @@ def load_sample_corpus(
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise StorageError(f"cannot read sample corpus {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not valid UTF-8 ({exc})") from exc
 
     samples: list[SampleDocument] = []
     seen: set[str] = set()

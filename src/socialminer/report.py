@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 from .binning import AgeRange, ShareClass, WallCountClass
@@ -60,20 +61,25 @@ def aggregate(
     if measure not in MEASURE_FIELDS:
         raise ReportError(f"cannot measure {measure!r}")
     groups = list(GROUP_FIELDS[group_by])
-    buckets = [member.value for member in MEASURE_FIELDS[measure]]
-    table: dict[str, dict[str, int]] = {
-        group.value: {bucket: 0 for bucket in buckets} for group in groups
-    }
+    buckets = list(MEASURE_FIELDS[measure])
+    # Counted by member; the values are read once per bucket at the end.
+    table = {group: dict.fromkeys(buckets, 0) for group in groups}
+    get_group = attrgetter(group_by)
+    get_measure = attrgetter(measure)
     for profile in profiles:
-        group_value = getattr(profile, group_by)
-        measure_value = getattr(profile, measure)
+        group_value = get_group(profile)
+        measure_value = get_measure(profile)
         if group_value is None or measure_value is None:
             raise ReportError(
                 f"profile {profile.record_id!r} missing {group_by} or {measure}"
             )
-        table[group_value.value][measure_value.value] += 1
+        table[group_value][measure_value] += 1
     return [
-        Distribution(measure, f"{group_by}={group.value}", table[group.value])
+        Distribution(
+            measure,
+            f"{group_by}={group.value}",
+            {bucket.value: n for bucket, n in table[group].items()},
+        )
         for group in groups
     ]
 

@@ -1,0 +1,106 @@
+"""The per-character, per-item definitions that the package's fast paths
+replaced, kept as test references. Each fast path must agree with its
+reference here: same values, same bytes, same errors."""
+
+from __future__ import annotations
+
+import math
+
+from socialminer.arff import NOMINAL, NUMERIC, ArffAttribute, ArffDataset, _attribute_line, _format_field
+from socialminer.errors import ArffEncodeError
+from socialminer.knn import ClassLabel, DistanceRow
+from socialminer.textprep import DEFAULT_STOPWORDS
+
+
+def normalize_text(raw: str) -> str:
+    lowered = raw.lower()
+    cleaned = "".join(ch if ch.isalnum() else " " for ch in lowered)
+    return " ".join(cleaned.split())
+
+
+def prepare(raw: str, stops: frozenset[str] = DEFAULT_STOPWORDS) -> list[str]:
+    return [t for t in normalize_text(raw).split() if t not in stops]
+
+
+def select_features(tf, n: int) -> list[str]:
+    ranked = sorted(tf.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [term for term, _ in ranked[:n]]
+
+
+def knn_classify(dm: list[DistanceRow], k: int) -> tuple[ClassLabel, list[DistanceRow]]:
+    nearest = sorted(dm, key=lambda r: (r.distance, r.doc_id))[:k]
+    votes: dict[ClassLabel, int] = {}
+    summed: dict[ClassLabel, float] = {}
+    for row in nearest:
+        votes[row.label] = votes.get(row.label, 0) + 1
+        summed[row.label] = summed.get(row.label, 0.0) + row.distance
+    top = max(votes.values())
+    tied = [label for label, n in votes.items() if n == top]
+    winner = min(tied, key=lambda label: (summed[label], label.value))
+    return winner, nearest
+
+
+def profile_record(profile) -> dict:
+    """``Profile.to_record``: every field, then the absent ones dropped."""
+    record = {
+        "id": profile.record_id,
+        "birthday": profile.birthday,
+        "about_me": profile.about_me,
+        "activities": profile.activities,
+        "gender": profile.gender.value,
+        "interests": profile.interests,
+        "wall_count": profile.wall_count,
+        "political": profile.political,
+        "music_count": profile.music_count,
+        "activity_interest_count": profile.activity_interest_count,
+    }
+    for key, value in (
+        ("about_me_class", profile.about_me_class),
+        ("age_range", profile.age_range),
+        ("wall_count_class", profile.wall_count_class),
+        ("music_share_class", profile.music_share_class),
+        ("activity_interest_class", profile.activity_interest_class),
+    ):
+        if value is not None:
+            record[key] = value.value
+    return {k: v for k, v in record.items() if v is not None}
+
+
+def _format_value(value, attr: ArffAttribute, row_no: int) -> str:
+    where = f"row {row_no}, column {attr.name!r}"
+    if value is None:
+        return "?"
+    if attr.kind == NUMERIC:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ArffEncodeError(f"{where}: numeric value expected, got {value!r}")
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise ArffEncodeError(f"{where}: non-finite numeric value")
+            return repr(value)
+        return str(value)
+    if not isinstance(value, str):
+        raise ArffEncodeError(f"{where}: expected text, got {value!r}")
+    if attr.kind == NOMINAL and value not in attr.domain:
+        raise ArffEncodeError(f"{where}: {value!r} not in nominal domain")
+    return _format_field(value)
+
+
+def emit_arff(ds: ArffDataset) -> str:
+    """Every cell formatted on its own."""
+    if not ds.relation:
+        raise ArffEncodeError("relation name must be non-empty")
+    lines = [f"@relation {_format_field(ds.relation)}"]
+    lines.extend(_attribute_line(attr) for attr in ds.attributes)
+    lines.append("@data")
+    for row_no, row in enumerate(ds.rows, start=1):
+        if len(row) != len(ds.attributes):
+            raise ArffEncodeError(
+                f"row {row_no}: {len(row)} values for {len(ds.attributes)} attributes"
+            )
+        lines.append(
+            ",".join(
+                _format_value(value, attr, row_no)
+                for value, attr in zip(row, ds.attributes)
+            )
+        )
+    return "\n".join(lines) + "\n"

@@ -17,6 +17,8 @@ from socialminer.errors import ArffEncodeError, ArffParseError
 from socialminer.ingest import Gender, Profile
 from socialminer.knn import ClassLabel
 
+import reference_paths
+
 
 def enriched_profile(i=0, **overrides):
     fields = dict(
@@ -256,3 +258,71 @@ class TestRoundTripProperty:
         assert back == ds
         for row, orig in zip(back.rows, ds.rows):
             assert [type(v) for v in row] == [type(v) for v in orig]
+
+
+# Values that need quoting or escaping, plus plain ones.
+quote_text = st.sampled_from(
+    ["", "?", "a b", "it's", "x,y", "{", "}", "%", "\t", "back\\slash", "'", "Low", "ok"]
+)
+cell_text = st.one_of(quote_text, safe_text)
+
+
+def emitted_or_error(emit, ds):
+    try:
+        return emit(ds)
+    except ArffEncodeError as exc:
+        return f"ArffEncodeError: {exc}"
+
+
+@st.composite
+def loose_dataset_strategy(draw):
+    """Datasets whose cells may break the attribute's invariants: text outside
+    the nominal domain, wrong types, non-finite floats, enum members."""
+    nominal = st.builds(
+        lambda n, dom: ArffAttribute(n, NOMINAL, tuple(dom)),
+        name_text,
+        st.lists(cell_text, min_size=1, max_size=5, unique=True),
+    )
+    attributes = draw(
+        st.lists(st.one_of(attribute_strategy(), nominal), min_size=1, max_size=5)
+    )
+    def cell(attr):
+        good = value_for(attr)
+        bad = st.one_of(
+            cell_text,
+            st.integers(min_value=-5, max_value=5),
+            st.floats(),
+            st.booleans(),
+            st.sampled_from([ShareClass.LOW, Gender.MALE, ("Low",), b"Low"]),
+        )
+        return draw(st.one_of(good, good, good, bad))
+    rows = [
+        tuple(cell(attr) for attr in attributes)
+        for _ in range(draw(st.integers(min_value=0, max_value=6)))
+    ]
+    return ArffDataset(draw(name_text), attributes, rows)
+
+
+class TestEmitEquivalence:
+    @given(loose_dataset_strategy())
+    @settings(max_examples=300)
+    def test_matches_per_cell_emitter(self, ds):
+        assert emitted_or_error(emit_arff, ds) == emitted_or_error(reference_paths.emit_arff, ds)
+
+    def test_out_of_domain_message_unchanged(self):
+        attr = ArffAttribute("c", NOMINAL, ("a b", "x"))
+        ds = ArffDataset("r", [attr], [("x",), ("a b",), ("y",)])
+        with pytest.raises(ArffEncodeError) as got:
+            emit_arff(ds)
+        assert str(got.value) == "row 3, column 'c': 'y' not in nominal domain"
+        assert emitted_or_error(reference_paths.emit_arff, ds) == f"ArffEncodeError: {got.value}"
+
+    def test_profile_dataset_matches(self):
+        profiles = [
+            enriched_profile(i, gender=gender, about_me_class=label)
+            for i, (gender, label) in enumerate(
+                zip(list(Gender) * 4, list(ClassLabel))
+            )
+        ]
+        ds = build_dataset(profiles)
+        assert emit_arff(ds) == reference_paths.emit_arff(ds)

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import reference_paths
 from socialminer.errors import EmptyDocumentError
 from socialminer.features import (
     TermCounts,
@@ -84,6 +85,27 @@ class TestSelectFeatures:
         # descending tf, ties ascending lexicographically
         keys = [(-tf[t], t) for t in selected]
         assert keys == sorted(keys)
+
+
+class TestRankingEquivalence:
+    @given(
+        st.dictionaries(
+            st.text(alphabet="abcd", min_size=1, max_size=3),
+            st.sampled_from([0.0, 0.1, 0.25, 1 / 3, 0.5, 1.0, 2.0]),
+            min_size=1,
+            max_size=30,
+        ),
+        st.integers(min_value=1, max_value=40),
+    )
+    def test_matches_negated_frequency_then_term_key(self, tf, n):
+        assert select_features(tf, n) == reference_paths.select_features(tf, n)
+
+    @given(tokens_strategy, st.integers(min_value=1, max_value=50))
+    def test_ranking_counts_equals_ranking_frequencies(self, tokens, n):
+        counts = term_counts(tokens)
+        by_tf = select_features(term_frequency(counts), n)
+        assert select_features(counts.counts, n) == by_tf
+        assert by_tf == reference_paths.select_features(term_frequency(counts), n)
 
 
 class TestCountVector:

@@ -4,6 +4,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+import reference_paths
 from socialminer.binning import AgeRange, ShareClass, WallCountClass
 from socialminer.errors import DuplicateIdError, StorageError
 from socialminer.ingest import (
@@ -106,6 +107,56 @@ class TestLoadProfiles:
     def test_unreadable_source(self, tmp_path):
         with pytest.raises(StorageError):
             load_profiles(tmp_path / "missing.jsonl")
+
+    def test_invalid_utf8_line_is_parse_issue(self, tmp_path):
+        p = tmp_path / "in.jsonl"
+        p.write_bytes(
+            line(id="u1").encode()
+            + b'\n{"id": "u2", "about_me": "caf\xe9"}\n'
+            + b'{"id": "u3", "about_me": "\xed\xa0\x80"}\n'
+            + b"\xff\n"
+            + line(id="u4", about_me="café").encode()
+            + b"\n"
+        )
+        profiles, issues = load_profiles(p)
+        assert [r.record_id for r in profiles] == ["u1", "u4"]
+        assert profiles[1].about_me == "café"
+        assert [(i.line_no, i.message) for i in issues] == [
+            (2, "not valid UTF-8"), (3, "not valid UTF-8"), (4, "not valid UTF-8")
+        ]
+
+    def test_invalid_utf8_in_byte_stream(self):
+        source = io.BytesIO(line(id="u1").encode() + b"\n\xc3(\n" + line(id="u2").encode())
+        profiles, issues = load_profiles(source)
+        assert [r.record_id for r in profiles] == ["u1", "u2"]
+        assert [i.line_no for i in issues] == [2]
+
+    def test_line_numbers_follow_every_line_break(self, tmp_path):
+        # str.splitlines also breaks at \x1c, \x85 and \u2028; invalid bytes
+        # elsewhere in the file must not shift the numbering.
+        p = tmp_path / "in.jsonl"
+        p.write_bytes(
+            b"\xff\n" + line(id="u1").encode() + b"\x1c"
+            + line(id="u2").encode() + "\u2028".encode() + b"\xfe\r\n"
+            + line(id="u3").encode()
+        )
+        profiles, issues = load_profiles(p)
+        assert [r.record_id for r in profiles] == ["u1", "u2", "u3"]
+        assert [i.line_no for i in issues] == [1, 4]
+        p.write_text(line(id="u1") + "\x85" + line(id="u2") + "\u2029" + line(id="u3"), encoding="utf-8")
+        profiles, issues = load_profiles(p)
+        assert not issues and [r.record_id for r in profiles] == ["u1", "u2", "u3"]
+
+    def test_escaped_lone_surrogate_is_parse_issue(self):
+        text = "\n".join([
+            '{"id": "u1", "about_me": "\\ud800 alone"}',
+            '{"id": "u2", "about_me": "pair \\ud83d\\ude00"}',
+            '{"id": "\\udfff"}',
+        ])
+        profiles, issues = load_profiles(io.StringIO(text))
+        assert [p.record_id for p in profiles] == ["u2"]
+        assert profiles[0].about_me == "pair \U0001F600"
+        assert [(i.line_no, i.message.split(" ")[0]) for i in issues] == [(1, "about_me"), (3, "id")]
 
 
 class TestValidateAndFilter:
@@ -274,6 +325,106 @@ class TestCorpusRoundTrip:
             assert load_corpus(name) == profiles
         finally:
             os.unlink(name)
+
+
+ENUM_FIELDS = (
+    ("gender", Gender),
+    ("about_me_class", ClassLabel),
+    ("age_range", AgeRange),
+    ("wall_count_class", WallCountClass),
+    ("music_share_class", ShareClass),
+    ("activity_interest_class", ShareClass),
+)
+
+
+def optional(strategy):
+    return st.one_of(st.none(), strategy)
+
+
+profiles_strategy = st.builds(
+    Profile,
+    record_id=st.text(min_size=1, max_size=8),
+    about_me=st.text(max_size=20),
+    gender=st.sampled_from(Gender),
+    wall_count=st.integers(min_value=0, max_value=10**6),
+    music_count=st.integers(min_value=0, max_value=10**6),
+    activity_interest_count=st.integers(min_value=0, max_value=100),
+    birthday=optional(st.text(max_size=10)),
+    activities=optional(st.text(max_size=10)),
+    interests=optional(st.text(max_size=10)),
+    political=optional(st.text(max_size=10)),
+    about_me_class=optional(st.sampled_from(ClassLabel)),
+    age_range=optional(st.sampled_from(AgeRange)),
+    wall_count_class=optional(st.sampled_from(WallCountClass)),
+    music_share_class=optional(st.sampled_from(ShareClass)),
+    activity_interest_class=optional(st.sampled_from(ShareClass)),
+)
+
+
+class TestRecordCodec:
+    @given(profiles_strategy)
+    def test_to_record_matches_reference_keys_order_and_types(self, profile):
+        record = profile.to_record()
+        reference = reference_paths.profile_record(profile)
+        assert list(record.items()) == list(reference.items())
+        assert [type(v) for v in record.values()] == [type(v) for v in reference.values()]
+
+    @given(profiles_strategy)
+    def test_round_trip_through_json(self, profile):
+        back = Profile.from_record(json.loads(json.dumps(profile.to_record())))
+        assert back == profile
+        for key, _ in ENUM_FIELDS:
+            assert getattr(back, key) is getattr(profile, key)
+
+    @pytest.mark.parametrize("key,enum_type", ENUM_FIELDS)
+    @pytest.mark.parametrize("value", [None, "Nope", "low", 3, True, [1], {"a": 1}])
+    def test_bad_enum_value_raises_like_the_enum(self, key, enum_type, value):
+        record = make_profile(1, about_me_class=ClassLabel.HONEST).to_record()
+        record[key] = value
+        with pytest.raises(Exception) as expected:
+            enum_type(value)
+        with pytest.raises(type(expected.value)) as got:
+            Profile.from_record(record)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("id", 7), ("about_me", None), ("wall_count", "1"), ("music_count", 1.0),
+         ("activity_interest_count", True), ("birthday", 1990), ("political", ["x"])],
+    )
+    def test_mistyped_field_is_type_error(self, key, value):
+        record = make_profile(1).to_record()
+        record[key] = value
+        with pytest.raises(TypeError, match=key):
+            Profile.from_record(record)
+
+
+class TestLoadCorpusErrors:
+    @pytest.mark.parametrize(
+        "bad_line",
+        ["[1, 2]", '"text"', "3", "null", "{not json", '{"id": "u9"}'],
+    )
+    def test_bad_line_names_path_and_line(self, tmp_path, bad_line):
+        p = tmp_path / "classified.jsonl"
+        persist_corpus([make_profile(1)], p)
+        p.write_text(p.read_text(encoding="utf-8") + bad_line + "\n", encoding="utf-8")
+        with pytest.raises(StorageError, match=r"classified\.jsonl:2"):
+            load_corpus(p)
+
+    def test_mistyped_field_names_path_and_line(self, tmp_path):
+        p = tmp_path / "binned.jsonl"
+        record = make_profile(1).to_record()
+        record["wall_count"] = "1"
+        p.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(StorageError, match=r"binned\.jsonl:1: wall_count"):
+            load_corpus(p)
+
+    def test_invalid_utf8_is_storage_error(self, tmp_path):
+        p = tmp_path / "accepted.jsonl"
+        persist_corpus([make_profile(1)], p)
+        p.write_bytes(p.read_bytes().replace(b"text", b"t\xffxt"))
+        with pytest.raises(StorageError, match="accepted.jsonl"):
+            load_corpus(p)
 
 
 def _as_raw(record):

@@ -21,6 +21,7 @@ from socialminer.knn import (
 )
 from socialminer.textprep import prepare
 
+import reference_paths
 from knn_oracle import brute_classify, brute_distance
 
 vectors = st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=8)
@@ -222,6 +223,25 @@ def biased_corpus(rng, labels, docs_per_class=6):
     return samples
 
 
+distance_rows = st.lists(
+    st.builds(
+        DistanceRow,
+        st.sampled_from(["a", "b", "c", "d", "e", "f"]),
+        st.sampled_from(list(ClassLabel)[:4]),
+        st.sampled_from([0.0, 1.0, 1.5, 2.0, math.sqrt(2), 3.0]),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestVoteEquivalence:
+    @given(distance_rows, st.integers(min_value=1, max_value=12))
+    def test_matches_lambda_keyed_vote(self, dm, k):
+        k = min(k, len(dm))
+        assert knn_classify(dm, k) == reference_paths.knn_classify(dm, k)
+
+
 class TestClassifyText:
     def test_exact_corpus_document_wins_at_k1(self):
         rng = random.Random(7)
@@ -387,4 +407,10 @@ class TestLoadSampleCorpus:
         p = tmp_path / "corpus.jsonl"
         p.write_text('{"id": "s1", "label": "Honest", "text": "  "}\n', encoding="utf-8")
         with pytest.raises(CorpusError):
+            load_sample_corpus(p)
+
+    def test_invalid_utf8_is_corpus_error(self, tmp_path):
+        p = tmp_path / "corpus.jsonl"
+        p.write_bytes(b'{"id": "s1", "label": "Honest", "text": "caf\xe9"}\n')
+        with pytest.raises(CorpusError, match="UTF-8"):
             load_sample_corpus(p)

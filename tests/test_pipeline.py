@@ -278,3 +278,92 @@ class TestCli:
             ) == 0
             binned = json.loads((out / "binned.jsonl").read_text().splitlines()[0])
             assert binned["music_share_class"] == expected
+
+
+class TestBadInputEndsCleanly:
+    """Each bad input ends in exit 1 with an error line, or in a reported
+    malformed line, never in a traceback."""
+
+    def staged(self, tmp_path):
+        write_jsonl(tmp_path / "profiles.jsonl", [record(i) for i in range(3)])
+        write_corpus(tmp_path / "corpus.jsonl")
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(tmp_path / "profiles.jsonl"), "--out", str(out)]) == 0
+        return out
+
+    def classify(self, tmp_path, out, *extra):
+        return main(
+            ["classify", "--input", str(out / "accepted.jsonl"),
+             "--corpus", str(tmp_path / "corpus.jsonl"), *extra, "--out", str(out)]
+        )
+
+    def test_non_object_stage_line(self, tmp_path, capsys):
+        out = self.staged(tmp_path)
+        with (out / "accepted.jsonl").open("a", encoding="utf-8") as handle:
+            handle.write("[1,2]\n")
+        capsys.readouterr()
+        assert self.classify(tmp_path, out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: corrupt corpus") and "accepted.jsonl:4" in err
+
+    def test_mistyped_stage_field(self, tmp_path, capsys):
+        out = self.staged(tmp_path)
+        lines = (out / "accepted.jsonl").read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1].replace('"wall_count": 12', '"wall_count": "12"')
+        (out / "accepted.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(
+            ["bin", "--input", str(out / "accepted.jsonl"), "--ref-date", "2015-06-01",
+             "--out", str(out)]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: corrupt corpus") and "accepted.jsonl:2: wall_count" in err
+
+    def test_invalid_utf8_stage_file(self, tmp_path, capsys):
+        out = self.staged(tmp_path)
+        with (out / "accepted.jsonl").open("ab") as handle:
+            handle.write(b'{"id": "\xff"}\n')
+        capsys.readouterr()
+        assert self.classify(tmp_path, out) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read corpus")
+
+    def test_missing_stopwords_file(self, tmp_path, capsys):
+        out = self.staged(tmp_path)
+        capsys.readouterr()
+        assert self.classify(tmp_path, out, "--stopwords", str(tmp_path / "nope.txt")) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read stopwords")
+        run_out = tmp_path / "run"
+        assert main(
+            ["run", "--input", str(tmp_path / "profiles.jsonl"),
+             "--corpus", str(tmp_path / "corpus.jsonl"),
+             "--stopwords", str(tmp_path / "nope.txt"),
+             "--ref-date", "2015-06-01", "--out", str(run_out)]
+        ) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read stopwords")
+        assert (run_out / "FAILED").read_text().startswith("StorageError")
+
+    def test_invalid_utf8_sample_corpus(self, tmp_path, capsys):
+        out = self.staged(tmp_path)
+        (tmp_path / "corpus.jsonl").write_bytes(
+            b'{"id": "s1", "label": "Honest", "text": "\xc0\xaf"}\n'
+        )
+        capsys.readouterr()
+        assert self.classify(tmp_path, out) == 1
+        assert "not valid UTF-8" in capsys.readouterr().err
+
+    def test_invalid_utf8_profile_line_is_reported(self, tmp_path, capsys):
+        write_corpus(tmp_path / "corpus.jsonl")
+        (tmp_path / "profiles.jsonl").write_bytes(
+            json.dumps(record(1)).encode() + b"\n"
+            + json.dumps(record(2)).encode().replace(b"truthful", b"truth\xffful") + b"\n"
+        )
+        out = tmp_path / "out"
+        assert main(
+            ["run", "--input", str(tmp_path / "profiles.jsonl"),
+             "--corpus", str(tmp_path / "corpus.jsonl"),
+             "--ref-date", "2015-06-01", "--out", str(out)]
+        ) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["counts"]["accepted"] == 1 and summary["counts"]["malformed"] == 1
+        rejections = json.loads((out / "rejections.json").read_text())
+        assert rejections["malformed_lines"] == [{"line_no": 2, "message": "not valid UTF-8"}]

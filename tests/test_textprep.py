@@ -1,8 +1,13 @@
 import string
+import sys
 
+import pytest
 from hypothesis import given, strategies as st
 
+import reference_paths
+from socialminer.errors import StorageError
 from socialminer.textprep import (
+    _TOKEN,
     DEFAULT_STOPWORDS,
     load_stopwords,
     normalize_text,
@@ -10,6 +15,13 @@ from socialminer.textprep import (
     remove_stopwords,
     tokenize,
 )
+
+# Characters around which lowercasing or the token class is easy to get wrong:
+# underscore, digits of other scripts, superscripts, combining marks, letters
+# whose lowercase form is longer, separators that str.split() knows.
+TRICKY = "_-'’ \t\n\x1c\x85\xa0\u2028\u3000²½Ⅻ٣߀İẞßΣσςǅ\u0301\u0345\u200b\ufeffa1Z"
+tricky_text = st.text(alphabet=st.sampled_from(TRICKY), max_size=60)
+any_text = st.one_of(st.text(max_size=200), tricky_text)
 
 
 class TestNormalizeText:
@@ -87,11 +99,50 @@ class TestDefaultStopwords:
             assert w and all(ch not in string.punctuation for ch in w)
 
 
+class TestTokenGrammar:
+    def test_token_class_is_isalnum_on_every_code_point(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert "".join(_TOKEN.findall(every)) == "".join(ch for ch in every if ch.isalnum())
+
+    def test_no_alphanumeric_character_is_whitespace(self):
+        # The per-character definition split on whitespace after mapping
+        # non-alphanumerics to spaces; that equals splitting on them only if
+        # no alphanumeric character is whitespace.
+        assert not any(chr(c).isalnum() and chr(c).isspace() for c in range(sys.maxunicode + 1))
+
+    @given(any_text)
+    def test_normalize_matches_per_character_definition(self, raw):
+        assert normalize_text(raw) == reference_paths.normalize_text(raw)
+
+    @given(any_text, st.frozensets(st.sampled_from(["a1", "ss", "σ", "the", "i"])))
+    def test_prepare_matches_per_character_definition(self, raw, stops):
+        assert prepare(raw) == reference_paths.prepare(raw)
+        assert prepare(raw, stops) == reference_paths.prepare(raw, stops)
+
+    @given(any_text)
+    def test_prepare_composes_the_public_stages(self, raw):
+        assert prepare(raw) == remove_stopwords(tokenize(normalize_text(raw)))
+
+
 class TestLoadStopwords:
     def test_file_with_comments(self, tmp_path):
         p = tmp_path / "stops.txt"
         p.write_text("# comment line\nthe\nAND\n\n  of  \n", encoding="utf-8")
         assert load_stopwords(p) == frozenset({"the", "and", "of"})
+
+    def test_missing_file_is_storage_error(self, tmp_path):
+        with pytest.raises(StorageError, match="nope.txt"):
+            load_stopwords(tmp_path / "nope.txt")
+
+    def test_directory_is_storage_error(self, tmp_path):
+        with pytest.raises(StorageError):
+            load_stopwords(tmp_path)
+
+    def test_invalid_utf8_is_storage_error(self, tmp_path):
+        p = tmp_path / "stops.txt"
+        p.write_bytes(b"the\n\xff\xfe\n")
+        with pytest.raises(StorageError, match="stops.txt"):
+            load_stopwords(p)
 
 
 def test_prepare_composes_all_stages():
