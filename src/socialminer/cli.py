@@ -14,6 +14,7 @@ from .ingest import load_corpus
 from .knn import load_sample_corpus
 from .pipeline import (
     RunConfig,
+    failure_marker,
     run_pipeline,
     stage_arff,
     stage_bin,
@@ -112,7 +113,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    args.out.mkdir(parents=True, exist_ok=True)
     profiles, report, issues = stage_ingest(args.input, args.out)
     print(f"accepted: {report.accepted_count}")
     print(f"rejected: {report.rejected_count}")
@@ -121,7 +121,6 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    args.out.mkdir(parents=True, exist_ok=True)
     stopwords = _stopwords_from(args)
     profiles = load_corpus(args.input)
     corpus = load_sample_corpus(args.corpus, stopwords)
@@ -134,7 +133,6 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_bin(args) -> int:
-    args.out.mkdir(parents=True, exist_ok=True)
     profiles = load_corpus(args.input)
     stage_bin(profiles, args.ref_date, GapPolicy(args.gap_policy), args.out)
     print(f"binned: {len(profiles)}")
@@ -142,21 +140,18 @@ def _cmd_bin(args) -> int:
 
 
 def _cmd_arff(args) -> int:
-    args.out.mkdir(parents=True, exist_ok=True)
     stage_arff(load_corpus(args.input), args.out)
     print(f"wrote {args.out / 'dataset.arff'}")
     return 0
 
 
 def _cmd_report(args) -> int:
-    args.out.mkdir(parents=True, exist_ok=True)
     artifacts = stage_report(load_corpus(args.input), args.out, args.run_id)
     print(f"wrote {len(artifacts)} report artifacts under {args.out}")
     return 0
 
 
-_COMMANDS = {
-    "run": _cmd_run,
+_STAGE_COMMANDS = {
     "ingest": _cmd_ingest,
     "classify": _cmd_classify,
     "bin": _cmd_bin,
@@ -168,7 +163,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        if args.command == "run":
+            return _cmd_run(args)  # run_pipeline keeps its own failure marker
+        args.out.mkdir(parents=True, exist_ok=True)
+        with failure_marker(args.out):
+            return _STAGE_COMMANDS[args.command](args)
     except SocialMinerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -371,7 +371,9 @@ def load_corpus(path: str | Path) -> list[Profile]:
     except (OSError, UnicodeDecodeError) as exc:
         raise StorageError(f"cannot read corpus {path}: {exc}") from exc
     profiles = []
-    for line_no, line in enumerate(raw.splitlines(), start=1):
+    # Records end at "\n" only: the encoder writes U+2028, U+2029 and U+0085
+    # unescaped, and str.splitlines would break a record at each of them.
+    for line_no, line in enumerate(raw.split("\n"), start=1):
         if not line.strip():
             continue
         try:

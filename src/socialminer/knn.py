@@ -6,15 +6,17 @@ terms; the same projection is applied to every sample document, and the
 majority label among the k samples at smallest Euclidean distance wins.
 
 Classification scores against a ``CorpusIndex``: an inverted index from each
-term to the documents containing it and their counts, built once per batch.
-Every document starts at d² = Σ t_f² over the target's features; each posting
-(i, s) of a feature f adds s·(s − 2·t_f). Only the k smallest (d², doc_id)
-are kept, and only those k get a square root. Counts are integers, so d² is
-exact, and its square root equals the dense path's float sum of float
-squares bit for bit. That holds while d² stays below 2**50, where integer d²
-values are exact floats and distinct ones keep distinct, equally ordered
-square roots; the index refuses targets that could reach it. The dense
-``distance_matrix`` (one row per sample) is kept as the reference path.
+term to the documents containing it, grouped by the term's count s in them,
+built once per batch. Every document starts at d² = Σ t_f² over the target's
+features; for a feature f, each group adds s·(s − 2·t_f), computed once, to
+every document position in it, and a group with s = 2·t_f (which adds 0) is
+skipped. Only the k smallest (d², doc_id) are kept, and only those k get a
+square root. Counts are integers, so d² is exact, and its square root equals
+the dense path's float sum of float squares bit for bit. That holds while d²
+stays below 2**50, where integer d² values are exact floats and distinct ones
+keep distinct, equally ordered square roots; the index refuses targets that
+could reach it. The dense ``distance_matrix`` (one row per sample) is kept as
+the reference path.
 """
 
 from __future__ import annotations
@@ -169,7 +171,8 @@ EXACT_LIMIT = 2**50
 
 
 class CorpusIndex:
-    """The sample documents plus ``term -> (doc positions, counts)`` postings.
+    """The sample documents plus ``term -> ((count s, doc positions), ...)``
+    postings, one group per distinct count, ordered by s.
 
     Documents are held in a stable doc-id order, so position order breaks
     distance ties the same way (distance, doc_id) does.
@@ -178,7 +181,7 @@ class CorpusIndex:
     def __init__(
         self,
         docs: list[SampleDocument],
-        postings: dict[str, tuple[array, array]],
+        postings: dict[str, tuple[tuple[int, array], ...]],
         max_norm: int,
     ):
         self.docs = docs
@@ -190,23 +193,25 @@ class CorpusIndex:
         if not corpus:
             raise CorpusError("sample corpus is empty")
         docs = sorted(corpus, key=lambda doc: doc.doc_id)
-        postings: dict[str, tuple[array, array]] = {}
+        groups: dict[str, dict[int, array]] = {}
         max_norm = 0
         for position, doc in enumerate(docs):
             norm = 0
             for term, count in doc.counts.counts.items():
-                entry = postings.get(term)
-                if entry is None:
-                    entry = postings[term] = (array("I"), array("I"))
-                entry[0].append(position)
-                try:
-                    entry[1].append(count)
-                except OverflowError:
+                if not 0 <= count < 2**32:
                     raise DimensionError(
                         f"{doc.doc_id}: count {count} of {term!r} outside [0, 2**32)"
-                    ) from None
+                    )
+                by_count = groups.get(term)
+                if by_count is None:
+                    by_count = groups[term] = {}
+                positions = by_count.get(count)
+                if positions is None:
+                    positions = by_count[count] = array("I")
+                positions.append(position)
                 norm += count * count
             max_norm = max(max_norm, norm)
+        postings = {term: tuple(sorted(by_count.items())) for term, by_count in groups.items()}
         return cls(docs, postings, max_norm)
 
     def __len__(self) -> int:
@@ -230,13 +235,17 @@ class CorpusIndex:
                 f"squared distances may reach 2**50 (target {base}, corpus {self.max_norm})"
             )
         d2 = [base] * len(self.docs)
+        postings = self.postings
         for term, t in zip(features, target_vec):
-            entry = self.postings.get(term)
-            if entry is None:
+            groups = postings.get(term)
+            if groups is None:
                 continue
             two_t = 2 * t
-            for position, s in zip(*entry):
-                d2[position] += s * (s - two_t)
+            for s, positions in groups:
+                delta = s * (s - two_t)
+                if delta:
+                    for position in positions:
+                        d2[position] += delta
         docs = self.docs
         return [
             DistanceRow(docs[i].doc_id, docs[i].label, math.sqrt(d2[i]))
@@ -287,7 +296,9 @@ def load_sample_corpus(
 
     samples: list[SampleDocument] = []
     seen: set[str] = set()
-    for line_no, line in enumerate(raw.splitlines(), start=1):
+    # Records end at "\n" only; str.splitlines would also break a text at a
+    # raw U+2028, U+2029 or U+0085.
+    for line_no, line in enumerate(raw.split("\n"), start=1):
         if not line.strip():
             continue
         try:

@@ -6,10 +6,11 @@ configuration produce byte-identical output trees."""
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .arff import build_dataset, emit_arff
 from .binning import (
@@ -247,14 +248,26 @@ def stage_report(profiles: list[Profile], out_dir: Path, run_id: str) -> list[di
     return artifacts
 
 
+@contextmanager
+def failure_marker(out_dir: Path) -> Iterator[None]:
+    """Remove a stale failure marker from ``out_dir``; if the body raises,
+    write ``"<Type>: <message>"`` to a new marker and re-raise. Partial
+    outputs are kept."""
+    marker = out_dir / FAILURE_MARKER
+    marker.unlink(missing_ok=True)
+    try:
+        yield
+    except Exception as exc:
+        atomic_write_text(marker, f"{type(exc).__name__}: {exc}\n")
+        raise
+
+
 def run_pipeline(config: RunConfig) -> RunSummary:
-    """Run every stage in order. On any stage error, partial outputs are kept
-    and a failure marker file is written before the error propagates."""
+    """Run every stage in order, under a failure marker."""
     config.validate()
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / FAILURE_MARKER).unlink(missing_ok=True)
-    try:
+    with failure_marker(out_dir):
         stopwords = (
             load_stopwords(config.stopword_path)
             if config.stopword_path is not None
@@ -284,8 +297,3 @@ def run_pipeline(config: RunConfig) -> RunSummary:
             out_dir / SUMMARY_FILE, json.dumps(summary.to_record(), indent=2) + "\n"
         )
         return summary
-    except Exception as exc:
-        atomic_write_text(
-            out_dir / FAILURE_MARKER, f"{type(exc).__name__}: {exc}\n"
-        )
-        raise

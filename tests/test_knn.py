@@ -279,6 +279,19 @@ def target_projection(text, n_features):
     return count_vector(features, counts), features
 
 
+def assert_nearest_matches_dense(index, corpus, target_vec, features, k):
+    dense = distance_matrix(target_vec, corpus, features)
+    expected = sorted(dense, key=lambda r: (r.distance, r.doc_id))[:k]
+    rows = index.nearest(target_vec, features, k)
+    assert [r.doc_id for r in rows] == [r.doc_id for r in expected]
+    assert [r.distance.hex() for r in rows] == [r.distance.hex() for r in expected]
+    oracle_rows = [
+        (d.doc_id, d.label.value, brute_distance(target_vec, count_vector(features, d.counts)))
+        for d in corpus
+    ]
+    assert knn_classify(rows, k)[0].value == brute_classify(oracle_rows, k)
+
+
 class TestCorpusIndex:
     @given(st.data())
     @settings(max_examples=300)
@@ -336,9 +349,50 @@ class TestCorpusIndex:
     def test_postings_hold_positions_and_counts(self):
         index = CorpusIndex.build([doc("s2", "kind kind honest"), doc("s1", "kind")])
         assert [d.doc_id for d in index.docs] == ["s1", "s2"]
-        positions, counts = index.postings["kind"]
-        assert (list(positions), list(counts)) == ([0, 1], [1, 2])
+        groups = [(s, list(positions)) for s, positions in index.postings["kind"]]
+        assert groups == [(1, [0]), (2, [1])]
         assert index.max_norm == 5
+
+    def test_groups_with_count_twice_the_target_add_nothing(self):
+        corpus = [
+            doc("s1", "kind kind kind kind honest honest"),
+            doc("s2", "kind kind kind kind"),
+            doc("s3", "honest honest", ClassLabel.LAZY),
+            doc("s4", "kind kind honest", ClassLabel.LAZY),
+            doc("s5", "calm", ClassLabel.LAZY),
+        ]
+        target_vec, features = target_projection("kind kind honest", 50)
+        assert (features, target_vec) == (["kind", "honest"], [2, 1])
+        # s = 2t for kind's group 4 and honest's group 2: delta 0, skipped
+        index = CorpusIndex.build(corpus)
+        assert [s for s, _ in index.postings["kind"]] == [2, 4]
+        assert [s for s, _ in index.postings["honest"]] == [1, 2]
+        for k in range(1, len(corpus) + 1):
+            assert_nearest_matches_dense(index, corpus, target_vec, features, k)
+
+    def test_position_tie_break_past_256_docs(self):
+        rng = random.Random(5)
+        labels = list(ClassLabel)[:4]
+        # unpadded ids: doc-id order differs from both corpus and numeric order
+        ids = [f"d{i}" for i in range(300)]
+        rng.shuffle(ids)
+        # every doc holds "ant" once, so that group spans all 300 positions
+        corpus = [
+            SampleDocument.from_text(
+                doc_id,
+                " ".join(["ant"] + rng.choices(["bee", "cat"], k=rng.randint(0, 3))),
+                rng.choice(labels),
+            )
+            for doc_id in ids
+        ]
+        index = CorpusIndex.build(corpus)
+        assert [len(positions) for _, positions in index.postings["ant"]] == [300]
+        for target in ("ant ant bee", "cat", "ant bee cat cat"):
+            target_vec, features = target_projection(target, 50)
+            dense = distance_matrix(target_vec, corpus, features)
+            assert len({row.distance for row in dense}) < 20  # many equal distances
+            for k in (1, 5, 255, 256, 257, 300):
+                assert_nearest_matches_dense(index, corpus, target_vec, features, k)
 
 
 def huge_doc(count):
@@ -408,6 +462,17 @@ class TestLoadSampleCorpus:
         p.write_text('{"id": "s1", "label": "Honest", "text": "  "}\n', encoding="utf-8")
         with pytest.raises(CorpusError):
             load_sample_corpus(p)
+
+    def test_line_separator_characters_stay_inside_a_text(self, tmp_path):
+        p = tmp_path / "corpus.jsonl"
+        p.write_text(
+            '{"id": "s1", "label": "Honest", "text": "honest\u2028kind\u2029calm\x85fair"}\r\n'
+            '{"id": "s2", "label": "Lazy", "text": "naps"}\n',
+            encoding="utf-8",
+        )
+        corpus = load_sample_corpus(p)
+        assert [d.doc_id for d in corpus] == ["s1", "s2"]
+        assert corpus[0].tokens == ["honest", "kind", "calm", "fair"]
 
     def test_invalid_utf8_is_corpus_error(self, tmp_path):
         p = tmp_path / "corpus.jsonl"

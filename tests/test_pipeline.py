@@ -234,6 +234,30 @@ class TestCli:
         for name, content in staged_files.items():
             assert content == full_files[name], name
 
+    def test_line_separator_characters_survive_the_stage_files(self, tmp_path):
+        # json.dumps escapes them in the input; the stage files hold them raw
+        text = "truthful\u2028genuine\u2029integrity\x85fair candid upfront"
+        records = [record(i) for i in range(3)] + [record(3, about_me=text)]
+        (tmp_path / "profiles.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in records), encoding="ascii"
+        )
+        write_corpus(tmp_path / "corpus.jsonl")
+        full, staged = tmp_path / "full", tmp_path / "staged"
+        args_common = ["--corpus", str(tmp_path / "corpus.jsonl")]
+        assert main(
+            ["run", "--input", str(tmp_path / "profiles.jsonl"), *args_common,
+             "--ref-date", "2015-06-01", "--out", str(full)]
+        ) == 0
+        assert main(["ingest", "--input", str(tmp_path / "profiles.jsonl"), "--out", str(staged)]) == 0
+        assert text in (staged / "accepted.jsonl").read_text(encoding="utf-8")
+        assert main(["classify", "--input", str(staged / "accepted.jsonl"), *args_common, "--out", str(staged)]) == 0
+        assert main(["bin", "--input", str(staged / "classified.jsonl"), "--ref-date", "2015-06-01", "--out", str(staged)]) == 0
+        assert main(["arff", "--input", str(staged / "binned.jsonl"), "--out", str(staged)]) == 0
+        assert main(["report", "--input", str(staged / "binned.jsonl"), "--out", str(staged)]) == 0
+        for name in ("accepted.jsonl", "classified.jsonl", "binned.jsonl", "dataset.arff"):
+            assert (staged / name).read_bytes() == (full / name).read_bytes(), name
+        assert len(parse_arff((staged / "dataset.arff").read_text(encoding="utf-8")).rows) == 4
+
     def test_error_exit_code(self, tmp_path, capsys):
         code = main(
             ["arff", "--input", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path)]
@@ -341,6 +365,29 @@ class TestBadInputEndsCleanly:
         ) == 1
         assert capsys.readouterr().err.startswith("error: cannot read stopwords")
         assert (run_out / "FAILED").read_text().startswith("StorageError")
+
+    def test_stage_subcommand_failure_writes_marker(self, tmp_path, capsys):
+        write_jsonl(tmp_path / "profiles.jsonl", [record(0, birthday="2030-01-01")])
+        write_corpus(tmp_path / "corpus.jsonl")
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(tmp_path / "profiles.jsonl"), "--out", str(out)]) == 0
+        assert self.classify(tmp_path, out) == 0
+        assert not (out / "FAILED").exists()
+
+        def bin_at(ref_date):
+            return main(
+                ["bin", "--input", str(out / "classified.jsonl"), "--ref-date", ref_date,
+                 "--out", str(out)]
+            )
+
+        capsys.readouterr()
+        assert bin_at("2015-06-01") == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert (out / "FAILED").read_text().startswith("DomainError: ")
+        assert not (out / "binned.jsonl").exists()
+        assert bin_at("2031-01-01") == 0
+        assert not (out / "FAILED").exists()
+        assert (out / "binned.jsonl").is_file()
 
     def test_invalid_utf8_sample_corpus(self, tmp_path, capsys):
         out = self.staged(tmp_path)
