@@ -11,6 +11,7 @@ from pathlib import Path
 from .binning import GapPolicy
 from .errors import SocialMinerError
 from .ingest import load_corpus
+from .io_utils import make_output_dir
 from .knn import load_sample_corpus
 from .pipeline import (
     RunConfig,
@@ -165,7 +166,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             return _cmd_run(args)  # run_pipeline keeps its own failure marker
-        args.out.mkdir(parents=True, exist_ok=True)
+        make_output_dir(args.out)
         with failure_marker(args.out):
             return _STAGE_COMMANDS[args.command](args)
     except SocialMinerError as exc:

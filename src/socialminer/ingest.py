@@ -236,7 +236,8 @@ def _parse_record_line(line_no: int, line: str) -> RawProfile:
 def load_profiles(
     source: Union[str, Path, IO[str], IO[bytes], Iterable[str]],
 ) -> tuple[list[RawProfile], list[ParseIssue]]:
-    """Parse line-delimited records into RawProfiles, in input order.
+    """Parse line-delimited records into RawProfiles, in input order, one
+    line at a time.
 
     Malformed lines become ParseIssues with their line number, and so do
     lines that are not valid UTF-8. A duplicate id raises DuplicateIdError;
@@ -244,18 +245,25 @@ def load_profiles(
     """
     if isinstance(source, (str, Path)):
         try:
-            data = Path(source).read_bytes()
+            with open(source, "rb") as handle:
+                # Bytes that are not UTF-8 decode to lone surrogates, which
+                # mark their line as malformed. Each chunk ends at b"\n", which
+                # is part of no other UTF-8 character and ends any "\r\n", so
+                # the chunks split into the same lines as the whole file.
+                return _parse_lines(
+                    line
+                    for chunk in handle
+                    for line in chunk.decode("utf-8", "surrogateescape").splitlines()
+                )
         except OSError as exc:
             raise StorageError(f"cannot read {source}: {exc}") from exc
-        # Bytes that are not UTF-8 decode to lone surrogates, which mark their
-        # line as malformed; lines split exactly as in strictly decoded text.
-        lines = data.decode("utf-8", "surrogateescape").splitlines()
-    else:
-        lines = [
-            line.decode("utf-8", "surrogateescape") if isinstance(line, bytes) else line
-            for line in source
-        ]
+    return _parse_lines(
+        line.decode("utf-8", "surrogateescape") if isinstance(line, bytes) else line
+        for line in source
+    )
 
+
+def _parse_lines(lines: Iterable[str]) -> tuple[list[RawProfile], list[ParseIssue]]:
     profiles: list[RawProfile] = []
     issues: list[ParseIssue] = []
     seen: set[str] = set()
@@ -354,33 +362,38 @@ _encode_record = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def persist_corpus(profiles: list[Profile], path: str | Path) -> None:
-    """Write the accepted corpus as JSON lines, atomically."""
-    text = "".join([_encode_record(p.to_record()) + "\n" for p in profiles])
-    atomic_write_text(path, text)
+    """Write the accepted corpus as JSON lines, atomically, one record at a
+    time."""
+    atomic_write_text(path, (_encode_record(p.to_record()) + "\n" for p in profiles))
 
 
 def load_corpus(path: str | Path) -> list[Profile]:
-    """Read back a persisted corpus, reproducing the profiles exactly.
+    """Read back a persisted corpus one record at a time, reproducing the
+    profiles exactly.
 
     An unreadable or non-UTF-8 file raises StorageError, and so does a line
     that is not a JSON object of the fields ``to_record`` writes, with their
-    types; the message names the path and the line.
+    types; the message names the path and the line. The first fault met in
+    file order is the one reported.
     """
+    profiles = []
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        # Records end at "\n", "\r\n" or "\r", each read as "\n" (Python's
+        # universal newlines), and nowhere else. The encoder writes U+2028,
+        # U+2029 and U+0085 unescaped, and str.splitlines would break a record
+        # at each of them.
+        with open(path, encoding="utf-8") as handle:
+            for line_no, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    # Without its "\n", a line's JSON errors point into it.
+                    record = json.loads(line.rstrip("\n"))
+                    if not isinstance(record, dict):
+                        raise TypeError("line is not an object")
+                    profiles.append(Profile.from_record(record))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise StorageError(f"corrupt corpus {path}:{line_no}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise StorageError(f"cannot read corpus {path}: {exc}") from exc
-    profiles = []
-    # Records end at "\n" only: the encoder writes U+2028, U+2029 and U+0085
-    # unescaped, and str.splitlines would break a record at each of them.
-    for line_no, line in enumerate(raw.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise TypeError("line is not an object")
-            profiles.append(Profile.from_record(record))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StorageError(f"corrupt corpus {path}:{line_no}: {exc}") from exc
     return profiles

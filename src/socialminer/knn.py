@@ -285,41 +285,50 @@ def load_sample_corpus(
     """Read a sample corpus file: UTF-8 JSON lines with id, label and text.
 
     Labels must belong to the closed enumeration (never Unclassifiable),
-    texts must be non-empty and ids unique.
+    texts must be non-empty and ids unique. The file is read one record at a
+    time, so the first fault met in file order is the one reported.
     """
+    samples: list[SampleDocument] = []
+    seen: set[str] = set()
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        # Records end at "\n", "\r\n" or "\r" (universal newlines) and
+        # nowhere else; str.splitlines would also break a text at a raw
+        # U+2028, U+2029 or U+0085.
+        with open(path, encoding="utf-8") as handle:
+            for line_no, line in enumerate(handle, start=1):
+                if line.strip():
+                    samples.append(
+                        _sample_from_line(path, line_no, line.rstrip("\n"), seen, stopwords)
+                    )
     except OSError as exc:
         raise StorageError(f"cannot read sample corpus {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise CorpusError(f"{path}: not valid UTF-8 ({exc})") from exc
-
-    samples: list[SampleDocument] = []
-    seen: set[str] = set()
-    # Records end at "\n" only; str.splitlines would also break a text at a
-    # raw U+2028, U+2029 or U+0085.
-    for line_no, line in enumerate(raw.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}:{line_no}: not valid JSON ({exc})") from exc
-        if not isinstance(record, dict) or set(record) != {"id", "label", "text"}:
-            raise CorpusError(f"{path}:{line_no}: expected keys id, label, text")
-        doc_id, label_text, text = record["id"], record["label"], record["text"]
-        if not isinstance(doc_id, str) or not doc_id:
-            raise CorpusError(f"{path}:{line_no}: id must be a non-empty string")
-        if doc_id in seen:
-            raise CorpusError(f"{path}:{line_no}: duplicate document id {doc_id!r}")
-        seen.add(doc_id)
-        try:
-            label = ClassLabel(label_text)
-        except ValueError:
-            raise CorpusError(f"{path}:{line_no}: unknown class label {label_text!r}")
-        if label is ClassLabel.UNCLASSIFIABLE:
-            raise CorpusError(f"{path}:{line_no}: sample documents cannot be Unclassifiable")
-        if not isinstance(text, str) or not text.strip():
-            raise CorpusError(f"{path}:{line_no}: text must be non-empty")
-        samples.append(SampleDocument.from_text(doc_id, text, label, stopwords))
     return samples
+
+
+def _sample_from_line(
+    path: str | Path, line_no: int, line: str, seen: set[str], stopwords: frozenset[str]
+) -> SampleDocument:
+    """One sample corpus record; its id is added to ``seen``."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"{path}:{line_no}: not valid JSON ({exc})") from exc
+    if not isinstance(record, dict) or set(record) != {"id", "label", "text"}:
+        raise CorpusError(f"{path}:{line_no}: expected keys id, label, text")
+    doc_id, label_text, text = record["id"], record["label"], record["text"]
+    if not isinstance(doc_id, str) or not doc_id:
+        raise CorpusError(f"{path}:{line_no}: id must be a non-empty string")
+    if doc_id in seen:
+        raise CorpusError(f"{path}:{line_no}: duplicate document id {doc_id!r}")
+    seen.add(doc_id)
+    try:
+        label = ClassLabel(label_text)
+    except ValueError:
+        raise CorpusError(f"{path}:{line_no}: unknown class label {label_text!r}")
+    if label is ClassLabel.UNCLASSIFIABLE:
+        raise CorpusError(f"{path}:{line_no}: sample documents cannot be Unclassifiable")
+    if not isinstance(text, str) or not text.strip():
+        raise CorpusError(f"{path}:{line_no}: text must be non-empty")
+    return SampleDocument.from_text(doc_id, text, label, stopwords)

@@ -31,7 +31,7 @@ from .ingest import (
     persist_corpus,
     validate_and_filter,
 )
-from .io_utils import atomic_write_text
+from .io_utils import atomic_write_text, make_output_dir
 from .knn import ClassLabel, CorpusIndex, SampleDocument, classify_text, load_sample_corpus
 from .report import aggregate, compare, emit_chart, emit_comparison_chart, emit_table
 from .textprep import DEFAULT_STOPWORDS, load_stopwords
@@ -266,7 +266,7 @@ def run_pipeline(config: RunConfig) -> RunSummary:
     """Run every stage in order, under a failure marker."""
     config.validate()
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_output_dir(out_dir)
     with failure_marker(out_dir):
         stopwords = (
             load_stopwords(config.stopword_path)

@@ -1,14 +1,18 @@
-"""The per-character, per-item definitions that the package's fast paths
-replaced, kept as test references. Each fast path must agree with its
-reference here: same values, same bytes, same errors."""
+"""The per-character, per-item and whole-file definitions that the package's
+fast and streamed paths replaced, kept as test references. Each replacement
+must agree with its reference here: same values, same bytes, same errors."""
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 from socialminer.arff import NOMINAL, NUMERIC, ArffAttribute, ArffDataset, _attribute_line, _format_field
-from socialminer.errors import ArffEncodeError
-from socialminer.knn import ClassLabel, DistanceRow
+from socialminer.errors import ArffEncodeError, CorpusError, DuplicateIdError, StorageError
+from socialminer.ingest import ParseIssue, Profile, _encode_record, _parse_record_line
+from socialminer.io_utils import atomic_write_text
+from socialminer.knn import ClassLabel, DistanceRow, SampleDocument
 from socialminer.textprep import DEFAULT_STOPWORDS
 
 
@@ -104,3 +108,89 @@ def emit_arff(ds: ArffDataset) -> str:
             )
         )
     return "\n".join(lines) + "\n"
+
+
+def load_profiles(path):
+    """``ingest.load_profiles`` on a path: the whole file read, decoded and
+    split at once."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise StorageError(f"cannot read {path}: {exc}") from exc
+    profiles, issues, seen = [], [], set()
+    for line_no, line in enumerate(data.decode("utf-8", "surrogateescape").splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            raw = _parse_record_line(line_no, line)
+        except ValueError as exc:
+            issues.append(ParseIssue(line_no, str(exc)))
+            continue
+        if raw.record_id in seen:
+            raise DuplicateIdError(f"duplicate record id {raw.record_id!r} at line {line_no}")
+        seen.add(raw.record_id)
+        profiles.append(raw)
+    return profiles, issues
+
+
+def persist_corpus(profiles, path) -> None:
+    """``ingest.persist_corpus``: every line joined into one text, then written."""
+    atomic_write_text(path, "".join([_encode_record(p.to_record()) + "\n" for p in profiles]))
+
+
+def load_corpus(path):
+    """``ingest.load_corpus``: the whole file read (with "\r\n" and "\r"
+    read as "\n") and split at "\n"."""
+    try:
+        raw = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise StorageError(f"cannot read corpus {path}: {exc}") from exc
+    profiles = []
+    for line_no, line in enumerate(raw.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise TypeError("line is not an object")
+            profiles.append(Profile.from_record(record))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StorageError(f"corrupt corpus {path}:{line_no}: {exc}") from exc
+    return profiles
+
+
+def load_sample_corpus(path, stopwords: frozenset[str] = DEFAULT_STOPWORDS):
+    """``knn.load_sample_corpus``: the whole file read (with "\r\n" and "\r"
+    read as "\n") and split at "\n"."""
+    try:
+        raw = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise StorageError(f"cannot read sample corpus {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not valid UTF-8 ({exc})") from exc
+    samples, seen = [], set()
+    for line_no, line in enumerate(raw.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path}:{line_no}: not valid JSON ({exc})") from exc
+        if not isinstance(record, dict) or set(record) != {"id", "label", "text"}:
+            raise CorpusError(f"{path}:{line_no}: expected keys id, label, text")
+        doc_id, label_text, text = record["id"], record["label"], record["text"]
+        if not isinstance(doc_id, str) or not doc_id:
+            raise CorpusError(f"{path}:{line_no}: id must be a non-empty string")
+        if doc_id in seen:
+            raise CorpusError(f"{path}:{line_no}: duplicate document id {doc_id!r}")
+        seen.add(doc_id)
+        try:
+            label = ClassLabel(label_text)
+        except ValueError:
+            raise CorpusError(f"{path}:{line_no}: unknown class label {label_text!r}")
+        if label is ClassLabel.UNCLASSIFIABLE:
+            raise CorpusError(f"{path}:{line_no}: sample documents cannot be Unclassifiable")
+        if not isinstance(text, str) or not text.strip():
+            raise CorpusError(f"{path}:{line_no}: text must be non-empty")
+        samples.append(SampleDocument.from_text(doc_id, text, label, stopwords))
+    return samples

@@ -389,6 +389,28 @@ class TestBadInputEndsCleanly:
         assert not (out / "FAILED").exists()
         assert (out / "binned.jsonl").is_file()
 
+    def test_out_naming_a_file_is_an_error_line(self, tmp_path, capsys):
+        write_jsonl(tmp_path / "profiles.jsonl", [record(i) for i in range(3)])
+        write_corpus(tmp_path / "corpus.jsonl")
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n", encoding="utf-8")
+        for out in (taken, taken / "sub"):
+            for argv in (
+                ["run", "--input", str(tmp_path / "profiles.jsonl"),
+                 "--corpus", str(tmp_path / "corpus.jsonl"),
+                 "--ref-date", "2015-06-01", "--out", str(out)],
+                ["ingest", "--input", str(tmp_path / "profiles.jsonl"), "--out", str(out)],
+            ):
+                capsys.readouterr()
+                assert main(argv) == 1
+                assert capsys.readouterr().err.startswith(
+                    f"error: cannot create output directory {out}: "
+                )
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith("taken")] == ["taken"]
+        assert taken.read_text(encoding="utf-8") == "keep\n"
+        with pytest.raises(StorageError, match="cannot create output directory"):
+            run_pipeline(config_for(tmp_path, out_name="taken"))
+
     def test_invalid_utf8_sample_corpus(self, tmp_path, capsys):
         out = self.staged(tmp_path)
         (tmp_path / "corpus.jsonl").write_bytes(

@@ -1,0 +1,259 @@
+"""The streamed readers and writer of line-delimited files against their
+whole-file references in ``reference_paths``: same records, same
+ParseIssues, same error types and the same bytes, on arbitrary byte files.
+Also bounds the memory a stage file costs to write and to read back."""
+
+import io
+import json
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_paths
+from socialminer.binning import AgeRange, ShareClass, WallCountClass
+from socialminer.errors import DuplicateIdError, StorageError
+from socialminer.ingest import Gender, Profile, _encode_record, load_corpus, load_profiles, persist_corpus
+from socialminer.io_utils import atomic_write_text
+from socialminer.knn import ClassLabel, load_sample_corpus
+
+# Every break str.splitlines knows, and bytes that are not UTF-8: lone
+# continuation and invalid start bytes, an overlong form, an encoded
+# surrogate, and sequences cut short (at the end of a file, truncated).
+BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+BAD_BYTES = [b"\xff", b"\x80", b"\xc0\xaf", b"\xed\xa0\x80", b"\xc3", b"\xe2\x80", b"\xf0\x9f\x98"]
+JUNK = ["", " ", "\t", "{", "[1, 2]", '"text"', "null", "{}", "é"]
+
+texts = st.text(
+    alphabet=["a", "b", " ", "\t", "é", "\\", '"', *(c for c in BREAKS if len(c) == 1)], max_size=8
+)
+
+
+def optional(strategy):
+    return st.one_of(st.none(), strategy)
+
+
+profiles_strategy = st.builds(
+    Profile,
+    record_id=st.sampled_from(["u1", "u2", "u3", "u4", "u5", "u6"]),
+    about_me=texts,
+    gender=st.sampled_from(Gender),
+    wall_count=st.integers(min_value=0, max_value=10**6),
+    music_count=st.integers(min_value=0, max_value=10**6),
+    activity_interest_count=st.integers(min_value=0, max_value=100),
+    birthday=optional(texts),
+    activities=optional(texts),
+    interests=optional(texts),
+    political=optional(texts),
+    about_me_class=optional(st.sampled_from(ClassLabel)),
+    age_range=optional(st.sampled_from(AgeRange)),
+    wall_count_class=optional(st.sampled_from(WallCountClass)),
+    music_share_class=optional(st.sampled_from(ShareClass)),
+    activity_interest_class=optional(st.sampled_from(ShareClass)),
+)
+
+stage_lines = profiles_strategy.map(lambda p: _encode_record(p.to_record()))
+profile_lines = profiles_strategy.map(
+    lambda p: json.dumps(
+        {"id": p.record_id, "about_me": p.about_me, "birthday": p.birthday,
+         "wall_count": p.wall_count, "music_count": p.music_count},
+        ensure_ascii=False,
+    )
+)
+sample_lines = st.fixed_dictionaries(
+    {
+        "id": st.sampled_from(["s1", "s2", "s3", "s4"]),
+        "label": st.sampled_from([label.value for label in ClassLabel] + ["Nope"]),
+        "text": texts,
+    }
+).map(lambda record: json.dumps(record, ensure_ascii=False))
+
+
+def byte_files(records):
+    """Files of records, junk, line breaks and bytes that are not UTF-8, in
+    any order, with or without a final newline."""
+    text_piece = st.one_of(records, st.sampled_from(JUNK), st.sampled_from(BREAKS))
+    piece = st.one_of(
+        text_piece.map(lambda text: text.encode("utf-8")),
+        st.sampled_from(BAD_BYTES),
+        records.map(lambda text: text.encode("utf-8") + b"\n"),
+    )
+    return st.lists(piece, max_size=12).map(b"".join)
+
+
+def is_utf8(data: bytes) -> bool:
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+def outcome(func, path):
+    try:
+        return ("ok", func(path))
+    except Exception as exc:
+        return ("error", type(exc), str(exc))
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("streaming") / "file.jsonl"
+
+
+def assert_same_outcome(streamed, reference, data):
+    """Identical results on UTF-8 files. On other files both fail with the
+    same error type; the streamed reader may name an earlier fault."""
+    if is_utf8(data):
+        assert streamed == reference
+    else:
+        assert streamed[0] == reference[0] == "error"
+        assert streamed[1] is reference[1]
+
+
+class TestStreamedReaders:
+    @settings(max_examples=300)
+    @given(data=byte_files(profile_lines))
+    def test_load_profiles_matches_whole_file_reference(self, scratch, data):
+        scratch.write_bytes(data)
+        # Raw profiles read every line whatever its bytes, so even the
+        # messages agree.
+        assert outcome(load_profiles, scratch) == outcome(reference_paths.load_profiles, scratch)
+
+    @settings(max_examples=300)
+    @given(data=byte_files(stage_lines))
+    def test_load_corpus_matches_whole_file_reference(self, scratch, data):
+        scratch.write_bytes(data)
+        assert_same_outcome(
+            outcome(load_corpus, scratch), outcome(reference_paths.load_corpus, scratch), data
+        )
+
+    @settings(max_examples=300)
+    @given(data=byte_files(sample_lines))
+    def test_load_sample_corpus_matches_whole_file_reference(self, scratch, data):
+        scratch.write_bytes(data)
+        assert_same_outcome(
+            outcome(load_sample_corpus, scratch),
+            outcome(reference_paths.load_sample_corpus, scratch),
+            data,
+        )
+
+    def test_several_faults_report_the_first_one_met(self, tmp_path):
+        # A bad line is met before invalid UTF-8 in a later block of the
+        # decoded text (8 KiB); the whole-file reference fails on the bytes.
+        path = tmp_path / "binned.jsonl"
+        path.write_bytes(b"{not json\n" + b" \n" * 10_000 + b'{"id": "u\xff"}\n')
+        with pytest.raises(StorageError, match=r"corrupt corpus .*binned\.jsonl:1:"):
+            load_corpus(path)
+        with pytest.raises(StorageError, match="cannot read corpus"):
+            reference_paths.load_corpus(path)
+
+    @pytest.mark.parametrize("sep", ["\n", "\r\n", "\r"])
+    def test_records_across_read_blocks(self, tmp_path, sep):
+        # Files of several 8 KiB blocks, shifted by 0-3 bytes, so that
+        # multi-byte characters and separators fall on block boundaries.
+        texts = ["é€😀\u2028 " * (i % 7) + "x" for i in range(300)]
+        profiles = [Profile(f"u{i}", text, Gender.MALE, i, i, 0) for i, text in enumerate(texts)]
+        files = (
+            (lambda path: load_profiles(path)[0], lambda path: reference_paths.load_profiles(path)[0],
+             [json.dumps({"id": p.record_id, "about_me": p.about_me.replace("\u2028", ""),
+                          "wall_count": 1, "music_count": 1}, ensure_ascii=False)
+              for p in profiles]),
+            (load_corpus, reference_paths.load_corpus,
+             [_encode_record(p.to_record()) for p in profiles]),
+            (load_sample_corpus, reference_paths.load_sample_corpus,
+             [json.dumps({"id": f"s{i}", "label": "Honest", "text": text}, ensure_ascii=False)
+              for i, text in enumerate(texts)]),
+        )
+        path = tmp_path / "file.jsonl"
+        for shift in range(4):
+            for streamed, reference, lines in files:
+                path.write_bytes((" " * shift + sep.join(lines) + sep).encode("utf-8"))
+                result = outcome(streamed, path)
+                assert result[0] == "ok" and len(result[1]) == 300
+                assert result == outcome(reference, path)
+
+    @pytest.mark.parametrize("name", ["missing.jsonl", "."])
+    def test_unreadable_paths_fail_alike(self, tmp_path, name):
+        path = tmp_path / name
+        for streamed, reference in (
+            (load_profiles, reference_paths.load_profiles),
+            (load_corpus, reference_paths.load_corpus),
+            (load_sample_corpus, reference_paths.load_sample_corpus),
+        ):
+            with pytest.raises(StorageError):
+                streamed(path)
+            with pytest.raises(StorageError):
+                reference(path)
+
+
+class TestStreamedProfileSource:
+    def test_stream_is_read_lazily(self):
+        pulled = []
+
+        def lines():
+            for i, record_id in enumerate(["u1", "u1", "u2", "u3"], start=1):
+                pulled.append(i)
+                yield json.dumps({"id": record_id})
+
+        with pytest.raises(DuplicateIdError, match="at line 2"):
+            load_profiles(lines())
+        assert pulled == [1, 2]
+
+    def test_byte_stream_lines_are_its_own(self):
+        # A stream's items are its lines; nothing inside one is split again.
+        source = io.BytesIO(b'{"id": "u1", "about_me": "a\xe2\x80\xa8b"}\n\xff\n')
+        profiles, issues = load_profiles(source)
+        assert profiles[0].about_me == "a\u2028b"
+        assert [(i.line_no, i.message) for i in issues] == [(2, "not valid UTF-8")]
+
+
+class TestStreamedWriter:
+    @given(st.lists(profiles_strategy, max_size=8))
+    def test_persist_corpus_bytes_equal_reference(self, scratch, profiles):
+        reference = scratch.with_name("reference.jsonl")
+        persist_corpus(profiles, scratch)
+        reference_paths.persist_corpus(profiles, reference)
+        assert scratch.read_bytes() == reference.read_bytes()
+        assert load_corpus(scratch) == profiles
+
+    def test_failed_stream_leaves_no_file(self, tmp_path):
+        def records():
+            yield "first\n"
+            raise RuntimeError("stop")
+
+        path = tmp_path / "out.jsonl"
+        with pytest.raises(RuntimeError):
+            atomic_write_text(path, records())
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_stage_file_memory_stays_under_half_the_file(tmp_path):
+    """Writing a stage file and reading it back each hold one record at a
+    time, not the file's text or its list of lines."""
+    about = "honest kind generous " * 10
+    profiles = [
+        Profile(f"u{i}", about + str(i), Gender.FEMALE, i, i % 7, i % 5,
+                birthday="1990-01-15", activities="reading, hiking",
+                about_me_class=ClassLabel.HONEST, age_range=AgeRange.FROM_20_TO_32)
+        for i in range(2000)
+    ]
+    path = tmp_path / "binned.jsonl"
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        persist_corpus(profiles, path)
+        write_peak = tracemalloc.get_traced_memory()[1] - start
+
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loaded = load_corpus(path)
+        current, peak = tracemalloc.get_traced_memory()
+        read_peak = peak - current  # above the profiles it keeps
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert loaded == profiles
+    assert write_peak < size / 2, (write_peak, size)
+    assert read_peak < size / 2, (read_peak, size)
