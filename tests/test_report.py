@@ -1,6 +1,9 @@
 import csv
+import hashlib
 import io
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +12,7 @@ from socialminer.binning import AgeRange, ShareClass, WallCountClass
 from socialminer.errors import ChartError, ReportError
 from socialminer.ingest import Gender, Profile
 from socialminer.knn import ClassLabel
+from socialminer.pipeline import stage_report
 from socialminer.report import (
     Distribution,
     aggregate,
@@ -18,6 +22,8 @@ from socialminer.report import (
     emit_table,
     pie_angles,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def profile(i, gender, age_bucket, label):
@@ -224,3 +230,51 @@ class TestEmitChart:
         d = Distribution("m", "a<b", {"x&y": 1})
         svg = emit_chart(d, "pie")
         assert "x&amp;y" in svg and "a&lt;b" in svg
+
+
+def binned(i, gender, age_bucket, label, wall, music, activity):
+    return Profile(
+        record_id=f"d{i}",
+        about_me="text",
+        gender=gender,
+        wall_count=0,
+        music_count=0,
+        activity_interest_count=0,
+        about_me_class=label,
+        age_range=age_bucket,
+        wall_count_class=wall,
+        music_share_class=music,
+        activity_interest_class=activity,
+    )
+
+
+W, S = WallCountClass, ShareClass
+# No Female profile (an all-zero line chart) and no Over45 one (a skipped pie).
+DIGEST_PROFILES = [
+    binned(1, M, AgeRange.UP_TO_19, ClassLabel.HONEST, W.VERY_LOW, S.LOW, S.HIGH),
+    binned(2, M, AgeRange.UP_TO_19, ClassLabel.LAZY, W.LOW, S.MEDIUM, S.LOW),
+    binned(3, M, AgeRange.FROM_20_TO_32, ClassLabel.HONEST, W.MEDIUM, S.HIGH, S.LOW),
+    binned(4, M, AgeRange.FROM_20_TO_32, ClassLabel.ROMANTIC, W.VERY_HIGH, S.LOW, S.MEDIUM),
+    binned(5, Gender.UNSPECIFIED, AgeRange.FROM_20_TO_32, ClassLabel.UNCLASSIFIABLE, W.HIGH, S.LOW, S.LOW),
+    binned(6, M, AgeRange.FROM_33_TO_45, ClassLabel.AGGRESSIVE, W.LOW, S.LOW, S.HIGH),
+    binned(7, Gender.UNSPECIFIED, AgeRange.HIDDEN, ClassLabel.EMOTIONAL, W.LOW, S.HIGH, S.HIGH),
+]
+
+
+class TestReportDigests:
+    """Every byte `stage_report` writes, pinned by sha256 in
+    tests/data/report_digests.json."""
+
+    def test_report_tree_matches_recorded_digests(self, tmp_path):
+        artifacts = stage_report(DIGEST_PROFILES, tmp_path, "digests")
+        base = tmp_path / "reports" / "digests"
+        digests = {
+            path.relative_to(base).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(base.rglob("*"))
+            if path.is_file()
+        }
+        recorded = json.loads((DATA / "report_digests.json").read_text(encoding="utf-8"))
+        assert digests == recorded
+        assert "charts/line_about_me_female.svg" in digests
+        assert "charts/pie_about_me_age_over45.svg" not in digests
+        assert len(artifacts) == len(digests)
