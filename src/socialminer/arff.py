@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 from .binning import AgeRange, ShareClass, WallCountClass
 from .errors import ArffEncodeError, ArffParseError
+from .ingest import Gender
 from .knn import ClassLabel
 
 NUMERIC = "numeric"
@@ -285,7 +286,7 @@ def _profile_attributes() -> list[ArffAttribute]:
     share = tuple(v.value for v in ShareClass)
     return [
         ArffAttribute("age_range", NOMINAL, tuple(v.value for v in AgeRange)),
-        ArffAttribute("gender", NOMINAL, ("Male", "Female", "Unspecified")),
+        ArffAttribute("gender", NOMINAL, tuple(v.value for v in Gender)),
         ArffAttribute("about_me_class", NOMINAL, tuple(v.value for v in ClassLabel)),
         ArffAttribute("wall_count", NUMERIC),
         ArffAttribute("wall_count_class", NOMINAL, tuple(v.value for v in WallCountClass)),

@@ -186,7 +186,10 @@ class RejectionReport:
 
     rejected: list[tuple[str, str]] = field(default_factory=list)
     accepted_count: int = 0
-    rejected_count: int = 0
+
+    @property
+    def rejected_count(self) -> int:
+        return len(self.rejected)
 
     def to_record(self) -> dict:
         return {
@@ -353,7 +356,6 @@ def validate_and_filter(
             )
         )
     report.accepted_count = len(accepted)
-    report.rejected_count = len(report.rejected)
     return accepted, report
 
 

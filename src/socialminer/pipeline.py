@@ -50,6 +50,12 @@ _GENDER_MEASURES = (
     ("music_share_class", "music_share"),
     ("activity_interest_class", "activity_interest"),
 )
+_ARTIFACT_KINDS = {".csv": "table", ".svg": "chart", ".json": "manifest"}
+
+
+def _group_slug(population: str) -> str:
+    """'age_range=UpTo19' -> 'upto19'."""
+    return population.split("=", 1)[1].lower()
 
 
 @dataclass
@@ -74,19 +80,24 @@ class RunConfig:
                 raise ParameterError(f"{name} path must be non-empty")
         if not str(self.output_dir):
             raise ParameterError("output directory must be non-empty")
-        if not self.run_id or "/" in self.run_id:
-            raise ParameterError(f"bad run id {self.run_id!r}")
+        check_run_id(self.run_id)
 
 
 @dataclass
 class RunSummary:
-    ingested: int = 0
     accepted: int = 0
     rejected: int = 0
     malformed: int = 0
-    classified: int = 0
     unclassifiable: int = 0
     artifacts: list[str] = field(default_factory=list)
+
+    @property
+    def ingested(self) -> int:
+        return self.accepted + self.rejected
+
+    @property
+    def classified(self) -> int:
+        return self.accepted - self.unclassifiable
 
     def to_record(self) -> dict:
         return {
@@ -161,90 +172,68 @@ def stage_arff(profiles: list[Profile], out_dir: Path) -> None:
     atomic_write_text(out_dir / ARFF_FILE, emit_arff(build_dataset(profiles)))
 
 
+def check_run_id(run_id: str) -> None:
+    """A run id names one directory under reports/: it must be non-empty,
+    not '.' or '..', and hold no '/' or '\\'."""
+    if run_id in ("", ".", "..") or "/" in run_id or "\\" in run_id:
+        raise ParameterError(f"bad run id {run_id!r}: it must name one directory")
+
+
 def stage_report(profiles: list[Profile], out_dir: Path, run_id: str) -> list[dict]:
     """Write distribution tables and charts: pie charts of personality
     classes per age range, per-gender line charts, and male/female
     comparison charts for every binned measure."""
+    check_run_id(run_id)
     base = out_dir / "reports" / run_id
     artifacts: list[dict] = []
 
-    def rel(path: Path) -> str:
-        return path.relative_to(out_dir).as_posix()
-
-    def add_table(path: Path, text: str, population: str, measure: str) -> None:
+    def write(
+        name: str, text: str, population: str, measure: str, chart_type: Optional[str] = None
+    ) -> None:
+        path = base / name
         atomic_write_text(path, text)
-        artifacts.append(
-            {"path": rel(path), "kind": "table", "filter": population, "measure": measure}
-        )
-
-    def add_chart(path: Path, text: str, population: str, measure: str, chart: str) -> None:
-        atomic_write_text(path, text)
-        artifacts.append(
-            {
-                "path": rel(path),
-                "kind": "chart",
-                "chart_type": chart,
-                "filter": population,
-                "measure": measure,
-            }
-        )
-
-    tables = base / "tables"
-    charts = base / "charts"
+        entry = {
+            "path": path.relative_to(out_dir).as_posix(),
+            "kind": _ARTIFACT_KINDS[path.suffix],
+        }
+        if chart_type is not None:
+            entry["chart_type"] = chart_type
+        artifacts.append({**entry, "filter": population, "measure": measure})
 
     for dist in aggregate(profiles, "age_range", "about_me_class"):
-        slug = dist.population.split("=", 1)[1].lower()
-        add_table(tables / f"about_me_age_{slug}.csv", emit_table(dist), dist.population, dist.dimension)
+        slug = _group_slug(dist.population)
+        write(f"tables/about_me_age_{slug}.csv", emit_table(dist), dist.population, dist.dimension)
         if dist.total > 0:
-            add_chart(
-                charts / f"pie_about_me_age_{slug}.svg",
-                emit_chart(dist, "pie"),
-                dist.population,
-                dist.dimension,
-                "pie",
+            write(
+                f"charts/pie_about_me_age_{slug}.svg", emit_chart(dist, "pie"),
+                dist.population, dist.dimension, "pie",
             )
 
     for measure, slug in _GENDER_MEASURES:
         dists = aggregate(profiles, "gender", measure)
         for dist in dists:
-            gender_slug = dist.population.split("=", 1)[1].lower()
-            add_table(
-                tables / f"{slug}_gender_{gender_slug}.csv",
-                emit_table(dist),
-                dist.population,
-                measure,
-            )
-        male, female = dists[0], dists[1]
-        for dist, gender_slug in ((male, "male"), (female, "female")):
-            add_chart(
-                charts / f"line_{slug}_{gender_slug}.svg",
-                emit_chart(dist, "line"),
-                dist.population,
-                measure,
-                "line",
+            group = _group_slug(dist.population)
+            write(f"tables/{slug}_gender_{group}.csv", emit_table(dist), dist.population, measure)
+        male, female = dists[:2]
+        for dist in (male, female):
+            group = _group_slug(dist.population)
+            write(
+                f"charts/line_{slug}_{group}.svg", emit_chart(dist, "line"),
+                dist.population, measure, "line",
             )
         comparison = compare(male, female)
         population = f"{male.population} vs {female.population}"
-        add_table(
-            tables / f"comparison_{slug}_male_female.csv",
-            emit_table(comparison),
-            population,
-            measure,
+        write(
+            f"tables/comparison_{slug}_male_female.csv", emit_table(comparison),
+            population, measure,
         )
-        add_chart(
-            charts / f"cmp_{slug}_male_vs_female.svg",
-            emit_comparison_chart(comparison),
-            population,
-            measure,
-            "comparison",
+        write(
+            f"charts/cmp_{slug}_male_vs_female.svg", emit_comparison_chart(comparison),
+            population, measure, "comparison",
         )
 
     manifest = {"run_id": run_id, "artifacts": artifacts}
-    manifest_path = base / SUMMARY_FILE
-    atomic_write_text(manifest_path, json.dumps(manifest, indent=2) + "\n")
-    artifacts.append(
-        {"path": rel(manifest_path), "kind": "manifest", "filter": "all", "measure": "all"}
-    )
+    write(SUMMARY_FILE, json.dumps(manifest, indent=2) + "\n", "all", "all")
     return artifacts
 
 
@@ -276,7 +265,7 @@ def run_pipeline(config: RunConfig) -> RunSummary:
         corpus = load_sample_corpus(config.corpus_path, stopwords)
 
         profiles, report, issues = stage_ingest(Path(config.input_path), out_dir)
-        classified, unclassifiable = stage_classify(
+        _, unclassifiable = stage_classify(
             profiles, corpus, config.n_features, config.k, stopwords, out_dir
         )
         stage_bin(profiles, config.reference_date, config.gap_policy, out_dir)
@@ -284,11 +273,9 @@ def run_pipeline(config: RunConfig) -> RunSummary:
         report_artifacts = stage_report(profiles, out_dir, config.run_id)
 
         summary = RunSummary(
-            ingested=report.accepted_count + report.rejected_count,
             accepted=report.accepted_count,
             rejected=report.rejected_count,
             malformed=len(issues),
-            classified=classified,
             unclassifiable=unclassifiable,
             artifacts=[ACCEPTED_FILE, REJECTIONS_FILE, CLASSIFIED_FILE, BINNED_FILE, ARFF_FILE]
             + [entry["path"] for entry in report_artifacts],

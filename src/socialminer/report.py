@@ -47,8 +47,6 @@ class Comparison:
 
     left: Distribution
     right: Distribution
-    left_name: str
-    right_name: str
 
 
 def aggregate(
@@ -90,13 +88,13 @@ def compare(left: Distribution, right: Distribution) -> Comparison:
         raise ReportError(
             f"bucket sets differ: {list(left.bucket_counts)} vs {list(right.bucket_counts)}"
         )
-    return Comparison(left, right, left.population, right.population)
+    return Comparison(left, right)
 
 
 def emit_table(obj: Distribution | Comparison) -> str:
     """Comma-separated table, one row per bucket, LF line endings."""
     if isinstance(obj, Comparison):
-        lines = [f"bucket,{obj.left_name},{obj.right_name}"]
+        lines = [f"bucket,{obj.left.population},{obj.right.population}"]
         for bucket in obj.left.bucket_counts:
             lines.append(
                 f"{bucket},{obj.left.bucket_counts[bucket]},{obj.right.bucket_counts[bucket]}"
@@ -186,7 +184,19 @@ def _pie_svg(dist: Distribution) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _axes(lines: list[str], left: float, top: float, right: float, bottom: float, y_max: int) -> None:
+def _line_svg(
+    title: str, buckets: Sequence[str], series: Sequence[tuple[str, Sequence[int]]]
+) -> str:
+    """Line chart of (name, counts) series over the same buckets, each point
+    labelled with its count. Series i is drawn in palette colour 2·i; more
+    than one series adds a legend row of their names below the plot."""
+    width, height = 780, 420 if len(series) == 1 else 440
+    left, right, top, bottom = 60.0, width - 40.0, 50.0, 340.0
+    y_max = max([max(counts) for _, counts in series] + [1])
+    n = len(buckets)
+    xs = [(left + right) / 2] if n == 1 else [left + (right - left) * i / (n - 1) for i in range(n)]
+    lines = _svg_open(width, height)
+    _title(lines, width, title)
     lines.append(
         f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{bottom}" stroke="#000" stroke-width="1"/>'
     )
@@ -204,53 +214,27 @@ def _axes(lines: list[str], left: float, top: float, right: float, bottom: float
             f'<text x="{left - 6}" y="{y + 4:.2f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="10">{value:g}</text>'
         )
-
-
-def _series_points(
-    counts: Sequence[int], left: float, right: float, bottom: float, top: float, y_max: int
-) -> list[tuple[float, float]]:
-    n = len(counts)
-    points = []
-    for i, count in enumerate(counts):
-        x = (left + right) / 2 if n == 1 else left + (right - left) * i / (n - 1)
-        y = bottom - (bottom - top) * count / y_max
-        points.append((x, y))
-    return points
-
-
-def _plot_series(lines: list[str], points, color: str, counts, with_values: bool) -> None:
-    path = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
-    lines.append(f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{path}"/>')
-    for (x, y), count in zip(points, counts):
-        lines.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}"/>')
-        if with_values:
+    legend = []
+    for i, (name, counts) in enumerate(series):
+        color = _PALETTE[2 * i % len(_PALETTE)]
+        legend.append((color, name))
+        points = [(x, bottom - (bottom - top) * count / y_max) for x, count in zip(xs, counts)]
+        path = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+        lines.append(f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{path}"/>')
+        for (x, y), count in zip(points, counts):
+            lines.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}"/>')
             lines.append(
                 f'<text x="{x:.2f}" y="{y - 7:.2f}" text-anchor="middle" '
                 f'font-family="sans-serif" font-size="10">{count}</text>'
             )
-
-
-def _bucket_labels(lines: list[str], buckets, points, bottom: float) -> None:
-    for (x, _), bucket in zip(points, buckets):
+    for x, bucket in zip(xs, buckets):
         lines.append(
             f'<text x="{x:.2f}" y="{bottom + 14:.2f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="10" '
             f'transform="rotate(-30 {x:.2f} {bottom + 14:.2f})">{_escape(bucket)}</text>'
         )
-
-
-def _line_svg(dist: Distribution) -> str:
-    buckets = list(dist.bucket_counts)
-    counts = list(dist.bucket_counts.values())
-    width, height = 780, 420
-    left, right, top, bottom = 60.0, width - 40.0, 50.0, height - 80.0
-    y_max = max(max(counts), 1)
-    lines = _svg_open(width, height)
-    _title(lines, width, f"{dist.dimension} ({dist.population})")
-    _axes(lines, left, top, right, bottom, y_max)
-    points = _series_points(counts, left, right, bottom, top, y_max)
-    _plot_series(lines, points, _PALETTE[0], counts, with_values=True)
-    _bucket_labels(lines, buckets, points, bottom)
+    if len(series) > 1:
+        _legend(lines, int(left), height - 28, legend)
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
@@ -260,35 +244,19 @@ def emit_chart(dist: Distribution, kind: str) -> str:
     if kind == "pie":
         return _pie_svg(dist)
     if kind == "line":
-        return _line_svg(dist)
+        return _line_svg(
+            f"{dist.dimension} ({dist.population})",
+            list(dist.bucket_counts),
+            [(dist.population, list(dist.bucket_counts.values()))],
+        )
     raise ChartError(f"unknown chart kind {kind!r}")
 
 
 def emit_comparison_chart(comparison: Comparison) -> str:
     """Two-series line chart comparing the left and right populations."""
-    buckets = list(comparison.left.bucket_counts)
-    left_counts = list(comparison.left.bucket_counts.values())
-    right_counts = list(comparison.right.bucket_counts.values())
-    width, height = 780, 440
-    left, right, top, bottom = 60.0, width - 40.0, 50.0, height - 100.0
-    y_max = max(max(left_counts), max(right_counts), 1)
-    lines = _svg_open(width, height)
-    _title(
-        lines,
-        width,
-        f"{comparison.left.dimension}: {comparison.left_name} vs {comparison.right_name}",
+    left, right = comparison.left, comparison.right
+    return _line_svg(
+        f"{left.dimension}: {left.population} vs {right.population}",
+        list(left.bucket_counts),
+        [(d.population, list(d.bucket_counts.values())) for d in (left, right)],
     )
-    _axes(lines, left, top, right, bottom, y_max)
-    for counts, color in ((left_counts, _PALETTE[0]), (right_counts, _PALETTE[2])):
-        points = _series_points(counts, left, right, bottom, top, y_max)
-        _plot_series(lines, points, color, counts, with_values=True)
-    points = _series_points(left_counts, left, right, bottom, top, y_max)
-    _bucket_labels(lines, buckets, points, bottom)
-    _legend(
-        lines,
-        int(left),
-        int(height - 28),
-        [(_PALETTE[0], comparison.left_name), (_PALETTE[2], comparison.right_name)],
-    )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"

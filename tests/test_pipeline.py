@@ -411,6 +411,43 @@ class TestBadInputEndsCleanly:
         with pytest.raises(StorageError, match="cannot create output directory"):
             run_pipeline(config_for(tmp_path, out_name="taken"))
 
+    BAD_RUN_IDS = ("", ".", "..", "a/b", "a\\b", "../../x", "/abs")
+
+    def test_run_rejects_bad_run_id(self, tmp_path, capsys):
+        write_jsonl(tmp_path / "profiles.jsonl", [record(i) for i in range(3)])
+        write_corpus(tmp_path / "corpus.jsonl")
+        for run_id in self.BAD_RUN_IDS:
+            capsys.readouterr()
+            assert main(
+                ["run", "--input", str(tmp_path / "profiles.jsonl"),
+                 "--corpus", str(tmp_path / "corpus.jsonl"), "--ref-date", "2015-06-01",
+                 "--out", str(tmp_path / "deep" / "out"), "--run-id", run_id]
+            ) == 1
+            assert capsys.readouterr().err.startswith(f"error: bad run id {run_id!r}")
+            assert not (tmp_path / "deep").exists()
+
+    def test_report_rejects_bad_run_id(self, tmp_path, capsys):
+        write_jsonl(tmp_path / "profiles.jsonl", [record(i) for i in range(3)])
+        write_corpus(tmp_path / "corpus.jsonl")
+        binned = tmp_path / "full" / "binned.jsonl"
+        assert main(
+            ["run", "--input", str(tmp_path / "profiles.jsonl"),
+             "--corpus", str(tmp_path / "corpus.jsonl"), "--ref-date", "2015-06-01",
+             "--out", str(binned.parent)]
+        ) == 0
+        deep = tmp_path / "deep"
+        for run_id in self.BAD_RUN_IDS:
+            capsys.readouterr()
+            assert main(
+                ["report", "--input", str(binned), "--out", str(deep / "out"), "--run-id", run_id]
+            ) == 1
+            assert capsys.readouterr().err.startswith(f"error: bad run id {run_id!r}")
+            assert sorted(p.relative_to(deep).as_posix() for p in deep.rglob("*")) == [
+                "out",
+                "out/FAILED",
+            ]
+            assert (deep / "out" / "FAILED").read_text().startswith("ParameterError: bad run id")
+
     def test_invalid_utf8_sample_corpus(self, tmp_path, capsys):
         out = self.staged(tmp_path)
         (tmp_path / "corpus.jsonl").write_bytes(

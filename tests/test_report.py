@@ -122,7 +122,7 @@ class TestCompare:
     def test_paired_counts(self):
         male, female = aggregate(TEN_PROFILES, "gender", "about_me_class")[:2]
         c = compare(male, female)
-        assert c.left_name == "gender=Male" and c.right_name == "gender=Female"
+        assert c.left.population == "gender=Male" and c.right.population == "gender=Female"
         assert c.left.bucket_counts["Honest"] == 2
         assert c.right.bucket_counts["Honest"] == 1
 
