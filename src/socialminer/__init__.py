@@ -14,7 +14,7 @@ from .binning import (
     bin_wall_count,
 )
 from .errors import SocialMinerError
-from .features import TermCounts, count_vector, select_features, term_counts, term_frequency
+from .features import count_vector, select_features, term_counts, term_frequency
 from .ingest import (
     Gender,
     Profile,
@@ -61,7 +61,6 @@ __all__ = [
     "SampleDocument",
     "ShareClass",
     "SocialMinerError",
-    "TermCounts",
     "WallCountClass",
     "age_from_birthday",
     "age_range",

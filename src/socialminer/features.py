@@ -1,46 +1,40 @@
 """Term counting, normalized term frequency and feature selection.
 
-The feature vocabulary is always selected from the *target* document's TF
-ranking; occurrence counts are then projected onto that vocabulary for the
-target and for every sample document. Distance computations use the raw
-occurrence counts, not the normalized frequencies — normalization only ranks
-the features. All terms of a document share one denominator, so ranking its
-raw counts selects the same features as ranking its frequencies (distinct
-counts give distinct frequencies while the total stays below 2**53), and the
-classifier ranks the counts without building the frequencies.
+A document's counts are a plain ``term -> count`` dict; its token total is
+the sum of the counts, so it is not stored. The feature vocabulary is always
+selected from the *target* document's TF ranking; occurrence counts are then
+projected onto that vocabulary for the target and for every sample document.
+Distance computations use the raw occurrence counts, not the normalized
+frequencies — normalization only ranks the features. All terms of a document
+share one denominator, so ranking its raw counts selects the same features as
+ranking its frequencies (distinct counts give distinct frequencies while the
+total stays below 2**53), and the classifier ranks the counts without building
+the frequencies.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import EmptyDocumentError
 
 
-@dataclass(frozen=True)
-class TermCounts:
-    """Multiset of term occurrences. ``total`` is the sum of all counts."""
-
-    counts: Mapping[str, int]
-    total: int
-
-
-def term_counts(tokens: Sequence[str]) -> TermCounts:
+def term_counts(tokens: Sequence[str]) -> dict[str, int]:
     """Exact occurrence counts of a stopword-filtered token list."""
-    return TermCounts(dict(Counter(tokens)), len(tokens))
+    return dict(Counter(tokens))
 
 
-def term_frequency(counts: TermCounts) -> dict[str, float]:
-    """Normalized term frequency: count of each term over the total count.
+def term_frequency(counts: Mapping[str, int]) -> dict[str, float]:
+    """Normalized term frequency: count of each term over the summed counts.
 
     Raises EmptyDocumentError when the document has no tokens (zero
     denominator); callers treat such documents as unclassifiable.
     """
-    if counts.total == 0:
+    total = sum(counts.values())
+    if total == 0:
         raise EmptyDocumentError("no terms left after preprocessing")
-    return {term: n / counts.total for term, n in counts.counts.items()}
+    return {term: n / total for term, n in counts.items()}
 
 
 def select_features(tf: Mapping[str, float], n: int) -> list[str]:
@@ -58,6 +52,6 @@ def select_features(tf: Mapping[str, float], n: int) -> list[str]:
     return ranked[:n]
 
 
-def count_vector(features: Sequence[str], counts: TermCounts) -> list[int]:
+def count_vector(features: Sequence[str], counts: Mapping[str, int]) -> list[int]:
     """Occurrence count of every feature term, 0 where absent, in feature order."""
-    return [counts.counts.get(term, 0) for term in features]
+    return [counts.get(term, 0) for term in features]

@@ -25,7 +25,6 @@ import heapq
 import json
 import math
 from array import array
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter, mul
 from pathlib import Path
@@ -33,7 +32,6 @@ from typing import NamedTuple, Sequence
 
 from .errors import CorpusError, DimensionError, ParameterError, StorageError
 from .features import (  # noqa: F401 (perfbench/tracer.py wraps knn.term_frequency)
-    TermCounts,
     count_vector,
     select_features,
     term_counts,
@@ -64,16 +62,14 @@ PERSONALITY_LABELS: tuple[ClassLabel, ...] = tuple(
 )
 
 
-@dataclass
-class SampleDocument:
-    """A pre-classified known text; tokens and counts are cached once so a
-    corpus can be reused across many classifications."""
+class SampleDocument(NamedTuple):
+    """A pre-classified sample: its id, its label and the term counts of its
+    prepared text. Classification reads nothing else, so the text and its
+    tokens are not kept."""
 
     doc_id: str
-    text: str
     label: ClassLabel
-    tokens: list[str] = field(default_factory=list)
-    counts: TermCounts = field(default_factory=lambda: TermCounts({}, 0))
+    counts: dict[str, int]
 
     @classmethod
     def from_text(
@@ -83,8 +79,7 @@ class SampleDocument:
         label: ClassLabel,
         stopwords: frozenset[str] = DEFAULT_STOPWORDS,
     ) -> "SampleDocument":
-        tokens = prepare(text, stopwords)
-        return cls(doc_id, text, label, tokens, term_counts(tokens))
+        return cls(doc_id, label, term_counts(prepare(text, stopwords)))
 
 
 class DistanceRow(NamedTuple):
@@ -171,8 +166,9 @@ EXACT_LIMIT = 2**50
 
 
 class CorpusIndex:
-    """The sample documents plus ``term -> ((count s, doc positions), ...)``
-    postings, one group per distinct count, ordered by s.
+    """The sample documents (id, label and counts) plus
+    ``term -> ((count s, doc positions), ...)`` postings, one group per
+    distinct count, ordered by s. ``build`` refuses an empty corpus.
 
     Documents are held in a stable doc-id order, so position order breaks
     distance ties the same way (distance, doc_id) does.
@@ -197,7 +193,7 @@ class CorpusIndex:
         max_norm = 0
         for position, doc in enumerate(docs):
             norm = 0
-            for term, count in doc.counts.counts.items():
+            for term, count in doc.counts.items():
                 if not 0 <= count < 2**32:
                     raise DimensionError(
                         f"{doc.doc_id}: count {count} of {term!r} outside [0, 2**32)"
@@ -213,9 +209,6 @@ class CorpusIndex:
             max_norm = max(max_norm, norm)
         postings = {term: tuple(sorted(by_count.items())) for term, by_count in groups.items()}
         return cls(docs, postings, max_norm)
-
-    def __len__(self) -> int:
-        return len(self.docs)
 
     def check_k(self, k: int) -> None:
         if k < 1 or k > len(self.docs):
@@ -255,25 +248,21 @@ class CorpusIndex:
 
 def classify_text(
     text: str,
-    corpus: Sequence[SampleDocument] | CorpusIndex,
+    index: CorpusIndex,
     n_features: int = 50,
     k: int = 5,
     stopwords: frozenset[str] = DEFAULT_STOPWORDS,
 ) -> ClassLabel:
-    """Full classification of one raw text against the sample corpus. A
-    sequence of documents is indexed on each call; pass a ``CorpusIndex`` to
-    classify many texts against one corpus."""
-    if not corpus:
-        raise CorpusError("sample corpus is empty")
+    """Full classification of one raw text against an indexed sample corpus.
+    Build the ``CorpusIndex`` once and classify every text against it."""
     if n_features < 1:
         raise ParameterError(f"n_features={n_features} must be >= 1")
     tokens = prepare(text, stopwords)
     if not tokens:
         return ClassLabel.UNCLASSIFIABLE
-    index = corpus if isinstance(corpus, CorpusIndex) else CorpusIndex.build(corpus)
     target_counts = term_counts(tokens)
     # Ranking the counts ranks the frequencies: they share one denominator.
-    features = select_features(target_counts.counts, n_features)
+    features = select_features(target_counts, n_features)
     target_vec = count_vector(features, target_counts)
     label, _ = knn_classify(index.nearest(target_vec, features, k), k)
     return label

@@ -137,9 +137,12 @@ def stage_classify(
     out_dir: Path,
 ) -> tuple[int, int]:
     """Label every profile's about_me text; returns (classified, unclassifiable).
-    The corpus is indexed once, and k is checked against it before any text."""
+    The corpus is indexed once, and k and n_features are checked before any
+    text, so a bad value fails even when there are no profiles."""
     index = CorpusIndex.build(corpus)
     index.check_k(k)
+    if n_features < 1:
+        raise ParameterError(f"n_features={n_features} must be >= 1")
     unclassifiable = 0
     for profile in profiles:
         label = classify_text(profile.about_me, index, n_features, k, stopwords)

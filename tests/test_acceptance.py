@@ -21,6 +21,7 @@ from socialminer.ingest import Gender, Profile
 from socialminer.knn import (
     ClassLabel,
     PERSONALITY_LABELS,
+    CorpusIndex,
     SampleDocument,
     classify_text,
     distance_matrix,
@@ -332,10 +333,10 @@ def test_synthetic_end_to_end(tmp_path):
     for label_records in by_label.values():
         train.extend(label_records[:50])
         held_out.extend(label_records[50:])
-    corpus = corpus_documents(train)
+    index = CorpusIndex.build(corpus_documents(train))
     assert len(held_out) == 100
     correct = sum(
-        classify_text(r["text"], corpus, n_features=50, k=5).value == r["label"]
+        classify_text(r["text"], index, n_features=50, k=5).value == r["label"]
         for r in held_out
     )
     assert correct / len(held_out) >= 0.90

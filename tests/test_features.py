@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 import reference_paths
 from socialminer.errors import EmptyDocumentError
 from socialminer.features import (
-    TermCounts,
     count_vector,
     select_features,
     term_counts,
@@ -20,37 +19,31 @@ tokens_strategy = st.lists(
 
 class TestTermCounts:
     def test_hand_count(self):
-        tc = term_counts(["honest", "kind", "honest"])
-        assert tc.counts == {"honest": 2, "kind": 1}
-        assert tc.total == 3
+        assert term_counts(["honest", "kind", "honest"]) == {"honest": 2, "kind": 1}
 
     def test_empty(self):
-        tc = term_counts([])
-        assert tc.counts == {} and tc.total == 0
+        assert term_counts([]) == {}
 
     def test_single(self):
-        tc = term_counts(["a"])
-        assert tc.counts == {"a": 1} and tc.total == 1
+        assert term_counts(["a"]) == {"a": 1}
 
     @given(tokens_strategy)
     def test_total_equals_length(self, tokens):
-        tc = term_counts(tokens)
-        assert tc.total == len(tokens)
-        assert sum(tc.counts.values()) == tc.total
+        assert sum(term_counts(tokens).values()) == len(tokens)
 
 
 class TestTermFrequency:
     def test_hand_fractions(self):
-        tf = term_frequency(TermCounts({"honest": 2, "kind": 1}, 3))
+        tf = term_frequency({"honest": 2, "kind": 1})
         assert tf == {"honest": 2 / 3, "kind": 1 / 3}
 
     def test_single_term_normalizes_to_one(self):
-        tf = term_frequency(TermCounts({"a": 5}, 5))
+        tf = term_frequency({"a": 5})
         assert tf == {"a": 1.0}
 
     def test_zero_total_raises(self):
         with pytest.raises(EmptyDocumentError):
-            term_frequency(TermCounts({}, 0))
+            term_frequency({})
 
     @given(tokens_strategy)
     def test_normalization(self, tokens):
@@ -104,20 +97,20 @@ class TestRankingEquivalence:
     def test_ranking_counts_equals_ranking_frequencies(self, tokens, n):
         counts = term_counts(tokens)
         by_tf = select_features(term_frequency(counts), n)
-        assert select_features(counts.counts, n) == by_tf
+        assert select_features(counts, n) == by_tf
         assert by_tf == reference_paths.select_features(term_frequency(counts), n)
 
 
 class TestCountVector:
     def test_absent_term_is_zero(self):
-        assert count_vector(["a", "b"], TermCounts({"a": 2}, 2)) == [2, 0]
+        assert count_vector(["a", "b"], {"a": 2}) == [2, 0]
 
     def test_empty_features(self):
-        assert count_vector([], TermCounts({"a": 2}, 2)) == []
+        assert count_vector([], {"a": 2}) == []
 
     def test_hand_projection(self):
-        tc = TermCounts({"honest": 2, "kind": 1, "other": 9}, 12)
-        assert count_vector(["honest", "kind"], tc) == [2, 1]
+        counts = {"honest": 2, "kind": 1, "other": 9}
+        assert count_vector(["honest", "kind"], counts) == [2, 1]
 
     @given(tokens_strategy, tokens_strategy)
     def test_components_bounded_by_document_size(self, doc, other):

@@ -1,11 +1,12 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from socialminer.errors import CorpusError, DimensionError, ParameterError
-from socialminer.features import TermCounts, count_vector, select_features, term_counts, term_frequency
+from socialminer.features import count_vector, select_features, term_counts, term_frequency
 from socialminer.knn import (
     EXACT_LIMIT,
     ClassLabel,
@@ -19,6 +20,7 @@ from socialminer.knn import (
     load_sample_corpus,
     squared_diff_row,
 )
+from socialminer.synth import make_corpus_records, write_jsonl
 from socialminer.textprep import prepare
 
 import reference_paths
@@ -212,15 +214,18 @@ class TestKnnClassify:
         assert knn_classify(shuffled, k)[0] is label
 
 
-def biased_corpus(rng, labels, docs_per_class=6):
-    """Corpus with disjoint per-class vocabularies."""
-    samples = []
+def biased_records(rng, labels, docs_per_class=6):
+    """(doc_id, text, label) of a corpus with disjoint per-class vocabularies."""
+    records = []
     for label in labels:
         words = [f"{label.value.lower()}{i}" for i in range(6)]
         for d in range(docs_per_class):
-            text = " ".join(rng.choices(words, k=12))
-            samples.append(SampleDocument.from_text(f"{label.value}-{d}", text, label))
-    return samples
+            records.append((f"{label.value}-{d}", " ".join(rng.choices(words, k=12)), label))
+    return records
+
+
+def biased_corpus(rng, labels, docs_per_class=6):
+    return [SampleDocument.from_text(*record) for record in biased_records(rng, labels, docs_per_class)]
 
 
 distance_rows = st.lists(
@@ -245,29 +250,36 @@ class TestVoteEquivalence:
 class TestClassifyText:
     def test_exact_corpus_document_wins_at_k1(self):
         rng = random.Random(7)
-        corpus = biased_corpus(rng, [ClassLabel.HONEST, ClassLabel.LAZY])
-        target = corpus[0].text
-        assert classify_text(target, corpus, n_features=50, k=1) is ClassLabel.HONEST
+        records = biased_records(rng, [ClassLabel.HONEST, ClassLabel.LAZY])
+        index = CorpusIndex.build([SampleDocument.from_text(*record) for record in records])
+        target = records[0][1]
+        assert classify_text(target, index, n_features=50, k=1) is ClassLabel.HONEST
 
     def test_stopword_only_text_is_unclassifiable(self):
-        corpus = [doc("s1", "honest words")]
-        label = classify_text("i am the and of to", corpus, 50, 1)
+        index = CorpusIndex.build([doc("s1", "honest words")])
+        label = classify_text("i am the and of to", index, 50, 1)
         assert label is ClassLabel.UNCLASSIFIABLE
 
-    def test_empty_corpus(self):
+    def test_empty_corpus(self, tmp_path):
+        # a corpus file of blank lines loads as no documents; indexing it,
+        # which classification needs, is the error
+        p = tmp_path / "corpus.jsonl"
+        p.write_text("\n  \n", encoding="utf-8")
+        corpus = load_sample_corpus(p)
+        assert corpus == []
         with pytest.raises(CorpusError):
-            classify_text("honest", [], 50, 1)
+            CorpusIndex.build(corpus)
 
     def test_disjoint_vocabulary_corpus_recovers_class(self):
         # oracle: with disjoint vocabularies the nearest neighbors are, by
         # construction, the documents sharing the target's words
         rng = random.Random(99)
         labels = [ClassLabel.AGGRESSIVE, ClassLabel.ROMANTIC, ClassLabel.SINCERE]
-        corpus = biased_corpus(rng, labels)
+        index = CorpusIndex.build(biased_corpus(rng, labels))
         for label in labels:
             words = [f"{label.value.lower()}{i}" for i in range(6)]
             target = " ".join(rng.choices(words, k=10))
-            assert classify_text(target, corpus, n_features=50, k=3) is label
+            assert classify_text(target, index, n_features=50, k=3) is label
 
 
 TINY_VOCAB = ["ant", "bee", "cat"]
@@ -331,11 +343,10 @@ class TestCorpusIndex:
         ]
         assert label.value == brute_classify(oracle_rows, k)
         assert classify_text(target, index, n_features, k) is label
-        assert classify_text(target, corpus, n_features, k) is label
 
     def test_k_checked_against_corpus(self):
         index = CorpusIndex.build([doc("s1", "honest"), doc("s2", "kind")])
-        assert len(index) == 2
+        assert len(index.docs) == 2
         for k in (0, 3):
             with pytest.raises(ParameterError):
                 index.nearest([1], ["honest"], k)
@@ -396,7 +407,7 @@ class TestCorpusIndex:
 
 
 def huge_doc(count):
-    return SampleDocument("big", "honest", ClassLabel.HONEST, ["honest"], TermCounts({"honest": count}, count))
+    return SampleDocument("big", ClassLabel.HONEST, {"honest": count})
 
 
 class TestExactnessGuard:
@@ -431,7 +442,7 @@ class TestLoadSampleCorpus:
         corpus = load_sample_corpus(p)
         assert [d.doc_id for d in corpus] == ["s1", "s2"]
         assert corpus[0].label is ClassLabel.HONEST
-        assert corpus[0].tokens == ["honest", "kind"]
+        assert corpus[0] == SampleDocument("s1", ClassLabel.HONEST, {"honest": 1, "kind": 1})
 
     def test_unknown_label_rejected(self, tmp_path):
         p = tmp_path / "corpus.jsonl"
@@ -472,7 +483,23 @@ class TestLoadSampleCorpus:
         )
         corpus = load_sample_corpus(p)
         assert [d.doc_id for d in corpus] == ["s1", "s2"]
-        assert corpus[0].tokens == ["honest", "kind", "calm", "fair"]
+        assert corpus[0].counts == {"honest": 1, "kind": 1, "calm": 1, "fair": 1}
+
+    def test_loaded_corpus_keeps_only_what_classification_reads(self, tmp_path):
+        # Each document keeps its id, label and counts, not its text and
+        # tokens: about 6x the file's bytes, where keeping them took 10.8x.
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, make_corpus_records(docs_per_class=60))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            corpus = load_sample_corpus(path)
+            kept = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert len(corpus) == 600
+        assert kept < 8 * size, (kept, size)
 
     def test_invalid_utf8_is_corpus_error(self, tmp_path):
         p = tmp_path / "corpus.jsonl"

@@ -366,6 +366,19 @@ class TestBadInputEndsCleanly:
         assert capsys.readouterr().err.startswith("error: cannot read stopwords")
         assert (run_out / "FAILED").read_text().startswith("StorageError")
 
+    def test_classify_rejects_bad_features_with_no_profiles(self, tmp_path, capsys):
+        (tmp_path / "profiles.jsonl").write_text("", encoding="utf-8")
+        write_corpus(tmp_path / "corpus.jsonl")
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(tmp_path / "profiles.jsonl"), "--out", str(out)]) == 0
+        assert (out / "accepted.jsonl").read_text(encoding="utf-8") == ""
+        for features in ("0", "-3"):
+            capsys.readouterr()
+            assert self.classify(tmp_path, out, "--features", features) == 1
+            assert capsys.readouterr().err.startswith(f"error: n_features={features}")
+            assert (out / "FAILED").read_text().startswith("ParameterError")
+            assert not (out / "classified.jsonl").exists()
+
     def test_stage_subcommand_failure_writes_marker(self, tmp_path, capsys):
         write_jsonl(tmp_path / "profiles.jsonl", [record(0, birthday="2030-01-01")])
         write_corpus(tmp_path / "corpus.jsonl")

@@ -46,7 +46,7 @@ class TestCorpusRecords:
         write_jsonl(tmp_path / "corpus.jsonl", records)
         docs = load_sample_corpus(tmp_path / "corpus.jsonl")
         assert len(docs) == 20
-        assert all(d.tokens for d in docs)
+        assert all(d.counts for d in docs)
 
     def test_corpus_documents_builder(self):
         docs = corpus_documents(make_corpus_records(docs_per_class=1))
