@@ -15,12 +15,12 @@ the frequencies.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import EmptyDocumentError
 
 
-def term_counts(tokens: Sequence[str]) -> dict[str, int]:
+def term_counts(tokens: Iterable[str]) -> dict[str, int]:
     """Exact occurrence counts of a stopword-filtered token list."""
     return dict(Counter(tokens))
 

@@ -207,7 +207,8 @@ def _parse_record_line(line_no: int, line: str) -> RawProfile:
         raise ValueError("not valid UTF-8")
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, too many digits (ValueError) or too deep nesting.
         raise ValueError(f"not valid JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise ValueError("line is not an object")
@@ -394,7 +395,7 @@ def load_corpus(path: str | Path) -> list[Profile]:
                     if not isinstance(record, dict):
                         raise TypeError("line is not an object")
                     profiles.append(Profile.from_record(record))
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError, RecursionError) as exc:
                     raise StorageError(f"corrupt corpus {path}:{line_no}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise StorageError(f"cannot read corpus {path}: {exc}") from exc

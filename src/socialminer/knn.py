@@ -65,7 +65,8 @@ PERSONALITY_LABELS: tuple[ClassLabel, ...] = tuple(
 class SampleDocument(NamedTuple):
     """A pre-classified sample: its id, its label and the term counts of its
     prepared text. Classification reads nothing else, so the text and its
-    tokens are not kept."""
+    tokens are not kept. The documents of one ``load_sample_corpus`` call
+    share one string object per distinct term in their counts."""
 
     doc_id: str
     label: ClassLabel
@@ -276,9 +277,15 @@ def load_sample_corpus(
     Labels must belong to the closed enumeration (never Unclassifiable),
     texts must be non-empty and ids unique. The file is read one record at a
     time, so the first fault met in file order is the one reported.
+
+    ``prepare`` returns a new string per token, so each document would hold
+    its own copy of every term. Instead every token is mapped to the first
+    copy of its term met in this call, kept in a vocabulary that is dropped
+    when the call returns, and all count dicts share that one string.
     """
     samples: list[SampleDocument] = []
     seen: set[str] = set()
+    vocabulary: dict[str, str] = {}
     try:
         # Records end at "\n", "\r\n" or "\r" (universal newlines) and
         # nowhere else; str.splitlines would also break a text at a raw
@@ -287,7 +294,9 @@ def load_sample_corpus(
             for line_no, line in enumerate(handle, start=1):
                 if line.strip():
                     samples.append(
-                        _sample_from_line(path, line_no, line.rstrip("\n"), seen, stopwords)
+                        _sample_from_line(
+                            path, line_no, line.rstrip("\n"), seen, stopwords, vocabulary
+                        )
                     )
     except OSError as exc:
         raise StorageError(f"cannot read sample corpus {path}: {exc}") from exc
@@ -296,15 +305,22 @@ def load_sample_corpus(
     return samples
 
 
+_RECORD_KEYS = frozenset(("id", "label", "text"))
+_LABELS = {label._value_: label for label in ClassLabel}
+
+
 def _sample_from_line(
-    path: str | Path, line_no: int, line: str, seen: set[str], stopwords: frozenset[str]
+    path: str | Path, line_no: int, line: str, seen: set[str],
+    stopwords: frozenset[str], vocabulary: dict[str, str],
 ) -> SampleDocument:
-    """One sample corpus record; its id is added to ``seen``."""
+    """One sample corpus record; its id is added to ``seen`` and its new
+    terms to ``vocabulary``."""
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, too many digits (ValueError) or too deep nesting.
         raise CorpusError(f"{path}:{line_no}: not valid JSON ({exc})") from exc
-    if not isinstance(record, dict) or set(record) != {"id", "label", "text"}:
+    if not isinstance(record, dict) or record.keys() != _RECORD_KEYS:
         raise CorpusError(f"{path}:{line_no}: expected keys id, label, text")
     doc_id, label_text, text = record["id"], record["label"], record["text"]
     if not isinstance(doc_id, str) or not doc_id:
@@ -313,11 +329,12 @@ def _sample_from_line(
         raise CorpusError(f"{path}:{line_no}: duplicate document id {doc_id!r}")
     seen.add(doc_id)
     try:
-        label = ClassLabel(label_text)
-    except ValueError:
+        label = _LABELS[label_text]
+    except (KeyError, TypeError):  # TypeError: an unhashable label
         raise CorpusError(f"{path}:{line_no}: unknown class label {label_text!r}")
     if label is ClassLabel.UNCLASSIFIABLE:
         raise CorpusError(f"{path}:{line_no}: sample documents cannot be Unclassifiable")
     if not isinstance(text, str) or not text.strip():
         raise CorpusError(f"{path}:{line_no}: text must be non-empty")
-    return SampleDocument.from_text(doc_id, text, label, stopwords)
+    tokens = prepare(text, stopwords)
+    return SampleDocument(doc_id, label, term_counts(map(vocabulary.setdefault, tokens, tokens)))

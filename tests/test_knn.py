@@ -1,5 +1,7 @@
+import json
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -450,6 +452,25 @@ class TestLoadSampleCorpus:
         with pytest.raises(CorpusError):
             load_sample_corpus(p)
 
+    @pytest.mark.parametrize("label", [["Honest"], {"Honest": 1}, 1, None, "honest"])
+    def test_label_outside_the_enumeration_rejected(self, tmp_path, label):
+        p = tmp_path / "corpus.jsonl"
+        p.write_text(
+            json.dumps({"id": "s1", "label": label, "text": "x"}) + "\n", encoding="utf-8"
+        )
+        with pytest.raises(CorpusError, match=f":1: unknown class label {re.escape(repr(label))}$"):
+            load_sample_corpus(p)
+
+    @pytest.mark.parametrize(
+        "record",
+        [{"id": "s1", "label": "Honest"}, {"id": "s1", "label": "Honest", "text": "x", "n": 1}],
+    )
+    def test_keys_other_than_id_label_text_rejected(self, tmp_path, record):
+        p = tmp_path / "corpus.jsonl"
+        p.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=":1: expected keys id, label, text$"):
+            load_sample_corpus(p)
+
     def test_unclassifiable_label_rejected(self, tmp_path):
         p = tmp_path / "corpus.jsonl"
         p.write_text(
@@ -487,7 +508,9 @@ class TestLoadSampleCorpus:
 
     def test_loaded_corpus_keeps_only_what_classification_reads(self, tmp_path):
         # Each document keeps its id, label and counts, not its text and
-        # tokens: about 6x the file's bytes, where keeping them took 10.8x.
+        # tokens, and its counts share one string per term with every other
+        # document: about 2.4x the file's bytes. A string per term and
+        # document took 6.0x, and keeping texts and tokens as well 10.8x.
         path = tmp_path / "corpus.jsonl"
         write_jsonl(path, make_corpus_records(docs_per_class=60))
         tracemalloc.start()
@@ -499,7 +522,21 @@ class TestLoadSampleCorpus:
             tracemalloc.stop()
         size = path.stat().st_size
         assert len(corpus) == 600
-        assert kept < 8 * size, (kept, size)
+        assert kept < 4 * size, (kept, size)
+
+    def test_one_string_object_per_term_within_a_load(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, make_corpus_records(docs_per_class=60))
+        corpus = load_sample_corpus(path)
+        terms = [term for doc in corpus for term in doc.counts]
+        assert len(terms) > 10 * len(set(terms))
+        assert len({id(term) for term in terms}) == len(set(terms))
+        # The vocabulary lives for one call: a second load makes new strings
+        # (CPython caches only strings of one character).
+        first = {term: term for term in terms}
+        again = {term for doc in load_sample_corpus(path) for term in doc.counts}
+        assert again == set(first)
+        assert not any(first[term] is term for term in again if len(term) > 1)
 
     def test_invalid_utf8_is_corpus_error(self, tmp_path):
         p = tmp_path / "corpus.jsonl"

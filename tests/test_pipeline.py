@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from datetime import date
 from pathlib import Path
 
 import pytest
+
+import socialminer
 
 from socialminer.arff import parse_arff
 from socialminer.cli import main
@@ -304,6 +309,32 @@ class TestCli:
             assert binned["music_share_class"] == expected
 
 
+def cli_child(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m socialminer`` in a child process, so that a traceback
+    would show on its stderr."""
+    src = str(Path(socialminer.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "socialminer", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+# JSON lines that json.loads refuses with an error other than
+# JSONDecodeError: RecursionError, and ValueError for an integer longer than
+# sys.get_int_max_str_digits() (Python 3.11 and later).
+HOSTILE_LINES = [
+    pytest.param("[" * 100_000 + "]" * 100_000, id="nested"),
+    pytest.param(
+        '{"id": "x", "label": "Honest", "text": "x", "n": ' + "1" * 5000 + "}",
+        id="long_int",
+        marks=pytest.mark.skipif(
+            not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+        ),
+    ),
+]
+
+
 class TestBadInputEndsCleanly:
     """Each bad input ends in exit 1 with an error line, or in a reported
     malformed line, never in a traceback."""
@@ -486,3 +517,48 @@ class TestBadInputEndsCleanly:
         assert summary["counts"]["accepted"] == 1 and summary["counts"]["malformed"] == 1
         rejections = json.loads((out / "rejections.json").read_text())
         assert rejections["malformed_lines"] == [{"line_no": 2, "message": "not valid UTF-8"}]
+
+    @pytest.mark.parametrize("line", HOSTILE_LINES)
+    def test_hostile_json_profile_line_is_malformed(self, tmp_path, line):
+        profiles = tmp_path / "profiles.jsonl"
+        write_jsonl(profiles, [record(1), record(2)])
+        with profiles.open("a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        out = tmp_path / "out"
+        result = cli_child("ingest", "--input", str(profiles), "--out", str(out))
+        assert "Traceback" not in result.stderr
+        assert result.returncode == 0, result.stderr
+        assert "accepted: 2" in result.stdout and "malformed: 1" in result.stdout
+        assert not (out / "FAILED").exists()
+
+    @pytest.mark.parametrize("line", HOSTILE_LINES)
+    def test_hostile_json_stage_line_is_storage_error(self, tmp_path, line):
+        out = self.staged(tmp_path)
+        with (out / "accepted.jsonl").open("a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        result = cli_child(
+            "classify", "--input", str(out / "accepted.jsonl"),
+            "--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(out),
+        )
+        assert "Traceback" not in result.stderr
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: corrupt corpus")
+        assert "accepted.jsonl:4: " in result.stderr
+        assert (out / "FAILED").read_text().startswith("StorageError: corrupt corpus")
+
+    @pytest.mark.parametrize("line", HOSTILE_LINES)
+    def test_hostile_json_sample_corpus_line_is_corpus_error(self, tmp_path, line):
+        write_jsonl(tmp_path / "profiles.jsonl", [record(i) for i in range(3)])
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus(corpus)
+        with corpus.open("a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        out = tmp_path / "out"
+        result = cli_child(
+            "run", "--input", str(tmp_path / "profiles.jsonl"), "--corpus", str(corpus),
+            "--ref-date", "2015-06-01", "--out", str(out),
+        )
+        assert "Traceback" not in result.stderr
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"error: {corpus}:31: not valid JSON (")
+        assert (out / "FAILED").read_text().startswith(f"CorpusError: {corpus}:31: ")
