@@ -14,6 +14,10 @@ from .ingest import load_corpus
 from .io_utils import make_output_dir
 from .knn import load_sample_corpus
 from .pipeline import (
+    ACCEPTED_FILE,
+    ARFF_FILE,
+    BINNED_FILE,
+    CLASSIFIED_FILE,
     RunConfig,
     failure_marker,
     run_pipeline,
@@ -36,8 +40,9 @@ def _iso_date(text: str) -> date:
 def _add_classify_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--corpus", required=True, type=Path, help="sample corpus JSONL")
     parser.add_argument("--stopwords", type=Path, help="stopword file (one word per line)")
-    parser.add_argument("--features", type=int, default=50, metavar="N", help="feature count (default 50)")
-    parser.add_argument("--k", type=int, default=5, help="neighbors to vote (default 5)")
+    parser.add_argument("--features", type=int, default=RunConfig.n_features, metavar="N",
+                        help="feature count (default %(default)s)")
+    parser.add_argument("--k", type=int, default=RunConfig.k, help="neighbors to vote (default %(default)s)")
 
 
 def _add_bin_options(parser: argparse.ArgumentParser) -> None:
@@ -45,8 +50,8 @@ def _add_bin_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--gap-policy",
         choices=[p.value for p in GapPolicy],
-        default=GapPolicy.FIVE_IS_LOW.value,
-        help="bucket for the unassigned share value 5",
+        default=RunConfig.gap_policy.value,
+        help="bucket for the unassigned share value 5 (default %(default)s)",
     )
 
 
@@ -62,31 +67,32 @@ def build_parser() -> argparse.ArgumentParser:
     _add_classify_options(run)
     _add_bin_options(run)
     run.add_argument("--out", required=True, type=Path, help="output directory")
-    run.add_argument("--run-id", default="run", help="name of the reports subdirectory")
 
     ingest = sub.add_parser("ingest", help="load, validate and persist profiles")
     ingest.add_argument("--input", required=True, type=Path, help="raw profiles JSONL")
     ingest.add_argument("--out", required=True, type=Path)
 
     classify = sub.add_parser("classify", help="classify an ingested corpus")
-    classify.add_argument("--input", required=True, type=Path, help="accepted.jsonl from ingest")
+    classify.add_argument("--input", required=True, type=Path, help=f"{ACCEPTED_FILE} from ingest")
     _add_classify_options(classify)
     classify.add_argument("--out", required=True, type=Path)
 
     binning = sub.add_parser("bin", help="bin a classified corpus")
-    binning.add_argument("--input", required=True, type=Path, help="classified.jsonl from classify")
+    binning.add_argument("--input", required=True, type=Path, help=f"{CLASSIFIED_FILE} from classify")
     _add_bin_options(binning)
     binning.add_argument("--out", required=True, type=Path)
 
     arff = sub.add_parser("arff", help="emit the ARFF dataset")
-    arff.add_argument("--input", required=True, type=Path, help="binned.jsonl from bin")
+    arff.add_argument("--input", required=True, type=Path, help=f"{BINNED_FILE} from bin")
     arff.add_argument("--out", required=True, type=Path)
 
     report = sub.add_parser("report", help="emit distribution tables and charts")
-    report.add_argument("--input", required=True, type=Path, help="binned.jsonl from bin")
+    report.add_argument("--input", required=True, type=Path, help=f"{BINNED_FILE} from bin")
     report.add_argument("--out", required=True, type=Path)
-    report.add_argument("--run-id", default="run")
 
+    for command in (run, report):
+        command.add_argument("--run-id", default=RunConfig.run_id,
+                             help="name of the reports subdirectory (default %(default)s)")
     return parser
 
 
@@ -142,7 +148,7 @@ def _cmd_bin(args) -> int:
 
 def _cmd_arff(args) -> int:
     stage_arff(load_corpus(args.input), args.out)
-    print(f"wrote {args.out / 'dataset.arff'}")
+    print(f"wrote {args.out / ARFF_FILE}")
     return 0
 
 

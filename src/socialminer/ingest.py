@@ -19,7 +19,7 @@ from typing import IO, Iterable, Optional, Union
 
 from .binning import AgeRange, ShareClass, WallCountClass
 from .errors import DuplicateIdError, StorageError
-from .io_utils import atomic_write_text
+from .io_utils import atomic_write_text, json_object, open_lines
 from .knn import ClassLabel
 
 
@@ -36,21 +36,8 @@ REASON_BAD_BIRTHDAY = "BAD_BIRTHDAY"
 
 _TEXT_KEYS = ("birthday", "about_me", "activities", "gender", "interests", "political")
 _INT_KEYS = ("wall_count", "music_count")
-INPUT_KEYS = (
-    "id",
-    "birthday",
-    "about_me",
-    "activities",
-    "gender",
-    "interests",
-    "wall_count",
-    "political",
-    "music_count",
-)
-
-_INPUT_KEY_SET = frozenset(INPUT_KEYS)
+_INPUT_KEY_SET = frozenset(("id", *_TEXT_KEYS, *_INT_KEYS))
 _ISO_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
-_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 @dataclass(frozen=True)
@@ -201,17 +188,8 @@ class RejectionReport:
         }
 
 
-def _parse_record_line(line_no: int, line: str) -> RawProfile:
-    # Bytes that are not UTF-8 were decoded to lone surrogates.
-    if not line.isascii() and _LONE_SURROGATE.search(line):
-        raise ValueError("not valid UTF-8")
-    try:
-        record = json.loads(line)
-    except (ValueError, RecursionError) as exc:
-        # JSONDecodeError, too many digits (ValueError) or too deep nesting.
-        raise ValueError(f"not valid JSON: {exc}") from exc
-    if not isinstance(record, dict):
-        raise ValueError("line is not an object")
+def _parse_record_line(line: str) -> RawProfile:
+    record = json_object(line)
     if not record.keys() <= _INPUT_KEY_SET:
         raise ValueError(f"unknown keys: {sorted(record.keys() - _INPUT_KEY_SET)}")
 
@@ -227,12 +205,6 @@ def _parse_record_line(line_no: int, line: str) -> RawProfile:
         value = get(key)
         if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
             raise ValueError(f"{key} must be an integer")
-    # A \u escape can spell a lone surrogate, which no UTF-8 file can hold.
-    if "\\" in line:
-        for key in ("id", *_TEXT_KEYS):
-            value = get(key)
-            if value is not None and _LONE_SURROGATE.search(value):
-                raise ValueError(f"{key} is not valid UTF-8: lone surrogate")
     record["record_id"] = record.pop("id")
     return RawProfile(**record)
 
@@ -241,24 +213,17 @@ def load_profiles(
     source: Union[str, Path, IO[str], IO[bytes], Iterable[str]],
 ) -> tuple[list[RawProfile], list[ParseIssue]]:
     """Parse line-delimited records into RawProfiles, in input order, one
-    line at a time.
+    line at a time. A path is read by ``io_utils.open_lines``; a stream's
+    items are its lines.
 
-    Malformed lines become ParseIssues with their line number, and so do
-    lines that are not valid UTF-8. A duplicate id raises DuplicateIdError;
-    an unreadable path raises StorageError.
+    Lines that ``io_utils.json_object`` refuses, or that hold other keys or
+    types, become ParseIssues with their line number. A duplicate id raises
+    DuplicateIdError; an unreadable path raises StorageError.
     """
     if isinstance(source, (str, Path)):
         try:
-            with open(source, "rb") as handle:
-                # Bytes that are not UTF-8 decode to lone surrogates, which
-                # mark their line as malformed. Each chunk ends at b"\n", which
-                # is part of no other UTF-8 character and ends any "\r\n", so
-                # the chunks split into the same lines as the whole file.
-                return _parse_lines(
-                    line
-                    for chunk in handle
-                    for line in chunk.decode("utf-8", "surrogateescape").splitlines()
-                )
+            with open_lines(source) as handle:
+                return _parse_lines(handle)
         except OSError as exc:
             raise StorageError(f"cannot read {source}: {exc}") from exc
     return _parse_lines(
@@ -275,7 +240,7 @@ def _parse_lines(lines: Iterable[str]) -> tuple[list[RawProfile], list[ParseIssu
         if not line.strip():
             continue
         try:
-            raw = _parse_record_line(line_no, line)
+            raw = _parse_record_line(line)
         except ValueError as exc:
             issues.append(ParseIssue(line_no, str(exc)))
             continue
@@ -374,29 +339,21 @@ def load_corpus(path: str | Path) -> list[Profile]:
     """Read back a persisted corpus one record at a time, reproducing the
     profiles exactly.
 
-    An unreadable or non-UTF-8 file raises StorageError, and so does a line
-    that is not a JSON object of the fields ``to_record`` writes, with their
-    types; the message names the path and the line. The first fault met in
-    file order is the one reported.
+    An unreadable file raises StorageError, and so does a line that
+    ``io_utils.json_object`` refuses or that lacks a field ``to_record``
+    writes or holds one of another type; the message names the path and the
+    line. The first fault met in file order is the one reported.
     """
     profiles = []
     try:
-        # Records end at "\n", "\r\n" or "\r", each read as "\n" (Python's
-        # universal newlines), and nowhere else. The encoder writes U+2028,
-        # U+2029 and U+0085 unescaped, and str.splitlines would break a record
-        # at each of them.
-        with open(path, encoding="utf-8") as handle:
+        with open_lines(path) as handle:
             for line_no, line in enumerate(handle, start=1):
                 if not line.strip():
                     continue
                 try:
-                    # Without its "\n", a line's JSON errors point into it.
-                    record = json.loads(line.rstrip("\n"))
-                    if not isinstance(record, dict):
-                        raise TypeError("line is not an object")
-                    profiles.append(Profile.from_record(record))
-                except (KeyError, TypeError, ValueError, RecursionError) as exc:
+                    profiles.append(Profile.from_record(json_object(line)))
+                except (KeyError, TypeError, ValueError) as exc:
                     raise StorageError(f"corrupt corpus {path}:{line_no}: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise StorageError(f"cannot read corpus {path}: {exc}") from exc
     return profiles

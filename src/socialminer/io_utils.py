@@ -1,13 +1,47 @@
-"""Small file helpers shared by the pipeline stages."""
+"""Small file helpers shared by the pipeline stages: the one rule every
+JSON-lines input is read by, and the atomic writer."""
 
 from __future__ import annotations
 
+import json
 import os
+import re
 import tempfile
 from pathlib import Path
-from typing import Iterable, Union
+from typing import IO, Iterable, Union
 
 from .errors import StorageError
+
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def open_lines(path: str | Path) -> IO[str]:
+    r"""Open a JSON-lines file to read one line at a time. Lines end at "\n",
+    "\r\n" or "\r" only, so a raw U+2028, U+2029 or U+0085 stays inside its
+    text; bytes that are not UTF-8 become lone surrogates, which fail only
+    their own line in ``json_object``."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
+def json_object(line: str) -> dict:
+    r"""Decode one line into a JSON object, or raise ValueError with one of
+    ``not valid UTF-8``, ``not valid JSON: …``, ``line is not an object`` or
+    ``<key> is not valid UTF-8: lone surrogate`` (a top-level string that a
+    ``\u`` escape made unwritable as UTF-8)."""
+    if not line.isascii() and _LONE_SURROGATE.search(line):
+        raise ValueError("not valid UTF-8")
+    try:
+        # Without its "\n", a line's JSON errors point into it.
+        record = json.loads(line.rstrip("\n"))
+    except (ValueError, RecursionError) as exc:  # too many digits, too deep nesting
+        raise ValueError(f"not valid JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise ValueError("line is not an object")
+    if "\\" in line:
+        for key, value in record.items():
+            if isinstance(value, str) and _LONE_SURROGATE.search(value):
+                raise ValueError(f"{key} is not valid UTF-8: lone surrogate")
+    return record
 
 
 def make_output_dir(path: str | Path) -> None:

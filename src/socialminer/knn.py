@@ -22,7 +22,6 @@ the reference path.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from array import array
 from enum import Enum
@@ -37,6 +36,7 @@ from .features import (  # noqa: F401 (perfbench/tracer.py wraps knn.term_freque
     term_counts,
     term_frequency,
 )
+from .io_utils import json_object, open_lines
 from .textprep import DEFAULT_STOPWORDS, prepare
 
 
@@ -272,11 +272,13 @@ def classify_text(
 def load_sample_corpus(
     path: str | Path, stopwords: frozenset[str] = DEFAULT_STOPWORDS
 ) -> list[SampleDocument]:
-    """Read a sample corpus file: UTF-8 JSON lines with id, label and text.
+    """Read a sample corpus file: JSON lines with id, label and text, read
+    by ``io_utils.open_lines`` and decoded by ``io_utils.json_object``.
 
     Labels must belong to the closed enumeration (never Unclassifiable),
     texts must be non-empty and ids unique. The file is read one record at a
-    time, so the first fault met in file order is the one reported.
+    time, so the first fault met in file order is the one reported, as a
+    CorpusError naming ``path:line``; an unreadable file is a StorageError.
 
     ``prepare`` returns a new string per token, so each document would hold
     its own copy of every term. Instead every token is mapped to the first
@@ -287,21 +289,14 @@ def load_sample_corpus(
     seen: set[str] = set()
     vocabulary: dict[str, str] = {}
     try:
-        # Records end at "\n", "\r\n" or "\r" (universal newlines) and
-        # nowhere else; str.splitlines would also break a text at a raw
-        # U+2028, U+2029 or U+0085.
-        with open(path, encoding="utf-8") as handle:
+        with open_lines(path) as handle:
             for line_no, line in enumerate(handle, start=1):
                 if line.strip():
                     samples.append(
-                        _sample_from_line(
-                            path, line_no, line.rstrip("\n"), seen, stopwords, vocabulary
-                        )
+                        _sample_from_line(path, line_no, line, seen, stopwords, vocabulary)
                     )
     except OSError as exc:
         raise StorageError(f"cannot read sample corpus {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path}: not valid UTF-8 ({exc})") from exc
     return samples
 
 
@@ -316,11 +311,10 @@ def _sample_from_line(
     """One sample corpus record; its id is added to ``seen`` and its new
     terms to ``vocabulary``."""
     try:
-        record = json.loads(line)
-    except (ValueError, RecursionError) as exc:
-        # JSONDecodeError, too many digits (ValueError) or too deep nesting.
-        raise CorpusError(f"{path}:{line_no}: not valid JSON ({exc})") from exc
-    if not isinstance(record, dict) or record.keys() != _RECORD_KEYS:
+        record = json_object(line)
+    except ValueError as exc:
+        raise CorpusError(f"{path}:{line_no}: {exc}") from exc
+    if record.keys() != _RECORD_KEYS:
         raise CorpusError(f"{path}:{line_no}: expected keys id, label, text")
     doc_id, label_text, text = record["id"], record["label"], record["text"]
     if not isinstance(doc_id, str) or not doc_id:

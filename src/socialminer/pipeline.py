@@ -244,13 +244,15 @@ def stage_report(profiles: list[Profile], out_dir: Path, run_id: str) -> list[di
 def failure_marker(out_dir: Path) -> Iterator[None]:
     """Remove a stale failure marker from ``out_dir``; if the body raises,
     write ``"<Type>: <message>"`` to a new marker and re-raise. Partial
-    outputs are kept."""
+    outputs are kept. A lone surrogate in the message (a path that is not
+    UTF-8, as Python decodes it) is written as its ``\\udcXX`` escape."""
     marker = out_dir / FAILURE_MARKER
     marker.unlink(missing_ok=True)
     try:
         yield
     except Exception as exc:
-        atomic_write_text(marker, f"{type(exc).__name__}: {exc}\n")
+        text = f"{type(exc).__name__}: {exc}\n"
+        atomic_write_text(marker, text.encode("utf-8", "backslashreplace").decode("utf-8"))
         raise
 
 

@@ -4,14 +4,14 @@ must agree with its reference here: same values, same bytes, same errors."""
 
 from __future__ import annotations
 
-import json
 import math
+import re
 from pathlib import Path
 
 from socialminer.arff import NOMINAL, NUMERIC, ArffAttribute, ArffDataset, _attribute_line, _format_field
 from socialminer.errors import ArffEncodeError, CorpusError, DuplicateIdError, StorageError
 from socialminer.ingest import ParseIssue, Profile, _encode_record, _parse_record_line
-from socialminer.io_utils import atomic_write_text
+from socialminer.io_utils import atomic_write_text, json_object
 from socialminer.knn import ClassLabel, DistanceRow, SampleDocument
 from socialminer.textprep import DEFAULT_STOPWORDS
 
@@ -110,19 +110,25 @@ def emit_arff(ds: ArffDataset) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _lines(path):
+    """The whole file read, decoded with ``surrogateescape`` and split at
+    "\r\n", "\r" or "\n", as numbered lines."""
+    text = Path(path).read_bytes().decode("utf-8", "surrogateescape")
+    return enumerate(re.split(r"\r\n|\r|\n", text), start=1)
+
+
 def load_profiles(path):
-    """``ingest.load_profiles`` on a path: the whole file read, decoded and
-    split at once."""
+    """``ingest.load_profiles`` on a path, from the whole file's lines."""
     try:
-        data = Path(path).read_bytes()
+        lines = _lines(path)
     except OSError as exc:
         raise StorageError(f"cannot read {path}: {exc}") from exc
     profiles, issues, seen = [], [], set()
-    for line_no, line in enumerate(data.decode("utf-8", "surrogateescape").splitlines(), start=1):
+    for line_no, line in lines:
         if not line.strip():
             continue
         try:
-            raw = _parse_record_line(line_no, line)
+            raw = _parse_record_line(line)
         except ValueError as exc:
             issues.append(ParseIssue(line_no, str(exc)))
             continue
@@ -139,44 +145,37 @@ def persist_corpus(profiles, path) -> None:
 
 
 def load_corpus(path):
-    """``ingest.load_corpus``: the whole file read (with "\r\n" and "\r"
-    read as "\n") and split at "\n"."""
+    """``ingest.load_corpus``, from the whole file's lines."""
     try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        lines = _lines(path)
+    except OSError as exc:
         raise StorageError(f"cannot read corpus {path}: {exc}") from exc
     profiles = []
-    for line_no, line in enumerate(raw.split("\n"), start=1):
+    for line_no, line in lines:
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise TypeError("line is not an object")
-            profiles.append(Profile.from_record(record))
+            profiles.append(Profile.from_record(json_object(line)))
         except (KeyError, TypeError, ValueError) as exc:
             raise StorageError(f"corrupt corpus {path}:{line_no}: {exc}") from exc
     return profiles
 
 
 def load_sample_corpus(path, stopwords: frozenset[str] = DEFAULT_STOPWORDS):
-    """``knn.load_sample_corpus``: the whole file read (with "\r\n" and "\r"
-    read as "\n") and split at "\n"."""
+    """``knn.load_sample_corpus``, from the whole file's lines."""
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        lines = _lines(path)
     except OSError as exc:
         raise StorageError(f"cannot read sample corpus {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path}: not valid UTF-8 ({exc})") from exc
     samples, seen = [], set()
-    for line_no, line in enumerate(raw.split("\n"), start=1):
+    for line_no, line in lines:
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}:{line_no}: not valid JSON ({exc})") from exc
-        if not isinstance(record, dict) or set(record) != {"id", "label", "text"}:
+            record = json_object(line)
+        except ValueError as exc:
+            raise CorpusError(f"{path}:{line_no}: {exc}") from exc
+        if set(record) != {"id", "label", "text"}:
             raise CorpusError(f"{path}:{line_no}: expected keys id, label, text")
         doc_id, label_text, text = record["id"], record["label"], record["text"]
         if not isinstance(doc_id, str) or not doc_id:

@@ -132,20 +132,32 @@ class TestLoadProfiles:
         assert [i.line_no for i in issues] == [2]
 
     def test_line_numbers_follow_every_line_break(self, tmp_path):
-        # str.splitlines also breaks at \x1c, \x85 and \u2028; invalid bytes
-        # elsewhere in the file must not shift the numbering.
+        # Lines end at "\n", "\r\n" and "\r" only: a raw U+2028, U+2029 or
+        # U+0085 stays inside its text, records that only \x1c separates are
+        # one malformed line, and invalid bytes keep their own line number.
+        def raw(**kwargs):
+            return json.dumps(kwargs, ensure_ascii=False).encode()
+
+        u4 = raw(id="u4")
         p = tmp_path / "in.jsonl"
         p.write_bytes(
-            b"\xff\n" + line(id="u1").encode() + b"\x1c"
-            + line(id="u2").encode() + "\u2028".encode() + b"\xfe\r\n"
-            + line(id="u3").encode()
+            b"\xff\n"
+            + raw(id="u1", about_me="a\u2028b") + b"\r\n"
+            + b"\xfe\r"
+            + raw(id="u2", about_me="c\u2029d") + b"\n"
+            + raw(id="u3", about_me="e\x85f") + b"\r"
+            + u4 + b"\x1c" + raw(id="u5") + b"\n"
+            + raw(id="u6")
         )
         profiles, issues = load_profiles(p)
-        assert [r.record_id for r in profiles] == ["u1", "u2", "u3"]
-        assert [i.line_no for i in issues] == [1, 4]
-        p.write_text(line(id="u1") + "\x85" + line(id="u2") + "\u2029" + line(id="u3"), encoding="utf-8")
-        profiles, issues = load_profiles(p)
-        assert not issues and [r.record_id for r in profiles] == ["u1", "u2", "u3"]
+        assert [(r.record_id, r.about_me) for r in profiles] == [
+            ("u1", "a\u2028b"), ("u2", "c\u2029d"), ("u3", "e\x85f"), ("u6", None)
+        ]
+        assert [(i.line_no, i.message) for i in issues] == [
+            (1, "not valid UTF-8"),
+            (3, "not valid UTF-8"),
+            (6, f"not valid JSON: Extra data: line 1 column {len(u4) + 1} (char {len(u4)})"),
+        ]
 
     def test_escaped_lone_surrogate_is_parse_issue(self):
         text = "\n".join([

@@ -538,6 +538,18 @@ class TestLoadSampleCorpus:
         assert again == set(first)
         assert not any(first[term] is term for term in again if len(term) > 1)
 
+    def test_escaped_lone_surrogate_is_corpus_error(self, tmp_path):
+        # Valid JSON, but no UTF-8 file can hold the text it spells.
+        p = tmp_path / "corpus.jsonl"
+        p.write_text(
+            '{"id": "s1", "label": "Honest", "text": "honest"}\n'
+            '{"id": "s2", "label": "Lazy", "text": "naps \\ud800 all day"}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(CorpusError) as info:
+            load_sample_corpus(p)
+        assert str(info.value) == f"{p}:2: text is not valid UTF-8: lone surrogate"
+
     def test_invalid_utf8_is_corpus_error(self, tmp_path):
         p = tmp_path / "corpus.jsonl"
         p.write_bytes(b'{"id": "s1", "label": "Honest", "text": "caf\xe9"}\n')

@@ -375,12 +375,48 @@ class TestBadInputEndsCleanly:
         assert err.startswith("error: corrupt corpus") and "accepted.jsonl:2: wall_count" in err
 
     def test_invalid_utf8_stage_file(self, tmp_path, capsys):
+        # Invalid UTF-8 fails its own line, like any other malformed line.
         out = self.staged(tmp_path)
         with (out / "accepted.jsonl").open("ab") as handle:
             handle.write(b'{"id": "\xff"}\n')
         capsys.readouterr()
         assert self.classify(tmp_path, out) == 1
-        assert capsys.readouterr().err.startswith("error: cannot read corpus")
+        message = f"corrupt corpus {out / 'accepted.jsonl'}:4: not valid UTF-8"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert (out / "FAILED").read_text(encoding="utf-8") == f"StorageError: {message}\n"
+
+    def test_escaped_lone_surrogate_in_stage_file(self, tmp_path):
+        # Valid JSON whose string no UTF-8 file can hold: the line is corrupt,
+        # instead of the next write failing on it.
+        out = self.staged(tmp_path)
+        accepted = out / "accepted.jsonl"
+        lines = accepted.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = lines[1].replace("truthful", "truthful \\ud800")
+        accepted.write_text("".join(lines), encoding="utf-8")
+        result = cli_child(
+            "classify", "--input", str(accepted),
+            "--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(out),
+        )
+        message = f"corrupt corpus {accepted}:2: about_me is not valid UTF-8: lone surrogate"
+        assert (result.returncode, result.stdout, result.stderr) == (1, "", f"error: {message}\n")
+        assert (out / "FAILED").read_text(encoding="utf-8") == f"StorageError: {message}\n"
+        assert not (out / "classified.jsonl").exists()
+
+    def test_raw_line_separators_stay_inside_a_profile_text(self, tmp_path):
+        write_corpus(tmp_path / "corpus.jsonl")
+        about = "truthful\u2028genuine\u2029integrity\x85fair"
+        write_jsonl(tmp_path / "profiles.jsonl", [record(1, about_me=about), record(2)])
+        out = tmp_path / "out"
+        assert main(
+            ["run", "--input", str(tmp_path / "profiles.jsonl"),
+             "--corpus", str(tmp_path / "corpus.jsonl"),
+             "--ref-date", "2015-06-01", "--out", str(out)]
+        ) == 0
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert (summary["counts"]["accepted"], summary["counts"]["malformed"]) == (2, 0)
+        lines = (out / "accepted.jsonl").read_text(encoding="utf-8").split("\n")
+        assert json.loads(lines[0])["about_me"] == about
+        assert about in lines[0]  # written raw, as the encoder writes it
 
     def test_missing_stopwords_file(self, tmp_path, capsys):
         out = self.staged(tmp_path)
@@ -518,6 +554,28 @@ class TestBadInputEndsCleanly:
         rejections = json.loads((out / "rejections.json").read_text())
         assert rejections["malformed_lines"] == [{"line_no": 2, "message": "not valid UTF-8"}]
 
+    def test_input_path_that_is_not_utf8(self, tmp_path):
+        # Python decodes such an argument with surrogateescape, so the error
+        # message holds a lone surrogate; the marker spells it as an escape.
+        try:
+            (tmp_path / "probe-\udcff").touch()
+        except (OSError, UnicodeEncodeError):
+            pytest.skip("the file system refuses names that are not UTF-8")
+        write_corpus(tmp_path / "corpus.jsonl")
+        missing = tmp_path / "missing-\udcff.jsonl"
+        for argv in (
+            ["ingest", "--input", str(missing)],
+            ["run", "--input", str(missing), "--corpus", str(tmp_path / "corpus.jsonl"),
+             "--ref-date", "2015-06-01"],
+        ):
+            out = tmp_path / argv[0]
+            result = cli_child(*argv, "--out", str(out))
+            assert "Traceback" not in result.stderr
+            assert result.returncode == 1
+            assert result.stderr.startswith("error: cannot read ")
+            marker = (out / "FAILED").read_text(encoding="utf-8")
+            assert marker.startswith(f"StorageError: cannot read {tmp_path}/missing-\\udcff.jsonl: ")
+
     @pytest.mark.parametrize("line", HOSTILE_LINES)
     def test_hostile_json_profile_line_is_malformed(self, tmp_path, line):
         profiles = tmp_path / "profiles.jsonl"
@@ -558,7 +616,9 @@ class TestBadInputEndsCleanly:
             "run", "--input", str(tmp_path / "profiles.jsonl"), "--corpus", str(corpus),
             "--ref-date", "2015-06-01", "--out", str(out),
         )
-        assert "Traceback" not in result.stderr
-        assert result.returncode == 1
-        assert result.stderr.startswith(f"error: {corpus}:31: not valid JSON (")
-        assert (out / "FAILED").read_text().startswith(f"CorpusError: {corpus}:31: ")
+        try:
+            json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            message = f"{corpus}:31: not valid JSON: {exc}"
+        assert (result.returncode, result.stderr) == (1, f"error: {message}\n")
+        assert (out / "FAILED").read_text(encoding="utf-8") == f"CorpusError: {message}\n"
