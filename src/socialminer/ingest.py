@@ -4,7 +4,7 @@ Input is UTF-8 JSON lines, one flat object per line with the keys
 id, birthday, about_me, activities, gender, interests, wall_count,
 political, music_count. Absent keys (or JSON null) mean the attribute is
 missing. The persisted corpus uses the same notation plus the derived
-fields, and is written atomically.
+fields, is written atomically, and holds no other key when read back.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Optional, Union
+from typing import Optional
 
 from .binning import AgeRange, ShareClass, WallCountClass
 from .errors import DuplicateIdError, StorageError
-from .io_utils import atomic_write_text, json_object, open_lines
+from .io_utils import atomic_write_text, json_lines, json_object
 from .knn import ClassLabel
 
 
@@ -38,6 +38,14 @@ _TEXT_KEYS = ("birthday", "about_me", "activities", "gender", "interests", "poli
 _INT_KEYS = ("wall_count", "music_count")
 _INPUT_KEY_SET = frozenset(("id", *_TEXT_KEYS, *_INT_KEYS))
 _ISO_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
+
+# The keys of a stage-file record beside id, about_me and gender, in the
+# order of Profile's fields.
+_COUNT_KEYS = ("wall_count", "music_count", "activity_interest_count")
+_OPTIONAL_TEXT_KEYS = ("birthday", "activities", "interests", "political")
+_CLASS_KEYS = {"about_me_class": ClassLabel, "age_range": AgeRange, "wall_count_class": WallCountClass,
+               "music_share_class": ShareClass, "activity_interest_class": ShareClass}
+_STAGE_KEYS = frozenset(("id", "about_me", "gender", *_COUNT_KEYS, *_OPTIONAL_TEXT_KEYS, *_CLASS_KEYS))
 
 
 @dataclass(frozen=True)
@@ -114,41 +122,30 @@ class Profile:
 
     @classmethod
     def from_record(cls, record: dict) -> "Profile":
-        """Inverse of ``to_record``. A missing key raises KeyError, a value of
-        the wrong type TypeError, and a value outside its enumeration (null
-        included) ValueError."""
+        """Inverse of ``to_record``. A key ``to_record`` never writes raises
+        ValueError, a missing key KeyError, a value of the wrong type
+        TypeError, and a value outside its enumeration (null included)
+        ValueError."""
+        if not _STAGE_KEYS.issuperset(record):
+            raise ValueError(f"unknown keys: {sorted(record.keys() - _STAGE_KEYS)}")
         if type(record["id"]) is not str or type(record["about_me"]) is not str:
             raise TypeError("id and about_me must be strings")
-        for key in ("wall_count", "music_count", "activity_interest_count"):
-            if type(record[key]) is not int:
-                raise TypeError(f"{key} must be an integer, got {record[key]!r}")
+        fields = []  # the fields after gender, in order
+        for key in _COUNT_KEYS:
+            value = record[key]
+            if type(value) is not int:
+                raise TypeError(f"{key} must be an integer, got {value!r}")
+            fields.append(value)
         get = record.get
-        for key in ("birthday", "activities", "interests", "political"):
+        for key in _OPTIONAL_TEXT_KEYS:
             value = get(key)
             if value is not None and type(value) is not str:
                 raise TypeError(f"{key} must be a string, got {value!r}")
-        return cls(
-            record_id=record["id"],
-            about_me=record["about_me"],
-            gender=_decode(Gender, record["gender"]),
-            wall_count=record["wall_count"],
-            music_count=record["music_count"],
-            activity_interest_count=record["activity_interest_count"],
-            birthday=get("birthday"),
-            activities=get("activities"),
-            interests=get("interests"),
-            political=get("political"),
-            about_me_class=_decode(ClassLabel, record["about_me_class"])
-            if "about_me_class" in record else None,
-            age_range=_decode(AgeRange, record["age_range"])
-            if "age_range" in record else None,
-            wall_count_class=_decode(WallCountClass, record["wall_count_class"])
-            if "wall_count_class" in record else None,
-            music_share_class=_decode(ShareClass, record["music_share_class"])
-            if "music_share_class" in record else None,
-            activity_interest_class=_decode(ShareClass, record["activity_interest_class"])
-            if "activity_interest_class" in record else None,
-        )
+            fields.append(value)
+        gender = _decode(Gender, record["gender"])
+        for key, enum_type in _CLASS_KEYS.items():
+            fields.append(_decode(enum_type, record[key]) if key in record else None)
+        return cls(record["id"], record["about_me"], gender, *fields)
 
 
 _MEMBERS = {
@@ -209,36 +206,18 @@ def _parse_record_line(line: str) -> RawProfile:
     return RawProfile(**record)
 
 
-def load_profiles(
-    source: Union[str, Path, IO[str], IO[bytes], Iterable[str]],
-) -> tuple[list[RawProfile], list[ParseIssue]]:
-    """Parse line-delimited records into RawProfiles, in input order, one
-    line at a time. A path is read by ``io_utils.open_lines``; a stream's
-    items are its lines.
+def load_profiles(path: str | Path) -> tuple[list[RawProfile], list[ParseIssue]]:
+    """Parse a JSON-lines file of records into RawProfiles, in input order,
+    one line at a time through ``io_utils.json_lines``.
 
     Lines that ``io_utils.json_object`` refuses, or that hold other keys or
     types, become ParseIssues with their line number. A duplicate id raises
     DuplicateIdError; an unreadable path raises StorageError.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            with open_lines(source) as handle:
-                return _parse_lines(handle)
-        except OSError as exc:
-            raise StorageError(f"cannot read {source}: {exc}") from exc
-    return _parse_lines(
-        line.decode("utf-8", "surrogateescape") if isinstance(line, bytes) else line
-        for line in source
-    )
-
-
-def _parse_lines(lines: Iterable[str]) -> tuple[list[RawProfile], list[ParseIssue]]:
     profiles: list[RawProfile] = []
     issues: list[ParseIssue] = []
     seen: set[str] = set()
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    for line_no, line in json_lines(path):
         try:
             raw = _parse_record_line(line)
         except ValueError as exc:
@@ -336,24 +315,19 @@ def persist_corpus(profiles: list[Profile], path: str | Path) -> None:
 
 
 def load_corpus(path: str | Path) -> list[Profile]:
-    """Read back a persisted corpus one record at a time, reproducing the
-    profiles exactly.
+    """Read back a persisted corpus one record at a time, through
+    ``io_utils.json_lines``, reproducing the profiles exactly.
 
     An unreadable file raises StorageError, and so does a line that
-    ``io_utils.json_object`` refuses or that lacks a field ``to_record``
-    writes or holds one of another type; the message names the path and the
-    line. The first fault met in file order is the one reported.
+    ``io_utils.json_object`` refuses or that ``Profile.from_record`` refuses
+    (another key, a missing one, or a value of another type or outside its
+    enumeration); the message names the path and the line. The first fault
+    met in file order is the one reported.
     """
     profiles = []
-    try:
-        with open_lines(path) as handle:
-            for line_no, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    profiles.append(Profile.from_record(json_object(line)))
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise StorageError(f"corrupt corpus {path}:{line_no}: {exc}") from exc
-    except OSError as exc:
-        raise StorageError(f"cannot read corpus {path}: {exc}") from exc
+    for line_no, line in json_lines(path, "corpus "):
+        try:
+            profiles.append(Profile.from_record(json_object(line)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StorageError(f"corrupt corpus {path}:{line_no}: {exc}") from exc
     return profiles

@@ -1,5 +1,5 @@
-"""Small file helpers shared by the pipeline stages: the one rule every
-JSON-lines input is read by, and the atomic writer."""
+"""Small file helpers shared by the pipeline stages: the one loop and the
+one line rule every JSON-lines input is read by, and the atomic writer."""
 
 from __future__ import annotations
 
@@ -8,19 +8,28 @@ import os
 import re
 import tempfile
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import StorageError
 
 _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def open_lines(path: str | Path) -> IO[str]:
-    r"""Open a JSON-lines file to read one line at a time. Lines end at "\n",
-    "\r\n" or "\r" only, so a raw U+2028, U+2029 or U+0085 stays inside its
-    text; bytes that are not UTF-8 become lone surrogates, which fail only
-    their own line in ``json_object``."""
-    return open(path, encoding="utf-8", errors="surrogateescape")
+def json_lines(path: str | Path, what: str = "") -> Iterator[tuple[int, str]]:
+    r"""Yield ``(line_no, line)`` for every non-blank line of a JSON-lines
+    file, numbered from 1. The file is read as UTF-8 with universal newlines,
+    so lines end at "\n", "\r\n" or "\r" only and a raw U+2028, U+2029 or
+    U+0085 stays inside its text; bytes that are not UTF-8 become lone
+    surrogates (``surrogateescape``), which fail only their own line in
+    ``json_object``. An unreadable file raises
+    ``StorageError("cannot read {what}{path}: …")``."""
+    try:
+        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+            for line_no, line in enumerate(handle, start=1):
+                if line.strip():
+                    yield line_no, line
+    except OSError as exc:
+        raise StorageError(f"cannot read {what}{path}: {exc}") from exc
 
 
 def json_object(line: str) -> dict:

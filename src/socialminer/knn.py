@@ -29,14 +29,14 @@ from operator import itemgetter, mul
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .errors import CorpusError, DimensionError, ParameterError, StorageError
+from .errors import CorpusError, DimensionError, ParameterError
 from .features import (  # noqa: F401 (perfbench/tracer.py wraps knn.term_frequency)
     count_vector,
     select_features,
     term_counts,
     term_frequency,
 )
-from .io_utils import json_object, open_lines
+from .io_utils import json_lines, json_object
 from .textprep import DEFAULT_STOPWORDS, prepare
 
 
@@ -273,7 +273,7 @@ def load_sample_corpus(
     path: str | Path, stopwords: frozenset[str] = DEFAULT_STOPWORDS
 ) -> list[SampleDocument]:
     """Read a sample corpus file: JSON lines with id, label and text, read
-    by ``io_utils.open_lines`` and decoded by ``io_utils.json_object``.
+    through ``io_utils.json_lines`` and decoded by ``io_utils.json_object``.
 
     Labels must belong to the closed enumeration (never Unclassifiable),
     texts must be non-empty and ids unique. The file is read one record at a
@@ -288,47 +288,33 @@ def load_sample_corpus(
     samples: list[SampleDocument] = []
     seen: set[str] = set()
     vocabulary: dict[str, str] = {}
-    try:
-        with open_lines(path) as handle:
-            for line_no, line in enumerate(handle, start=1):
-                if line.strip():
-                    samples.append(
-                        _sample_from_line(path, line_no, line, seen, stopwords, vocabulary)
-                    )
-    except OSError as exc:
-        raise StorageError(f"cannot read sample corpus {path}: {exc}") from exc
+    for line_no, line in json_lines(path, "sample corpus "):
+        try:
+            record = json_object(line)
+            if record.keys() != _RECORD_KEYS:
+                raise ValueError("expected keys id, label, text")
+            doc_id, label_text, text = record["id"], record["label"], record["text"]
+            if not isinstance(doc_id, str) or not doc_id:
+                raise ValueError("id must be a non-empty string")
+            if doc_id in seen:
+                raise ValueError(f"duplicate document id {doc_id!r}")
+            seen.add(doc_id)
+            try:
+                label = _LABELS[label_text]
+            except (KeyError, TypeError):  # TypeError: an unhashable label
+                raise ValueError(f"unknown class label {label_text!r}")
+            if label is ClassLabel.UNCLASSIFIABLE:
+                raise ValueError("sample documents cannot be Unclassifiable")
+            if not isinstance(text, str) or not text.strip():
+                raise ValueError("text must be non-empty")
+        except ValueError as exc:
+            raise CorpusError(f"{path}:{line_no}: {exc}") from exc
+        tokens = prepare(text, stopwords)
+        samples.append(
+            SampleDocument(doc_id, label, term_counts(map(vocabulary.setdefault, tokens, tokens)))
+        )
     return samples
 
 
 _RECORD_KEYS = frozenset(("id", "label", "text"))
 _LABELS = {label._value_: label for label in ClassLabel}
-
-
-def _sample_from_line(
-    path: str | Path, line_no: int, line: str, seen: set[str],
-    stopwords: frozenset[str], vocabulary: dict[str, str],
-) -> SampleDocument:
-    """One sample corpus record; its id is added to ``seen`` and its new
-    terms to ``vocabulary``."""
-    try:
-        record = json_object(line)
-    except ValueError as exc:
-        raise CorpusError(f"{path}:{line_no}: {exc}") from exc
-    if record.keys() != _RECORD_KEYS:
-        raise CorpusError(f"{path}:{line_no}: expected keys id, label, text")
-    doc_id, label_text, text = record["id"], record["label"], record["text"]
-    if not isinstance(doc_id, str) or not doc_id:
-        raise CorpusError(f"{path}:{line_no}: id must be a non-empty string")
-    if doc_id in seen:
-        raise CorpusError(f"{path}:{line_no}: duplicate document id {doc_id!r}")
-    seen.add(doc_id)
-    try:
-        label = _LABELS[label_text]
-    except (KeyError, TypeError):  # TypeError: an unhashable label
-        raise CorpusError(f"{path}:{line_no}: unknown class label {label_text!r}")
-    if label is ClassLabel.UNCLASSIFIABLE:
-        raise CorpusError(f"{path}:{line_no}: sample documents cannot be Unclassifiable")
-    if not isinstance(text, str) or not text.strip():
-        raise CorpusError(f"{path}:{line_no}: text must be non-empty")
-    tokens = prepare(text, stopwords)
-    return SampleDocument(doc_id, label, term_counts(map(vocabulary.setdefault, tokens, tokens)))

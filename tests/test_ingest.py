@@ -1,4 +1,3 @@
-import io
 import json
 
 import pytest
@@ -45,39 +44,46 @@ def full_record(record_id="u1", **overrides):
     return record
 
 
+def load_file(tmp_path, data):
+    """``load_profiles`` on a file holding ``data``: bytes, or text as UTF-8."""
+    path = tmp_path / "in.jsonl"
+    path.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    return load_profiles(path)
+
+
 class TestLoadProfiles:
-    def test_empty_stream(self):
-        profiles, issues = load_profiles(io.StringIO(""))
+    def test_empty_stream(self, tmp_path):
+        profiles, issues = load_file(tmp_path, "")
         assert profiles == [] and issues == []
 
-    def test_three_lines_in_order(self):
+    def test_three_lines_in_order(self, tmp_path):
         text = "\n".join(line(id=f"u{i}") for i in range(3))
-        profiles, issues = load_profiles(io.StringIO(text))
+        profiles, issues = load_file(tmp_path, text)
         assert [p.record_id for p in profiles] == ["u0", "u1", "u2"]
         assert issues == []
 
-    def test_malformed_line_carries_line_number(self):
+    def test_malformed_line_carries_line_number(self, tmp_path):
         text = line(id="u1") + "\nnot json at all\n" + line(id="u2")
-        profiles, issues = load_profiles(io.StringIO(text))
+        profiles, issues = load_file(tmp_path, text)
         assert [p.record_id for p in profiles] == ["u1", "u2"]
         assert len(issues) == 1
         assert issues[0].line_no == 2
 
-    def test_blank_lines_skipped(self):
+    def test_blank_lines_skipped(self, tmp_path):
         text = "\n" + line(id="u1") + "\n\n"
-        profiles, issues = load_profiles(io.StringIO(text))
+        profiles, issues = load_file(tmp_path, text)
         assert len(profiles) == 1 and not issues
 
-    def test_duplicate_id_raises(self):
+    def test_duplicate_id_raises(self, tmp_path):
         text = line(id="u1") + "\n" + line(id="u1")
-        with pytest.raises(DuplicateIdError, match="u1"):
-            load_profiles(io.StringIO(text))
+        with pytest.raises(DuplicateIdError, match="'u1' at line 2"):
+            load_file(tmp_path, text)
 
-    def test_unknown_key_is_parse_error(self):
-        profiles, issues = load_profiles(io.StringIO(line(id="u1", surprise=1)))
+    def test_unknown_key_is_parse_error(self, tmp_path):
+        profiles, issues = load_file(tmp_path, line(id="u1", surprise=1))
         assert not profiles and issues[0].line_no == 1
 
-    def test_wrong_types_are_parse_errors(self):
+    def test_wrong_types_are_parse_errors(self, tmp_path):
         bad = [
             line(id=7),
             line(id="u1", wall_count="many"),
@@ -86,16 +92,16 @@ class TestLoadProfiles:
             line(id=""),
             '["not", "an", "object"]',
         ]
-        profiles, issues = load_profiles(io.StringIO("\n".join(bad)))
+        profiles, issues = load_file(tmp_path, "\n".join(bad))
         assert not profiles
         assert [i.line_no for i in issues] == [1, 2, 3, 4, 5, 6]
 
-    def test_null_values_count_as_missing(self):
-        profiles, _ = load_profiles(io.StringIO(line(id="u1", birthday=None)))
+    def test_null_values_count_as_missing(self, tmp_path):
+        profiles, _ = load_file(tmp_path, line(id="u1", birthday=None))
         assert profiles[0].birthday is None
 
-    def test_negative_counts_parse_and_flow_to_validation(self):
-        profiles, issues = load_profiles(io.StringIO(line(id="u1", wall_count=-4)))
+    def test_negative_counts_parse_and_flow_to_validation(self, tmp_path):
+        profiles, issues = load_file(tmp_path, line(id="u1", wall_count=-4))
         assert profiles[0].wall_count == -4 and not issues
 
     def test_reads_from_path(self, tmp_path):
@@ -125,9 +131,9 @@ class TestLoadProfiles:
             (2, "not valid UTF-8"), (3, "not valid UTF-8"), (4, "not valid UTF-8")
         ]
 
-    def test_invalid_utf8_in_byte_stream(self):
-        source = io.BytesIO(line(id="u1").encode() + b"\n\xc3(\n" + line(id="u2").encode())
-        profiles, issues = load_profiles(source)
+    def test_invalid_utf8_in_byte_stream(self, tmp_path):
+        data = line(id="u1").encode() + b"\n\xc3(\n" + line(id="u2").encode()
+        profiles, issues = load_file(tmp_path, data)
         assert [r.record_id for r in profiles] == ["u1", "u2"]
         assert [i.line_no for i in issues] == [2]
 
@@ -159,13 +165,13 @@ class TestLoadProfiles:
             (6, f"not valid JSON: Extra data: line 1 column {len(u4) + 1} (char {len(u4)})"),
         ]
 
-    def test_escaped_lone_surrogate_is_parse_issue(self):
+    def test_escaped_lone_surrogate_is_parse_issue(self, tmp_path):
         text = "\n".join([
             '{"id": "u1", "about_me": "\\ud800 alone"}',
             '{"id": "u2", "about_me": "pair \\ud83d\\ude00"}',
             '{"id": "\\udfff"}',
         ])
-        profiles, issues = load_profiles(io.StringIO(text))
+        profiles, issues = load_file(tmp_path, text)
         assert [p.record_id for p in profiles] == ["u2"]
         assert profiles[0].about_me == "pair \U0001F600"
         assert [(i.line_no, i.message.split(" ")[0]) for i in issues] == [(1, "about_me"), (3, "id")]
@@ -408,6 +414,12 @@ class TestRecordCodec:
         record = make_profile(1).to_record()
         record[key] = value
         with pytest.raises(TypeError, match=key):
+            Profile.from_record(record)
+
+    def test_unknown_key_is_value_error(self):
+        record = make_profile(1).to_record()
+        record["bogus"] = 1
+        with pytest.raises(ValueError, match=r"^unknown keys: \['bogus'\]$"):
             Profile.from_record(record)
 
 

@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from datetime import date
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import socialminer
 
@@ -16,7 +18,7 @@ from socialminer.errors import DomainError, ParameterError, StorageError
 from socialminer.knn import load_sample_corpus
 from socialminer.pipeline import RunConfig, run_pipeline, stage_classify, stage_ingest
 from socialminer.textprep import DEFAULT_STOPWORDS
-from socialminer.synth import make_corpus_records, write_jsonl
+from socialminer.synth import make_corpus_records, make_profile_records, write_jsonl
 
 REF = date(2015, 6, 1)
 
@@ -402,6 +404,24 @@ class TestBadInputEndsCleanly:
         assert (out / "FAILED").read_text(encoding="utf-8") == f"StorageError: {message}\n"
         assert not (out / "classified.jsonl").exists()
 
+    def test_unknown_key_in_stage_file(self, tmp_path):
+        # A key to_record never writes is a corrupt line, not one the next
+        # stage file silently drops.
+        out = self.staged(tmp_path)
+        accepted = out / "accepted.jsonl"
+        accepted.write_text(
+            accepted.read_text(encoding="utf-8").replace('{"id"', '{"bogus": 1, "id"', 1),
+            encoding="utf-8",
+        )
+        result = cli_child(
+            "classify", "--input", str(accepted),
+            "--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(out),
+        )
+        message = f"corrupt corpus {accepted}:1: unknown keys: ['bogus']"
+        assert (result.returncode, result.stdout, result.stderr) == (1, "", f"error: {message}\n")
+        assert (out / "FAILED").read_text(encoding="utf-8") == f"StorageError: {message}\n"
+        assert not (out / "classified.jsonl").exists()
+
     def test_raw_line_separators_stay_inside_a_profile_text(self, tmp_path):
         write_corpus(tmp_path / "corpus.jsonl")
         about = "truthful\u2028genuine\u2029integrity\x85fair"
@@ -622,3 +642,63 @@ class TestBadInputEndsCleanly:
             message = f"{corpus}:31: not valid JSON: {exc}"
         assert (result.returncode, result.stderr) == (1, f"error: {message}\n")
         assert (out / "FAILED").read_text(encoding="utf-8") == f"CorpusError: {message}\n"
+
+
+# Lines a profiles file may hold beside valid records, each with the number
+# of records it adds to the accepted and to the malformed count: a blank line,
+# invalid bytes, a record ended by \r\n, a raw U+2028 inside a text, a
+# non-object line, an escaped lone surrogate and an unknown key.
+HOSTILE_PROFILE_LINES = [
+    (b"\n", 0, 0),
+    (b"\xff\xfe not UTF-8\n", 0, 1),
+    (b'{"id": "h1", "about_me": "honest kind", "wall_count": 3, "music_count": 1}\r\n', 1, 0),
+    ('{"id": "h2", "about_me": "honest\u2028kind", "wall_count": 4, "music_count": 2}\n'.encode(),
+     1, 0),
+    (b"[1, 2]\n", 0, 1),
+    (b'{"id": "h3", "about_me": "honest \\ud800", "wall_count": 5, "music_count": 3}\n', 0, 1),
+    (b'{"id": "h4", "about_me": "honest", "wall_count": 6, "music_count": 4, "bogus": 1}\n', 0, 1),
+]
+
+
+class TestRunMatchesStageSubcommands:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 3),
+        n=st.integers(0, 8),
+        hostile=st.lists(
+            st.tuples(st.integers(0, 8), st.sampled_from(HOSTILE_PROFILE_LINES)),
+            max_size=5, unique_by=lambda drawn: drawn[1],
+        ),
+    )
+    def test_same_tree_with_hostile_profile_lines(self, seed, n, hostile):
+        lines = [
+            json.dumps(r, ensure_ascii=False).encode("utf-8") + b"\n"
+            for r in make_profile_records(n, seed=seed)
+        ]
+        for position, (line, _, _) in hostile:
+            lines.insert(position, line)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            profiles, corpus = tmp / "profiles.jsonl", tmp / "corpus.jsonl"
+            profiles.write_bytes(b"".join(lines))
+            write_jsonl(corpus, make_corpus_records(seed=seed, docs_per_class=3))
+            full, staged = tmp / "full", tmp / "staged"
+            assert main(
+                ["run", "--input", str(profiles), "--corpus", str(corpus),
+                 "--ref-date", "2015-06-01", "--out", str(full)]
+            ) == 0
+            for argv in (
+                ["ingest", "--input", str(profiles)],
+                ["classify", "--input", str(staged / "accepted.jsonl"), "--corpus", str(corpus)],
+                ["bin", "--input", str(staged / "classified.jsonl"), "--ref-date", "2015-06-01"],
+                ["arff", "--input", str(staged / "binned.jsonl")],
+                ["report", "--input", str(staged / "binned.jsonl")],
+            ):
+                assert main([*argv, "--out", str(staged)]) == 0, argv[0]
+            full_files = tree_bytes(full)
+            counts = json.loads(full_files.pop("summary.json"))["counts"]
+            assert tree_bytes(staged) == full_files
+        assert (counts["accepted"], counts["malformed"]) == (
+            n + sum(accepted for _, (_, accepted, _) in hostile),
+            sum(malformed for _, (_, _, malformed) in hostile),
+        )

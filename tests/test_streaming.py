@@ -3,7 +3,6 @@ whole-file references in ``reference_paths``: same records, same
 ParseIssues, same error types and the same bytes, on arbitrary byte files.
 Also bounds the memory a stage file costs to write and to read back."""
 
-import io
 import json
 import tracemalloc
 
@@ -12,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_paths
 from socialminer.binning import AgeRange, ShareClass, WallCountClass
-from socialminer.errors import DuplicateIdError, StorageError
+from socialminer.errors import StorageError
 from socialminer.ingest import Gender, Profile, _encode_record, load_corpus, load_profiles, persist_corpus
 from socialminer.io_utils import atomic_write_text
 from socialminer.knn import ClassLabel, load_sample_corpus
@@ -174,26 +173,18 @@ class TestStreamedReaders:
             with pytest.raises(StorageError):
                 reference(path)
 
-
-class TestStreamedProfileSource:
-    def test_stream_is_read_lazily(self):
-        pulled = []
-
-        def lines():
-            for i, record_id in enumerate(["u1", "u1", "u2", "u3"], start=1):
-                pulled.append(i)
-                yield json.dumps({"id": record_id})
-
-        with pytest.raises(DuplicateIdError, match="at line 2"):
-            load_profiles(lines())
-        assert pulled == [1, 2]
-
-    def test_byte_stream_lines_are_its_own(self):
-        # A stream's items are its lines; nothing inside one is split again.
-        source = io.BytesIO(b'{"id": "u1", "about_me": "a\xe2\x80\xa8b"}\n\xff\n')
-        profiles, issues = load_profiles(source)
-        assert profiles[0].about_me == "a\u2028b"
-        assert [(i.line_no, i.message) for i in issues] == [(2, "not valid UTF-8")]
+    @pytest.mark.parametrize("name,cause", [("missing.jsonl", FileNotFoundError), (".", IsADirectoryError)])
+    @pytest.mark.parametrize(
+        "reader,what",
+        [(load_profiles, ""), (load_corpus, "corpus "), (load_sample_corpus, "sample corpus ")],
+        ids=["profiles", "stage_file", "sample_corpus"],
+    )
+    def test_unreadable_path_message(self, tmp_path, reader, what, name, cause):
+        path = tmp_path / name
+        with pytest.raises(StorageError) as caught:
+            reader(path)
+        assert type(caught.value.__cause__) is cause
+        assert str(caught.value) == f"cannot read {what}{path}: {caught.value.__cause__}"
 
 
 class TestStreamedWriter:
