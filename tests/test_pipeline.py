@@ -702,3 +702,99 @@ class TestRunMatchesStageSubcommands:
             n + sum(accepted for _, (_, accepted, _) in hostile),
             sum(malformed for _, (_, _, malformed) in hostile),
         )
+
+
+class TestFilesAfterFailure:
+    """Which files a failed `run` or stage subcommand leaves in its output
+    directory. Every failure writes the FAILED marker. A file the failed
+    stage would have written is absent, or keeps the bytes of an earlier
+    run; no temporary file is left."""
+
+    N = 600  # more than two batches of the stages' batch size
+
+    def inputs(self, tmp_path, records=None):
+        write_jsonl(tmp_path / "profiles.jsonl", records or [record(i) for i in range(self.N)])
+        write_corpus(tmp_path / "corpus.jsonl")
+
+    def stage(self, tmp_path, out, command, *extra):
+        options = {
+            "ingest": ["--input", str(tmp_path / "profiles.jsonl")],
+            "classify": ["--input", str(out / "accepted.jsonl"),
+                         "--corpus", str(tmp_path / "corpus.jsonl")],
+            "bin": ["--input", str(out / "classified.jsonl"), "--ref-date", "2015-06-01"],
+            "arff": ["--input", str(out / "binned.jsonl")],
+            "report": ["--input", str(out / "binned.jsonl")],
+        }
+        return main([command, *options[command], *extra, "--out", str(out)])
+
+    def run(self, tmp_path, out, *extra):
+        return main(
+            ["run", "--input", str(tmp_path / "profiles.jsonl"),
+             "--corpus", str(tmp_path / "corpus.jsonl"), "--ref-date", "2015-06-01",
+             *extra, "--out", str(out)]
+        )
+
+    def duplicated(self):
+        records = [record(i) for i in range(self.N)]
+        records.insert(500, record(3))
+        return records
+
+    def test_duplicate_id_writes_no_files(self, tmp_path):
+        self.inputs(tmp_path, self.duplicated())
+        assert self.run(tmp_path, tmp_path / "run") == 1
+        assert self.stage(tmp_path, tmp_path / "staged", "ingest") == 1
+        for out in (tmp_path / "run", tmp_path / "staged"):
+            assert sorted(tree_bytes(out)) == ["FAILED"]
+            assert (out / "FAILED").read_text().startswith("DuplicateIdError: ")
+
+    def test_duplicate_id_keeps_earlier_ingest_files(self, tmp_path):
+        self.inputs(tmp_path)
+        out = tmp_path / "out"
+        assert self.stage(tmp_path, out, "ingest") == 0
+        before = tree_bytes(out)
+        self.inputs(tmp_path, self.duplicated())
+        assert self.stage(tmp_path, out, "ingest") == 1
+        after = tree_bytes(out)
+        assert after.pop("FAILED").startswith(b"DuplicateIdError: ")
+        assert after == before
+
+    def test_classify_failure_in_run_keeps_ingest_files(self, tmp_path):
+        self.inputs(tmp_path)
+        out = tmp_path / "run"
+        assert self.run(tmp_path, out, "--k", "1000") == 1
+        assert sorted(tree_bytes(out)) == ["FAILED", "accepted.jsonl", "rejections.json"]
+        assert (out / "FAILED").read_text().startswith("ParameterError: ")
+
+    @pytest.mark.parametrize(
+        "command,input_name",
+        [("classify", "accepted.jsonl"), ("bin", "classified.jsonl"),
+         ("arff", "binned.jsonl"), ("report", "binned.jsonl")],
+    )
+    def test_corrupt_line_after_first_batch(self, tmp_path, command, input_name):
+        self.inputs(tmp_path)
+        out = tmp_path / "out"
+        for step in ("ingest", "classify", "bin", "arff", "report"):
+            assert self.stage(tmp_path, out, step) == 0, step
+        lines = (out / input_name).read_bytes().splitlines(keepends=True)
+        lines[299] = b"{not json\n"
+        (out / input_name).write_bytes(b"".join(lines))
+        before = tree_bytes(out)
+        assert self.stage(tmp_path, out, command) == 1
+        after = tree_bytes(out)
+        assert after.pop("FAILED") == (
+            f"StorageError: corrupt corpus {out / input_name}:300: not valid JSON: "
+            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"
+        ).encode()
+        assert after == before
+
+    def test_corrupt_line_after_first_batch_writes_no_new_file(self, tmp_path):
+        self.inputs(tmp_path)
+        staged, out = tmp_path / "staged", tmp_path / "out"
+        assert self.stage(tmp_path, staged, "ingest") == 0
+        assert self.stage(tmp_path, staged, "classify") == 0
+        lines = (staged / "classified.jsonl").read_bytes().splitlines(keepends=True)
+        lines[299] = b"[1, 2]\n"
+        out.mkdir()
+        (out / "classified.jsonl").write_bytes(b"".join(lines))
+        assert self.stage(tmp_path, out, "bin") == 1
+        assert sorted(tree_bytes(out)) == ["FAILED", "classified.jsonl"]
