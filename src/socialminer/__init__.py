@@ -37,7 +37,7 @@ from .knn import (
     squared_diff_row,
 )
 from .pipeline import RunConfig, RunSummary, run_pipeline
-from .report import Comparison, Distribution, aggregate, compare, emit_chart, emit_table
+from .report import Comparison, Distribution, aggregate, compare, emit_chart, emit_table, tally
 from .textprep import DEFAULT_STOPWORDS, load_stopwords, normalize_text, remove_stopwords, tokenize
 
 __version__ = "0.1.0"
@@ -89,6 +89,7 @@ __all__ = [
     "run_pipeline",
     "select_features",
     "squared_diff_row",
+    "tally",
     "term_counts",
     "term_frequency",
     "tokenize",

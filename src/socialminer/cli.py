@@ -120,7 +120,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    profiles, report, issues = stage_ingest(args.input, args.out)
+    _, report, issues = stage_ingest(args.input, args.out)
     print(f"accepted: {report.accepted_count}")
     print(f"rejected: {report.rejected_count}")
     print(f"malformed: {len(issues)}")
@@ -141,8 +141,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_bin(args) -> int:
     profiles = load_corpus(args.input)
-    stage_bin(profiles, args.ref_date, GapPolicy(args.gap_policy), args.out)
-    print(f"binned: {len(profiles)}")
+    binned = stage_bin(profiles, args.ref_date, GapPolicy(args.gap_policy), args.out)
+    print(f"binned: {binned}")
     return 0
 
 

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .binning import AgeRange, ShareClass, WallCountClass
 from .errors import DuplicateIdError, StorageError
-from .io_utils import atomic_write_text, json_lines, json_object
+from .io_utils import atomic_write_text, batches, json_lines, json_object
 from .knn import ClassLabel
 
 
@@ -206,16 +206,22 @@ def _parse_record_line(line: str) -> RawProfile:
     return RawProfile(**record)
 
 
-def load_profiles(path: str | Path) -> tuple[list[RawProfile], list[ParseIssue]]:
+def load_profiles(path: str | Path) -> tuple[Iterator[RawProfile], list[ParseIssue]]:
     """Parse a JSON-lines file of records into RawProfiles, in input order,
     one line at a time through ``io_utils.json_lines``.
 
-    Lines that ``io_utils.json_object`` refuses, or that hold other keys or
-    types, become ParseIssues with their line number. A duplicate id raises
-    DuplicateIdError; an unreadable path raises StorageError.
+    Returns an iterator of the profiles and the list of ParseIssues, which
+    fills as the iterator is consumed: lines that ``io_utils.json_object``
+    refuses, or that hold other keys or types, become ParseIssues with their
+    line number. The file is opened by the first ``next``; there an
+    unreadable path raises StorageError. A duplicate id anywhere in the file
+    raises DuplicateIdError when its line is reached.
     """
-    profiles: list[RawProfile] = []
     issues: list[ParseIssue] = []
+    return _parse_lines(path, issues), issues
+
+
+def _parse_lines(path: str | Path, issues: list[ParseIssue]) -> Iterator[RawProfile]:
     seen: set[str] = set()
     for line_no, line in json_lines(path):
         try:
@@ -226,8 +232,7 @@ def load_profiles(path: str | Path) -> tuple[list[RawProfile], list[ParseIssue]]
         if raw.record_id in seen:
             raise DuplicateIdError(f"duplicate record id {raw.record_id!r} at line {line_no}")
         seen.add(raw.record_id)
-        profiles.append(raw)
-    return profiles, issues
+        yield raw
 
 
 def parse_birthday(text: str) -> Optional[date]:
@@ -308,15 +313,26 @@ def validate_and_filter(
 _encode_record = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def persist_corpus(profiles: list[Profile], path: str | Path) -> None:
-    """Write the accepted corpus as JSON lines, atomically, one record at a
-    time."""
-    atomic_write_text(path, (_encode_record(p.to_record()) + "\n" for p in profiles))
+def persist_corpus(profiles: Iterable[Profile], path: str | Path) -> int:
+    """Write the accepted corpus as JSON lines, atomically, one batch of
+    records (``io_utils.batches``) at a time as ``profiles`` yields them;
+    returns the number of records written."""
+    written = 0
+
+    def chunks() -> Iterator[str]:
+        nonlocal written
+        for batch in batches(profiles):
+            written += len(batch)
+            yield "".join([_encode_record(profile.to_record()) + "\n" for profile in batch])
+
+    atomic_write_text(path, chunks())
+    return written
 
 
-def load_corpus(path: str | Path) -> list[Profile]:
+def load_corpus(path: str | Path) -> Iterator[Profile]:
     """Read back a persisted corpus one record at a time, through
-    ``io_utils.json_lines``, reproducing the profiles exactly.
+    ``io_utils.json_lines``, reproducing the profiles exactly. The file is
+    opened by the first ``next``.
 
     An unreadable file raises StorageError, and so does a line that
     ``io_utils.json_object`` refuses or that ``Profile.from_record`` refuses
@@ -324,10 +340,9 @@ def load_corpus(path: str | Path) -> list[Profile]:
     enumeration); the message names the path and the line. The first fault
     met in file order is the one reported.
     """
-    profiles = []
     for line_no, line in json_lines(path, "corpus "):
         try:
-            profiles.append(Profile.from_record(json_object(line)))
+            profile = Profile.from_record(json_object(line))
         except (KeyError, TypeError, ValueError) as exc:
             raise StorageError(f"corrupt corpus {path}:{line_no}: {exc}") from exc
-    return profiles
+        yield profile

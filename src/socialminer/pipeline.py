@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .arff import build_dataset, emit_arff
 from .binning import (
@@ -31,9 +31,9 @@ from .ingest import (
     persist_corpus,
     validate_and_filter,
 )
-from .io_utils import atomic_write_text, make_output_dir
+from .io_utils import atomic_write_text, batches, make_output_dir
 from .knn import ClassLabel, CorpusIndex, SampleDocument, classify_text, load_sample_corpus
-from .report import aggregate, compare, emit_chart, emit_comparison_chart, emit_table
+from .report import aggregate, compare, emit_chart, emit_comparison_chart, emit_table, tally
 from .textprep import DEFAULT_STOPWORDS, load_stopwords
 
 ACCEPTED_FILE = "accepted.jsonl"
@@ -49,6 +49,11 @@ _GENDER_MEASURES = (
     ("wall_count_class", "wall_count"),
     ("music_share_class", "music_share"),
     ("activity_interest_class", "activity_interest"),
+)
+# The (group_by, measure) tables stage_report writes, in the order it writes them.
+_REPORT_TABLES = (
+    ("age_range", "about_me_class"),
+    *(("gender", measure) for measure, _ in _GENDER_MEASURES),
 )
 _ARTIFACT_KINDS = {".csv": "table", ".svg": "chart", ".json": "manifest"}
 
@@ -114,64 +119,92 @@ class RunSummary:
 
 
 def stage_ingest(
-    input_path: Path, out_dir: Path
-) -> tuple[list[Profile], RejectionReport, list[ParseIssue]]:
-    """Load, validate and persist the accepted corpus plus the rejection report."""
+    input_path: Path, out_dir: Path, keep: bool = False
+) -> tuple[Optional[list[Profile]], RejectionReport, list[ParseIssue]]:
+    """Load, validate and persist the accepted corpus, one batch at a time,
+    then write the rejection report of the whole file. With ``keep`` (as
+    ``run`` does) every record is read and checked before anything is
+    written, and the accepted profiles are returned instead of None."""
     raws, issues = load_profiles(input_path)
-    profiles, report = validate_and_filter(raws)
+    report = RejectionReport()
+
+    def accepted() -> Iterator[Profile]:
+        for batch in batches(raws):
+            profiles, batch_report = validate_and_filter(batch)
+            report.rejected += batch_report.rejected
+            report.accepted_count += batch_report.accepted_count
+            yield from profiles
+
+    profiles = accepted()
+    if keep:
+        profiles = list(profiles)
     persist_corpus(profiles, out_dir / ACCEPTED_FILE)
     record = report.to_record()
     record["malformed_lines"] = [
         {"line_no": issue.line_no, "message": issue.message} for issue in issues
     ]
     atomic_write_text(out_dir / REJECTIONS_FILE, json.dumps(record, indent=2) + "\n")
-    return profiles, report, issues
+    return (profiles if keep else None), report, issues
 
 
 def stage_classify(
-    profiles: list[Profile],
+    profiles: Iterable[Profile],
     corpus: Sequence[SampleDocument],
     n_features: int,
     k: int,
     stopwords: frozenset[str],
     out_dir: Path,
 ) -> tuple[int, int]:
-    """Label every profile's about_me text; returns (classified, unclassifiable).
-    The corpus is indexed once, and k and n_features are checked before any
-    text, so a bad value fails even when there are no profiles."""
+    """Label every profile's about_me text, one batch at a time, and persist
+    the batch; returns (classified, unclassifiable). The corpus is indexed
+    once, and k and n_features are checked before any profile is read, so a
+    bad value fails even when there are no profiles."""
     index = CorpusIndex.build(corpus)
     index.check_k(k)
     if n_features < 1:
         raise ParameterError(f"n_features={n_features} must be >= 1")
     unclassifiable = 0
-    for profile in profiles:
-        label = classify_text(profile.about_me, index, n_features, k, stopwords)
-        profile.about_me_class = label
-        if label is ClassLabel.UNCLASSIFIABLE:
-            unclassifiable += 1
-    persist_corpus(profiles, out_dir / CLASSIFIED_FILE)
-    return len(profiles) - unclassifiable, unclassifiable
+
+    def labelled() -> Iterator[Profile]:
+        nonlocal unclassifiable
+        for batch in batches(profiles):
+            for profile in batch:
+                label = classify_text(profile.about_me, index, n_features, k, stopwords)
+                profile.about_me_class = label
+                if label is ClassLabel.UNCLASSIFIABLE:
+                    unclassifiable += 1
+            yield from batch
+
+    written = persist_corpus(labelled(), out_dir / CLASSIFIED_FILE)
+    return written - unclassifiable, unclassifiable
 
 
 def stage_bin(
-    profiles: list[Profile],
+    profiles: Iterable[Profile],
     reference_date: date,
     gap_policy: GapPolicy,
     out_dir: Path,
-) -> None:
-    """Derive age ranges and group classes for every profile."""
-    for profile in profiles:
-        birthday = parse_birthday(profile.birthday) if profile.birthday else None
-        profile.age_range = age_range(age_from_birthday(birthday, reference_date))
-        profile.wall_count_class = bin_wall_count(profile.wall_count)
-        profile.music_share_class = bin_music_share(profile.music_count, gap_policy)
-        profile.activity_interest_class = bin_activities_interests(
-            profile.activity_interest_count, gap_policy
-        )
-    persist_corpus(profiles, out_dir / BINNED_FILE)
+) -> int:
+    """Derive age ranges and group classes for every profile, one batch at a
+    time, and persist the batch; returns the number of profiles binned."""
+
+    def binned() -> Iterator[Profile]:
+        for batch in batches(profiles):
+            for profile in batch:
+                birthday = parse_birthday(profile.birthday) if profile.birthday else None
+                profile.age_range = age_range(age_from_birthday(birthday, reference_date))
+                profile.wall_count_class = bin_wall_count(profile.wall_count)
+                profile.music_share_class = bin_music_share(profile.music_count, gap_policy)
+                profile.activity_interest_class = bin_activities_interests(
+                    profile.activity_interest_count, gap_policy
+                )
+            yield from batch
+
+    return persist_corpus(binned(), out_dir / BINNED_FILE)
 
 
-def stage_arff(profiles: list[Profile], out_dir: Path) -> None:
+def stage_arff(profiles: Iterable[Profile], out_dir: Path) -> None:
+    """Write the ARFF dataset; its text is built whole before it is written."""
     atomic_write_text(out_dir / ARFF_FILE, emit_arff(build_dataset(profiles)))
 
 
@@ -182,13 +215,15 @@ def check_run_id(run_id: str) -> None:
         raise ParameterError(f"bad run id {run_id!r}: it must name one directory")
 
 
-def stage_report(profiles: list[Profile], out_dir: Path, run_id: str) -> list[dict]:
+def stage_report(profiles: Iterable[Profile], out_dir: Path, run_id: str) -> list[dict]:
     """Write distribution tables and charts: pie charts of personality
     classes per age range, per-gender line charts, and male/female
-    comparison charts for every binned measure."""
+    comparison charts for every binned measure. The profiles are counted in
+    one pass before any file is written."""
     check_run_id(run_id)
     base = out_dir / "reports" / run_id
     artifacts: list[dict] = []
+    counts = tally(profiles, _REPORT_TABLES)
 
     def write(
         name: str, text: str, population: str, measure: str, chart_type: Optional[str] = None
@@ -203,7 +238,7 @@ def stage_report(profiles: list[Profile], out_dir: Path, run_id: str) -> list[di
             entry["chart_type"] = chart_type
         artifacts.append({**entry, "filter": population, "measure": measure})
 
-    for dist in aggregate(profiles, "age_range", "about_me_class"):
+    for dist in aggregate(counts, "age_range", "about_me_class"):
         slug = _group_slug(dist.population)
         write(f"tables/about_me_age_{slug}.csv", emit_table(dist), dist.population, dist.dimension)
         if dist.total > 0:
@@ -213,7 +248,7 @@ def stage_report(profiles: list[Profile], out_dir: Path, run_id: str) -> list[di
             )
 
     for measure, slug in _GENDER_MEASURES:
-        dists = aggregate(profiles, "gender", measure)
+        dists = aggregate(counts, "gender", measure)
         for dist in dists:
             group = _group_slug(dist.population)
             write(f"tables/{slug}_gender_{group}.csv", emit_table(dist), dist.population, measure)
@@ -269,7 +304,7 @@ def run_pipeline(config: RunConfig) -> RunSummary:
         )
         corpus = load_sample_corpus(config.corpus_path, stopwords)
 
-        profiles, report, issues = stage_ingest(Path(config.input_path), out_dir)
+        profiles, report, issues = stage_ingest(Path(config.input_path), out_dir, keep=True)
         _, unclassifiable = stage_classify(
             profiles, corpus, config.n_features, config.k, stopwords, out_dir
         )

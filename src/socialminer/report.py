@@ -5,9 +5,10 @@ and male/female comparison charts)."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .binning import AgeRange, ShareClass, WallCountClass
 from .errors import ChartError, ReportError
@@ -21,6 +22,8 @@ MEASURE_FIELDS = {
     "music_share_class": ShareClass,
     "activity_interest_class": ShareClass,
 }
+# The fields of a tally key, in order.
+REPORT_FIELDS = (*GROUP_FIELDS, *MEASURE_FIELDS)
 
 _PALETTE = (
     "#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f", "#edc948",
@@ -49,29 +52,40 @@ class Comparison:
     right: Distribution
 
 
-def aggregate(
-    profiles: Sequence[Profile], group_by: str, measure: str
-) -> list[Distribution]:
-    """One Distribution per group value, in enumeration order; every group
-    is listed even when empty and every bucket is zero-filled."""
-    if group_by not in GROUP_FIELDS:
-        raise ReportError(f"cannot group by {group_by!r}")
-    if measure not in MEASURE_FIELDS:
-        raise ReportError(f"cannot measure {measure!r}")
+def tally(profiles: Iterable[Profile], tables: Sequence[tuple[str, str]]) -> Counter:
+    """Count the profiles by their tuple of ``REPORT_FIELDS`` values, in one
+    pass; there are at most as many keys as combinations of those values.
+    Every profile must have both fields of each (group_by, measure) table;
+    the first one that lacks a field raises ReportError naming it and the
+    first table it cannot be counted in."""
+    for group_by, measure in tables:
+        _check_table(group_by, measure)
+    values_of = attrgetter(*REPORT_FIELDS)
+    counts: Counter = Counter()
+    for profile in profiles:
+        values = values_of(profile)
+        if None in values:
+            for group_by, measure in tables:
+                if getattr(profile, group_by) is None or getattr(profile, measure) is None:
+                    raise ReportError(
+                        f"profile {profile.record_id!r} missing {group_by} or {measure}"
+                    )
+        counts[values] += 1
+    return counts
+
+
+def aggregate(counts: Counter, group_by: str, measure: str) -> list[Distribution]:
+    """One Distribution per group value, in enumeration order, from a
+    ``tally`` that had (group_by, measure) among its tables; every group is
+    listed even when empty and every bucket is zero-filled."""
+    _check_table(group_by, measure)
     groups = list(GROUP_FIELDS[group_by])
     buckets = list(MEASURE_FIELDS[measure])
     # Counted by member; the values are read once per bucket at the end.
     table = {group: dict.fromkeys(buckets, 0) for group in groups}
-    get_group = attrgetter(group_by)
-    get_measure = attrgetter(measure)
-    for profile in profiles:
-        group_value = get_group(profile)
-        measure_value = get_measure(profile)
-        if group_value is None or measure_value is None:
-            raise ReportError(
-                f"profile {profile.record_id!r} missing {group_by} or {measure}"
-            )
-        table[group_value][measure_value] += 1
+    group_at, measure_at = REPORT_FIELDS.index(group_by), REPORT_FIELDS.index(measure)
+    for values, n in counts.items():
+        table[values[group_at]][values[measure_at]] += n
     return [
         Distribution(
             measure,
@@ -80,6 +94,13 @@ def aggregate(
         )
         for group in groups
     ]
+
+
+def _check_table(group_by: str, measure: str) -> None:
+    if group_by not in GROUP_FIELDS:
+        raise ReportError(f"cannot group by {group_by!r}")
+    if measure not in MEASURE_FIELDS:
+        raise ReportError(f"cannot measure {measure!r}")
 
 
 def compare(left: Distribution, right: Distribution) -> Comparison:

@@ -16,6 +16,7 @@ import re
 from pathlib import Path
 
 from .errors import StorageError
+from .io_utils import check_utf8, json_lines
 
 # Pinned default list of English function words. Determinism requires a fixed
 # list shipped with the package; callers may override it with a file.
@@ -64,20 +65,20 @@ def prepare(raw: str, stops: frozenset[str] = DEFAULT_STOPWORDS) -> list[str]:
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    """Read a stopword file: UTF-8, one word per line, '#' lines ignored.
+    r"""Read a stopword file: UTF-8, one word per line, '#' lines ignored.
 
-    Entries are lowercased so the list invariant holds regardless of how the
-    file was authored. A missing, unreadable or non-UTF-8 file raises
-    StorageError.
+    Lines are read by ``io_utils.json_lines``, so they end only at "\n",
+    "\r\n" or "\r". Entries are lowercased so the list invariant holds
+    regardless of how the file was authored. A missing or unreadable file,
+    or a line that is not UTF-8, raises StorageError.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise StorageError(f"cannot read stopwords {path}: {exc}") from exc
     words: set[str] = set()
-    for line in text.splitlines():
+    for line_no, line in json_lines(path, "stopwords "):
+        try:
+            check_utf8(line)
+        except ValueError as exc:
+            raise StorageError(f"cannot read stopwords {path}: line {line_no} is {exc}") from exc
         word = line.strip()
-        if not word or word.startswith("#"):
-            continue
-        words.add(word.lower())
+        if not word.startswith("#"):
+            words.add(word.lower())
     return frozenset(words)

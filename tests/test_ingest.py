@@ -44,11 +44,17 @@ def full_record(record_id="u1", **overrides):
     return record
 
 
+def read_profiles(path):
+    """``load_profiles`` read to the end: (list of profiles, issues)."""
+    raws, issues = load_profiles(path)
+    return list(raws), issues
+
+
 def load_file(tmp_path, data):
-    """``load_profiles`` on a file holding ``data``: bytes, or text as UTF-8."""
+    """``read_profiles`` on a file holding ``data``: bytes, or text as UTF-8."""
     path = tmp_path / "in.jsonl"
     path.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
-    return load_profiles(path)
+    return read_profiles(path)
 
 
 class TestLoadProfiles:
@@ -107,12 +113,12 @@ class TestLoadProfiles:
     def test_reads_from_path(self, tmp_path):
         p = tmp_path / "in.jsonl"
         p.write_text(line(id="u1") + "\n", encoding="utf-8")
-        profiles, _ = load_profiles(p)
+        profiles, _ = read_profiles(p)
         assert profiles[0].record_id == "u1"
 
     def test_unreadable_source(self, tmp_path):
         with pytest.raises(StorageError):
-            load_profiles(tmp_path / "missing.jsonl")
+            read_profiles(tmp_path / "missing.jsonl")
 
     def test_invalid_utf8_line_is_parse_issue(self, tmp_path):
         p = tmp_path / "in.jsonl"
@@ -124,7 +130,7 @@ class TestLoadProfiles:
             + line(id="u4", about_me="café").encode()
             + b"\n"
         )
-        profiles, issues = load_profiles(p)
+        profiles, issues = read_profiles(p)
         assert [r.record_id for r in profiles] == ["u1", "u4"]
         assert profiles[1].about_me == "café"
         assert [(i.line_no, i.message) for i in issues] == [
@@ -155,7 +161,7 @@ class TestLoadProfiles:
             + u4 + b"\x1c" + raw(id="u5") + b"\n"
             + raw(id="u6")
         )
-        profiles, issues = load_profiles(p)
+        profiles, issues = read_profiles(p)
         assert [(r.record_id, r.about_me) for r in profiles] == [
             ("u1", "a\u2028b"), ("u2", "c\u2029d"), ("u3", "e\x85f"), ("u6", None)
         ]
@@ -299,13 +305,13 @@ class TestCorpusRoundTrip:
     def test_empty(self, tmp_path):
         p = tmp_path / "corpus.jsonl"
         persist_corpus([], p)
-        assert load_corpus(p) == []
+        assert list(load_corpus(p)) == []
 
     def test_five_profiles(self, tmp_path):
         p = tmp_path / "corpus.jsonl"
         profiles = [make_profile(i) for i in range(5)]
         persist_corpus(profiles, p)
-        assert load_corpus(p) == profiles
+        assert list(load_corpus(p)) == profiles
 
     def test_round_trip_with_derived_fields(self, tmp_path):
         p = tmp_path / "corpus.jsonl"
@@ -318,11 +324,11 @@ class TestCorpusRoundTrip:
             activity_interest_class=ShareClass.LOW,
         )
         persist_corpus([enriched], p)
-        assert load_corpus(p) == [enriched]
+        assert list(load_corpus(p)) == [enriched]
 
     def test_missing_path(self, tmp_path):
         with pytest.raises(StorageError):
-            load_corpus(tmp_path / "nope.jsonl")
+            list(load_corpus(tmp_path / "nope.jsonl"))
 
     def test_deterministic_bytes(self, tmp_path):
         profiles = [make_profile(i) for i in range(3)]
@@ -340,7 +346,7 @@ class TestCorpusRoundTrip:
         os.close(fd)
         try:
             persist_corpus(profiles, name)
-            assert load_corpus(name) == profiles
+            assert list(load_corpus(name)) == profiles
         finally:
             os.unlink(name)
 
@@ -433,7 +439,7 @@ class TestLoadCorpusErrors:
         persist_corpus([make_profile(1)], p)
         p.write_text(p.read_text(encoding="utf-8") + bad_line + "\n", encoding="utf-8")
         with pytest.raises(StorageError, match=r"classified\.jsonl:2"):
-            load_corpus(p)
+            list(load_corpus(p))
 
     def test_mistyped_field_names_path_and_line(self, tmp_path):
         p = tmp_path / "binned.jsonl"
@@ -441,14 +447,14 @@ class TestLoadCorpusErrors:
         record["wall_count"] = "1"
         p.write_text(json.dumps(record) + "\n", encoding="utf-8")
         with pytest.raises(StorageError, match=r"binned\.jsonl:1: wall_count"):
-            load_corpus(p)
+            list(load_corpus(p))
 
     def test_invalid_utf8_is_storage_error(self, tmp_path):
         p = tmp_path / "accepted.jsonl"
         persist_corpus([make_profile(1)], p)
         p.write_bytes(p.read_bytes().replace(b"text", b"t\xffxt"))
         with pytest.raises(StorageError, match="accepted.jsonl"):
-            load_corpus(p)
+            list(load_corpus(p))
 
 
 def _as_raw(record):

@@ -156,7 +156,7 @@ class TestStageClassify:
     def test_index_built_once_per_stage(self, tmp_path, monkeypatch):
         write_jsonl(tmp_path / "profiles.jsonl", [record(i) for i in range(7)])
         write_corpus(tmp_path / "corpus.jsonl")
-        profiles, _, _ = stage_ingest(tmp_path / "profiles.jsonl", tmp_path)
+        profiles, _, _ = stage_ingest(tmp_path / "profiles.jsonl", tmp_path, keep=True)
         corpus = load_sample_corpus(tmp_path / "corpus.jsonl")
         builds = []
         build = knn.CorpusIndex.build
@@ -172,7 +172,7 @@ class TestStageClassify:
     def test_k_checked_before_any_text(self, tmp_path):
         write_jsonl(tmp_path / "profiles.jsonl", [record(0, about_me="i am the and of to")])
         write_corpus(tmp_path / "corpus.jsonl")
-        profiles, _, _ = stage_ingest(tmp_path / "profiles.jsonl", tmp_path)
+        profiles, _, _ = stage_ingest(tmp_path / "profiles.jsonl", tmp_path, keep=True)
         corpus = load_sample_corpus(tmp_path / "corpus.jsonl")
         with pytest.raises(ParameterError):
             stage_classify(profiles, corpus, 50, len(corpus) + 1, DEFAULT_STOPWORDS, tmp_path)

@@ -21,9 +21,15 @@ from socialminer.report import (
     emit_comparison_chart,
     emit_table,
     pie_angles,
+    tally,
 )
 
 DATA = Path(__file__).parent / "data"
+
+
+def distributions(profiles, group_by, measure):
+    """``aggregate`` over a one-table ``tally`` of the profiles."""
+    return aggregate(tally(profiles, [(group_by, measure)]), group_by, measure)
 
 
 def profile(i, gender, age_bucket, label):
@@ -57,13 +63,13 @@ TEN_PROFILES = [
 
 class TestAggregate:
     def test_no_profiles_gives_zero_distributions(self):
-        dists = aggregate([], "age_range", "about_me_class")
+        dists = distributions([], "age_range", "about_me_class")
         assert len(dists) == len(AgeRange)
         assert all(set(d.bucket_counts.values()) == {0} for d in dists)
 
     def test_single_bucket(self):
         profiles = [profile(i, M, AgeRange.UP_TO_19, ClassLabel.HONEST) for i in range(3)]
-        dists = aggregate(profiles, "age_range", "about_me_class")
+        dists = distributions(profiles, "age_range", "about_me_class")
         young = dists[0]
         assert young.population == "age_range=UpTo19"
         assert young.bucket_counts["Honest"] == 3
@@ -71,7 +77,7 @@ class TestAggregate:
         assert all(sum(d.bucket_counts.values()) == 0 for d in dists[1:])
 
     def test_hand_tally_by_age(self):
-        dists = {d.population: d for d in aggregate(TEN_PROFILES, "age_range", "about_me_class")}
+        dists = {d.population: d for d in distributions(TEN_PROFILES, "age_range", "about_me_class")}
         assert dists["age_range=UpTo19"].bucket_counts["Honest"] == 2
         assert dists["age_range=UpTo19"].bucket_counts["Romantic"] == 1
         assert dists["age_range=From20To32"].bucket_counts["Honest"] == 1
@@ -83,7 +89,7 @@ class TestAggregate:
         assert dists["age_range=Hidden"].bucket_counts["Emotional"] == 1
 
     def test_hand_tally_by_gender(self):
-        dists = {d.population: d for d in aggregate(TEN_PROFILES, "gender", "about_me_class")}
+        dists = {d.population: d for d in distributions(TEN_PROFILES, "gender", "about_me_class")}
         male = dists["gender=Male"].bucket_counts
         female = dists["gender=Female"].bucket_counts
         assert (male["Honest"], male["Aggressive"], male["Sincere"], male["Emotional"]) == (2, 1, 1, 1)
@@ -91,36 +97,37 @@ class TestAggregate:
         assert sum(dists["gender=Unspecified"].bucket_counts.values()) == 0
 
     def test_buckets_in_enumeration_order(self):
-        d = aggregate(TEN_PROFILES, "gender", "wall_count_class")[0]
+        d = distributions(TEN_PROFILES, "gender", "wall_count_class")[0]
         assert list(d.bucket_counts) == [v.value for v in WallCountClass]
 
     def test_unknown_dimension(self):
-        with pytest.raises(ReportError):
-            aggregate([], "age_range", "wall_count")
-        with pytest.raises(ReportError):
-            aggregate([], "about_me_class", "wall_count_class")
+        for group_by, measure in (("age_range", "wall_count"), ("about_me_class", "wall_count_class")):
+            with pytest.raises(ReportError):
+                aggregate(tally([], []), group_by, measure)
+            with pytest.raises(ReportError):
+                tally([], [(group_by, measure)])
 
     def test_unclassified_profile_rejected(self):
         p = profile(1, M, AgeRange.UP_TO_19, ClassLabel.HONEST)
         p.about_me_class = None
-        with pytest.raises(ReportError):
-            aggregate([p], "age_range", "about_me_class")
+        with pytest.raises(ReportError, match="^profile 'u1' missing age_range or about_me_class$"):
+            distributions([p], "age_range", "about_me_class")
 
     def test_conservation_and_permutation_invariance(self):
-        dists = aggregate(TEN_PROFILES, "age_range", "about_me_class")
+        dists = distributions(TEN_PROFILES, "age_range", "about_me_class")
         assert sum(sum(d.bucket_counts.values()) for d in dists) == len(TEN_PROFILES)
         shuffled = TEN_PROFILES[:]
         random.Random(5).shuffle(shuffled)
-        assert aggregate(shuffled, "age_range", "about_me_class") == dists
+        assert distributions(shuffled, "age_range", "about_me_class") == dists
 
 class TestCompare:
     def test_identical_sides(self):
-        d = aggregate(TEN_PROFILES, "gender", "about_me_class")[0]
+        d = distributions(TEN_PROFILES, "gender", "about_me_class")[0]
         c = compare(d, d)
         assert c.left == c.right == d
 
     def test_paired_counts(self):
-        male, female = aggregate(TEN_PROFILES, "gender", "about_me_class")[:2]
+        male, female = distributions(TEN_PROFILES, "gender", "about_me_class")[:2]
         c = compare(male, female)
         assert c.left.population == "gender=Male" and c.right.population == "gender=Female"
         assert c.left.bucket_counts["Honest"] == 2
@@ -140,7 +147,7 @@ class TestCompare:
 
 class TestEmitTable:
     def test_distribution_shape(self):
-        d = aggregate(TEN_PROFILES, "age_range", "about_me_class")[0]
+        d = distributions(TEN_PROFILES, "age_range", "about_me_class")[0]
         lines = emit_table(d).splitlines()
         assert lines[0] == "bucket,count,percent"
         assert len(lines) == 1 + len(ClassLabel)
@@ -151,14 +158,14 @@ class TestEmitTable:
         assert all(line.endswith(",0,0.00") for line in lines[1:])
 
     def test_round_trip_through_csv_reader(self):
-        d = aggregate(TEN_PROFILES, "age_range", "about_me_class")[0]
+        d = distributions(TEN_PROFILES, "age_range", "about_me_class")[0]
         parsed = list(csv.reader(io.StringIO(emit_table(d))))
         assert parsed[0] == ["bucket", "count", "percent"]
         recovered = {row[0]: int(row[1]) for row in parsed[1:]}
         assert recovered == d.bucket_counts
 
     def test_comparison_table(self):
-        male, female = aggregate(TEN_PROFILES, "gender", "about_me_class")[:2]
+        male, female = distributions(TEN_PROFILES, "gender", "about_me_class")[:2]
         text = emit_table(compare(male, female))
         parsed = list(csv.reader(io.StringIO(text)))
         assert parsed[0] == ["bucket", "gender=Male", "gender=Female"]
@@ -166,7 +173,7 @@ class TestEmitTable:
         assert honest == ["Honest", "2", "1"]
 
     def test_lf_endings(self):
-        d = aggregate(TEN_PROFILES, "age_range", "about_me_class")[0]
+        d = distributions(TEN_PROFILES, "age_range", "about_me_class")[0]
         assert "\r" not in emit_table(d)
 
 class TestPieAngles:
@@ -221,7 +228,7 @@ class TestEmitChart:
         assert emit_chart(self.dist(), "pie") == emit_chart(self.dist(), "pie")
 
     def test_comparison_chart(self):
-        male, female = aggregate(TEN_PROFILES, "gender", "about_me_class")[:2]
+        male, female = distributions(TEN_PROFILES, "gender", "about_me_class")[:2]
         svg = emit_comparison_chart(compare(male, female))
         assert svg.count("<polyline") == 2
         assert "gender=Male" in svg and "gender=Female" in svg

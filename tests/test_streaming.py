@@ -1,20 +1,27 @@
 """The streamed readers and writer of line-delimited files against their
 whole-file references in ``reference_paths``: same records, same
 ParseIssues, same error types and the same bytes, on arbitrary byte files.
-Also bounds the memory a stage file costs to write and to read back."""
+Also bounds the memory a stage file costs to write and to read back, and the
+memory each stage subcommand holds, and checks what a stage that fails
+partway through its input leaves behind."""
 
+import gc
 import json
+import os
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_paths
 from socialminer.binning import AgeRange, ShareClass, WallCountClass
+from socialminer.cli import main
 from socialminer.errors import StorageError
 from socialminer.ingest import Gender, Profile, _encode_record, load_corpus, load_profiles, persist_corpus
 from socialminer.io_utils import atomic_write_text
 from socialminer.knn import ClassLabel, load_sample_corpus
+from socialminer.synth import make_corpus_records, make_profile_records, write_jsonl
 
 # Every break str.splitlines knows (of which only "\n", "\r\n" and "\r" end
 # a line), and bytes that are not UTF-8: lone continuation and invalid start
@@ -84,6 +91,16 @@ def byte_files(records):
     return st.lists(piece, max_size=12).map(b"".join)
 
 
+def read_profiles(path):
+    """``load_profiles`` read to the end: (list of profiles, issues)."""
+    raws, issues = load_profiles(path)
+    return list(raws), issues
+
+
+def read_corpus(path):
+    return list(load_corpus(path))
+
+
 def outcome(func, path):
     try:
         return ("ok", func(path))
@@ -101,13 +118,13 @@ class TestStreamedReaders:
     @given(data=byte_files(profile_lines))
     def test_load_profiles_matches_whole_file_reference(self, scratch, data):
         scratch.write_bytes(data)
-        assert outcome(load_profiles, scratch) == outcome(reference_paths.load_profiles, scratch)
+        assert outcome(read_profiles, scratch) == outcome(reference_paths.load_profiles, scratch)
 
     @settings(max_examples=300)
     @given(data=byte_files(stage_lines))
     def test_load_corpus_matches_whole_file_reference(self, scratch, data):
         scratch.write_bytes(data)
-        assert outcome(load_corpus, scratch) == outcome(reference_paths.load_corpus, scratch)
+        assert outcome(read_corpus, scratch) == outcome(reference_paths.load_corpus, scratch)
 
     @settings(max_examples=300)
     @given(data=byte_files(sample_lines))
@@ -127,10 +144,10 @@ class TestStreamedReaders:
             f"corrupt corpus {path}:1: not valid JSON: "
             "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
         )
-        for reader in (load_corpus, reference_paths.load_corpus):
+        for reader in (read_corpus, reference_paths.load_corpus):
             assert outcome(reader, path) == ("error", StorageError, message)
         path.write_bytes(b" \n" * 10_000 + b'{"id": "u\xff"}\n{not json\n')
-        for reader in (load_corpus, reference_paths.load_corpus):
+        for reader in (read_corpus, reference_paths.load_corpus):
             assert outcome(reader, path) == (
                 "error", StorageError, f"corrupt corpus {path}:10001: not valid UTF-8"
             )
@@ -142,11 +159,11 @@ class TestStreamedReaders:
         texts = ["é€😀\u2028 " * (i % 7) + "x" for i in range(300)]
         profiles = [Profile(f"u{i}", text, Gender.MALE, i, i, 0) for i, text in enumerate(texts)]
         files = (
-            (lambda path: load_profiles(path)[0], lambda path: reference_paths.load_profiles(path)[0],
+            (lambda path: read_profiles(path)[0], lambda path: reference_paths.load_profiles(path)[0],
              [json.dumps({"id": p.record_id, "about_me": p.about_me,
                           "wall_count": 1, "music_count": 1}, ensure_ascii=False)
               for p in profiles]),
-            (load_corpus, reference_paths.load_corpus,
+            (read_corpus, reference_paths.load_corpus,
              [_encode_record(p.to_record()) for p in profiles]),
             (load_sample_corpus, reference_paths.load_sample_corpus,
              [json.dumps({"id": f"s{i}", "label": "Honest", "text": text}, ensure_ascii=False)
@@ -164,8 +181,8 @@ class TestStreamedReaders:
     def test_unreadable_paths_fail_alike(self, tmp_path, name):
         path = tmp_path / name
         for streamed, reference in (
-            (load_profiles, reference_paths.load_profiles),
-            (load_corpus, reference_paths.load_corpus),
+            (read_profiles, reference_paths.load_profiles),
+            (read_corpus, reference_paths.load_corpus),
             (load_sample_corpus, reference_paths.load_sample_corpus),
         ):
             with pytest.raises(StorageError):
@@ -176,7 +193,7 @@ class TestStreamedReaders:
     @pytest.mark.parametrize("name,cause", [("missing.jsonl", FileNotFoundError), (".", IsADirectoryError)])
     @pytest.mark.parametrize(
         "reader,what",
-        [(load_profiles, ""), (load_corpus, "corpus "), (load_sample_corpus, "sample corpus ")],
+        [(read_profiles, ""), (read_corpus, "corpus "), (load_sample_corpus, "sample corpus ")],
         ids=["profiles", "stage_file", "sample_corpus"],
     )
     def test_unreadable_path_message(self, tmp_path, reader, what, name, cause):
@@ -194,7 +211,7 @@ class TestStreamedWriter:
         persist_corpus(profiles, scratch)
         reference_paths.persist_corpus(profiles, reference)
         assert scratch.read_bytes() == reference.read_bytes()
-        assert load_corpus(scratch) == profiles
+        assert read_corpus(scratch) == profiles
 
     def test_failed_stream_leaves_no_file(self, tmp_path):
         def records():
@@ -227,7 +244,7 @@ def test_stage_file_memory_stays_under_half_the_file(tmp_path):
 
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        loaded = load_corpus(path)
+        loaded = list(load_corpus(path))
         current, peak = tracemalloc.get_traced_memory()
         read_peak = peak - current  # above the profiles it keeps
     finally:
@@ -236,3 +253,91 @@ def test_stage_file_memory_stays_under_half_the_file(tmp_path):
     assert loaded == profiles
     assert write_peak < size / 2, (write_peak, size)
     assert read_peak < size / 2, (read_peak, size)
+
+
+def stage_steps(inputs, out):
+    """The argv of each stage subcommand, in order, on ``inputs``' files."""
+    return (
+        ("ingest", ["--input", str(inputs / "profiles.jsonl")]),
+        ("classify", ["--input", str(out / "accepted.jsonl"),
+                      "--corpus", str(inputs / "corpus.jsonl")]),
+        ("bin", ["--input", str(out / "classified.jsonl"), "--ref-date", "2015-06-01"]),
+        ("arff", ["--input", str(out / "binned.jsonl")]),
+        ("report", ["--input", str(out / "binned.jsonl")]),
+    )
+
+
+def write_inputs(inputs, profiles):
+    inputs.mkdir()
+    write_jsonl(inputs / "profiles.jsonl", profiles)
+    write_jsonl(inputs / "corpus.jsonl", make_corpus_records(docs_per_class=1))
+
+
+def stage_peaks(tmp_path, n):
+    """The tracemalloc peak of each stage subcommand on ``n`` profiles,
+    above what was allocated when it started."""
+    inputs, out = tmp_path / f"in-{n}", tmp_path / f"out-{n}"
+    write_inputs(inputs, make_profile_records(n, seed=3))
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for command, argv in stage_steps(inputs, out):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert main([command, *argv, "--out", str(out)]) == 0, command
+            peaks[command] = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return peaks
+
+
+def test_stage_memory_does_not_grow_with_the_input(tmp_path):
+    """Each streamed stage holds one batch of records, not the file: 3,000
+    more records cost less than 128 bytes each, where holding them would
+    cost about 1,000. What grows is the id set ingest checks duplicates
+    against (about 85 bytes a record) and the report's tally, which has one
+    key per combination of classes met. The ARFF text is built whole, so
+    arff is left out."""
+    small, large = stage_peaks(tmp_path, 1000), stage_peaks(tmp_path, 4000)
+    for command in ("ingest", "classify", "bin", "report"):
+        assert large[command] - small[command] < 3000 * 128, (command, small[command], large[command])
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")
+@pytest.mark.parametrize(
+    "command,fault",
+    [
+        ("ingest", "duplicate id"), ("classify", "corrupt line"), ("bin", "corrupt line"),
+        ("bin", "future birthday"), ("arff", "corrupt line"), ("report", "corrupt line"),
+    ],
+)
+def test_failure_after_the_first_batch_leaves_no_temp_file_or_handle(tmp_path, command, fault):
+    """A stage that fails partway through its input, in its reader or in its
+    work on a later batch, removes its temp file and closes its input."""
+    profiles = make_profile_records(600, seed=4)
+    if fault == "duplicate id":
+        profiles[400]["id"] = profiles[3]["id"]
+    if fault == "future birthday":
+        profiles[400]["birthday"] = "2020-01-01"
+    inputs, out = tmp_path / "in", tmp_path / "out"
+    write_inputs(inputs, profiles)
+    steps = dict(stage_steps(inputs, out))
+    for step in ("ingest", "classify", "bin", "arff", "report"):
+        if step == command:
+            break
+        assert main([step, *steps[step], "--out", str(out)]) == 0, step
+    if fault == "corrupt line":
+        stage_file = Path(steps[command][1])
+        lines = stage_file.read_bytes().splitlines(keepends=True)
+        lines[300] = b"{not json\n"
+        stage_file.write_bytes(b"".join(lines))
+    before = open_fds()
+    assert main([command, *steps[command], "--out", str(out)]) == 1
+    gc.collect()
+    assert open_fds() == before
+    assert (out / "FAILED").is_file()
+    assert [p.name for p in out.rglob("*.tmp")] == []

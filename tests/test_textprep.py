@@ -143,6 +143,16 @@ class TestLoadStopwords:
         p.write_bytes(b"the\n\xff\xfe\n")
         with pytest.raises(StorageError, match="stops.txt"):
             load_stopwords(p)
+        with pytest.raises(StorageError) as caught:
+            load_stopwords(p)
+        assert str(caught.value) == f"cannot read stopwords {p}: line 2 is not valid UTF-8"
+
+    def test_lines_end_only_at_line_feed_and_carriage_return(self, tmp_path):
+        # A raw U+2028 (or U+0085, form feed) stays inside its entry, as in
+        # every other file the pipeline reads.
+        p = tmp_path / "stops.txt"
+        p.write_text("alpha\u2028Beta\r\ngamma\x85delta\rx\x0cy\n", encoding="utf-8")
+        assert load_stopwords(p) == frozenset({"alpha\u2028beta", "gamma\x85delta", "x\x0cy"})
 
 
 def test_prepare_composes_all_stages():
