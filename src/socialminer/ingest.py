@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .binning import AgeRange, ShareClass, WallCountClass
 from .errors import DuplicateIdError, StorageError
@@ -313,15 +313,24 @@ def validate_and_filter(
 _encode_record = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def persist_corpus(profiles: Iterable[Profile], path: str | Path) -> int:
-    """Write the accepted corpus as JSON lines, atomically, one batch of
-    records (``io_utils.batches``) at a time as ``profiles`` yields them;
-    returns the number of records written."""
+def persist_corpus(
+    profiles: Iterable[Profile],
+    path: str | Path,
+    prepare: Optional[Callable[[Profile], None]] = None,
+) -> int:
+    """Write the corpus as JSON lines, atomically, one batch of records
+    (``io_utils.batches``) at a time as ``profiles`` yields them: a batch is
+    read, then ``prepare`` (a stage's work on one record, when given) runs on
+    each of its records, then the batch is encoded and written. Returns the
+    number of records written."""
     written = 0
 
     def chunks() -> Iterator[str]:
         nonlocal written
         for batch in batches(profiles):
+            if prepare is not None:
+                for profile in batch:
+                    prepare(profile)
             written += len(batch)
             yield "".join([_encode_record(profile.to_record()) + "\n" for profile in batch])
 

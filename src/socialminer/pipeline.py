@@ -50,11 +50,6 @@ _GENDER_MEASURES = (
     ("music_share_class", "music_share"),
     ("activity_interest_class", "activity_interest"),
 )
-# The (group_by, measure) tables stage_report writes, in the order it writes them.
-_REPORT_TABLES = (
-    ("age_range", "about_me_class"),
-    *(("gender", measure) for measure, _ in _GENDER_MEASURES),
-)
 _ARTIFACT_KINDS = {".csv": "table", ".svg": "chart", ".json": "manifest"}
 
 
@@ -155,27 +150,24 @@ def stage_classify(
     stopwords: frozenset[str],
     out_dir: Path,
 ) -> tuple[int, int]:
-    """Label every profile's about_me text, one batch at a time, and persist
-    the batch; returns (classified, unclassifiable). The corpus is indexed
-    once, and k and n_features are checked before any profile is read, so a
-    bad value fails even when there are no profiles."""
+    """Label every profile's about_me text and persist it, one batch at a
+    time (``persist_corpus``); returns (classified, unclassifiable). The
+    corpus is indexed once, and k and n_features are checked before any
+    profile is read, so a bad value fails even when there are no profiles."""
     index = CorpusIndex.build(corpus)
     index.check_k(k)
     if n_features < 1:
         raise ParameterError(f"n_features={n_features} must be >= 1")
     unclassifiable = 0
 
-    def labelled() -> Iterator[Profile]:
+    def classify_one(profile: Profile) -> None:
         nonlocal unclassifiable
-        for batch in batches(profiles):
-            for profile in batch:
-                label = classify_text(profile.about_me, index, n_features, k, stopwords)
-                profile.about_me_class = label
-                if label is ClassLabel.UNCLASSIFIABLE:
-                    unclassifiable += 1
-            yield from batch
+        label = classify_text(profile.about_me, index, n_features, k, stopwords)
+        profile.about_me_class = label
+        if label is ClassLabel.UNCLASSIFIABLE:
+            unclassifiable += 1
 
-    written = persist_corpus(labelled(), out_dir / CLASSIFIED_FILE)
+    written = persist_corpus(profiles, out_dir / CLASSIFIED_FILE, classify_one)
     return written - unclassifiable, unclassifiable
 
 
@@ -185,22 +177,20 @@ def stage_bin(
     gap_policy: GapPolicy,
     out_dir: Path,
 ) -> int:
-    """Derive age ranges and group classes for every profile, one batch at a
-    time, and persist the batch; returns the number of profiles binned."""
+    """Derive age ranges and group classes for every profile and persist
+    it, one batch at a time (``persist_corpus``); returns the number of
+    profiles binned."""
 
-    def binned() -> Iterator[Profile]:
-        for batch in batches(profiles):
-            for profile in batch:
-                birthday = parse_birthday(profile.birthday) if profile.birthday else None
-                profile.age_range = age_range(age_from_birthday(birthday, reference_date))
-                profile.wall_count_class = bin_wall_count(profile.wall_count)
-                profile.music_share_class = bin_music_share(profile.music_count, gap_policy)
-                profile.activity_interest_class = bin_activities_interests(
-                    profile.activity_interest_count, gap_policy
-                )
-            yield from batch
+    def bin_one(profile: Profile) -> None:
+        birthday = parse_birthday(profile.birthday) if profile.birthday else None
+        profile.age_range = age_range(age_from_birthday(birthday, reference_date))
+        profile.wall_count_class = bin_wall_count(profile.wall_count)
+        profile.music_share_class = bin_music_share(profile.music_count, gap_policy)
+        profile.activity_interest_class = bin_activities_interests(
+            profile.activity_interest_count, gap_policy
+        )
 
-    return persist_corpus(binned(), out_dir / BINNED_FILE)
+    return persist_corpus(profiles, out_dir / BINNED_FILE, bin_one)
 
 
 def stage_arff(profiles: Iterable[Profile], out_dir: Path) -> None:
@@ -223,7 +213,7 @@ def stage_report(profiles: Iterable[Profile], out_dir: Path, run_id: str) -> lis
     check_run_id(run_id)
     base = out_dir / "reports" / run_id
     artifacts: list[dict] = []
-    counts = tally(profiles, _REPORT_TABLES)
+    counts = tally(profiles)
 
     def write(
         name: str, text: str, population: str, measure: str, chart_type: Optional[str] = None

@@ -24,6 +24,12 @@ MEASURE_FIELDS = {
 }
 # The fields of a tally key, in order.
 REPORT_FIELDS = (*GROUP_FIELDS, *MEASURE_FIELDS)
+# The (group_by, measure) tables of a report, in the order they are written;
+# together they cover every field of REPORT_FIELDS.
+REPORT_TABLES = (
+    ("age_range", "about_me_class"),
+    *(("gender", measure) for measure in MEASURE_FIELDS),
+)
 
 _PALETTE = (
     "#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f", "#edc948",
@@ -52,20 +58,18 @@ class Comparison:
     right: Distribution
 
 
-def tally(profiles: Iterable[Profile], tables: Sequence[tuple[str, str]]) -> Counter:
+def tally(profiles: Iterable[Profile]) -> Counter:
     """Count the profiles by their tuple of ``REPORT_FIELDS`` values, in one
     pass; there are at most as many keys as combinations of those values.
-    Every profile must have both fields of each (group_by, measure) table;
-    the first one that lacks a field raises ReportError naming it and the
-    first table it cannot be counted in."""
-    for group_by, measure in tables:
-        _check_table(group_by, measure)
+    Every profile must have both fields of each of ``REPORT_TABLES``; the
+    first one that lacks a field raises ReportError naming it and the first
+    table it cannot be counted in."""
     values_of = attrgetter(*REPORT_FIELDS)
     counts: Counter = Counter()
     for profile in profiles:
         values = values_of(profile)
         if None in values:
-            for group_by, measure in tables:
+            for group_by, measure in REPORT_TABLES:
                 if getattr(profile, group_by) is None or getattr(profile, measure) is None:
                     raise ReportError(
                         f"profile {profile.record_id!r} missing {group_by} or {measure}"
@@ -76,9 +80,12 @@ def tally(profiles: Iterable[Profile], tables: Sequence[tuple[str, str]]) -> Cou
 
 def aggregate(counts: Counter, group_by: str, measure: str) -> list[Distribution]:
     """One Distribution per group value, in enumeration order, from a
-    ``tally`` that had (group_by, measure) among its tables; every group is
-    listed even when empty and every bucket is zero-filled."""
-    _check_table(group_by, measure)
+    ``tally``; every group is listed even when empty and every bucket is
+    zero-filled."""
+    if group_by not in GROUP_FIELDS:
+        raise ReportError(f"cannot group by {group_by!r}")
+    if measure not in MEASURE_FIELDS:
+        raise ReportError(f"cannot measure {measure!r}")
     groups = list(GROUP_FIELDS[group_by])
     buckets = list(MEASURE_FIELDS[measure])
     # Counted by member; the values are read once per bucket at the end.
@@ -94,13 +101,6 @@ def aggregate(counts: Counter, group_by: str, measure: str) -> list[Distribution
         )
         for group in groups
     ]
-
-
-def _check_table(group_by: str, measure: str) -> None:
-    if group_by not in GROUP_FIELDS:
-        raise ReportError(f"cannot group by {group_by!r}")
-    if measure not in MEASURE_FIELDS:
-        raise ReportError(f"cannot measure {measure!r}")
 
 
 def compare(left: Distribution, right: Distribution) -> Comparison:

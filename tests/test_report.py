@@ -28,8 +28,8 @@ DATA = Path(__file__).parent / "data"
 
 
 def distributions(profiles, group_by, measure):
-    """``aggregate`` over a one-table ``tally`` of the profiles."""
-    return aggregate(tally(profiles, [(group_by, measure)]), group_by, measure)
+    """``aggregate`` over a ``tally`` of the profiles."""
+    return aggregate(tally(profiles), group_by, measure)
 
 
 def profile(i, gender, age_bucket, label):
@@ -101,11 +101,10 @@ class TestAggregate:
         assert list(d.bucket_counts) == [v.value for v in WallCountClass]
 
     def test_unknown_dimension(self):
-        for group_by, measure in (("age_range", "wall_count"), ("about_me_class", "wall_count_class")):
-            with pytest.raises(ReportError):
-                aggregate(tally([], []), group_by, measure)
-            with pytest.raises(ReportError):
-                tally([], [(group_by, measure)])
+        with pytest.raises(ReportError):
+            aggregate(tally([]), "age_range", "wall_count")
+        with pytest.raises(ReportError):
+            aggregate(tally([]), "about_me_class", "wall_count_class")
 
     def test_unclassified_profile_rejected(self):
         p = profile(1, M, AgeRange.UP_TO_19, ClassLabel.HONEST)

@@ -19,7 +19,7 @@ from socialminer.binning import AgeRange, ShareClass, WallCountClass
 from socialminer.cli import main
 from socialminer.errors import StorageError
 from socialminer.ingest import Gender, Profile, _encode_record, load_corpus, load_profiles, persist_corpus
-from socialminer.io_utils import atomic_write_text
+from socialminer.io_utils import BATCH_SIZE, atomic_write_text, batches
 from socialminer.knn import ClassLabel, load_sample_corpus
 from socialminer.synth import make_corpus_records, make_profile_records, write_jsonl
 
@@ -304,7 +304,7 @@ def test_stage_memory_does_not_grow_with_the_input(tmp_path):
 
 
 def open_fds():
-    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    return len(os.listdir("/proc/self/fd"))
 
 
 @pytest.mark.filterwarnings("error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")
@@ -318,6 +318,8 @@ def open_fds():
 def test_failure_after_the_first_batch_leaves_no_temp_file_or_handle(tmp_path, command, fault):
     """A stage that fails partway through its input, in its reader or in its
     work on a later batch, removes its temp file and closes its input."""
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("counting open descriptors needs /proc/self/fd")
     profiles = make_profile_records(600, seed=4)
     if fault == "duplicate id":
         profiles[400]["id"] = profiles[3]["id"]
@@ -341,3 +343,40 @@ def test_failure_after_the_first_batch_leaves_no_temp_file_or_handle(tmp_path, c
     assert open_fds() == before
     assert (out / "FAILED").is_file()
     assert [p.name for p in out.rglob("*.tmp")] == []
+
+
+@pytest.mark.parametrize("birthday_at,corrupt_at", [(260, 300), (300, 260)])
+def test_stage_reports_the_first_fault_in_file_order(tmp_path, capsys, birthday_at, corrupt_at):
+    """Within one batch as across batches, a record the stage cannot bin and
+    a corrupt line are reported in the order the file holds them."""
+    inputs, out = tmp_path / "in", tmp_path / "out"
+    write_inputs(inputs, make_profile_records(600, seed=4))
+    steps = dict(stage_steps(inputs, out))
+    for step in ("ingest", "classify"):
+        assert main([step, *steps[step], "--out", str(out)]) == 0, step
+    stage_file = out / "classified.jsonl"
+    lines = stage_file.read_bytes().split(b"\n")
+    record = json.loads(lines[birthday_at - 1])
+    record["birthday"] = "2020-01-01"
+    lines[birthday_at - 1] = json.dumps(record).encode()
+    lines[corrupt_at - 1] = b"{not json"
+    stage_file.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert main(["bin", *steps["bin"], "--out", str(out)]) == 1
+    error = capsys.readouterr().err
+    if birthday_at < corrupt_at:
+        assert "birthday 2020-01-01 is after reference date 2015-06-01" in error
+    else:
+        assert f"corrupt corpus {stage_file}:{corrupt_at}: not valid JSON" in error
+
+
+def test_batches_yield_the_items_before_a_fault_first():
+    def items():
+        yield from range(BATCH_SIZE + 3)
+        raise ValueError("fault")
+
+    got = batches(items())
+    assert next(got) == list(range(BATCH_SIZE))
+    assert next(got) == [BATCH_SIZE, BATCH_SIZE + 1, BATCH_SIZE + 2]
+    with pytest.raises(ValueError, match="^fault$"):
+        next(got)
