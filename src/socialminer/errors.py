@@ -37,14 +37,6 @@ class ArffEncodeError(SocialMinerError):
     """A dataset violates its own invariants during ARFF emission."""
 
 
-class ArffParseError(SocialMinerError):
-    """ARFF text does not conform to the supported grammar subset."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-
-
 class ReportError(SocialMinerError):
     """Aggregation inputs are inconsistent (e.g. mismatched bucket sets)."""
 

@@ -124,17 +124,21 @@ class Profile:
     def from_record(cls, record: dict) -> "Profile":
         """Inverse of ``to_record``. A key ``to_record`` never writes raises
         ValueError, a missing key KeyError, a value of the wrong type
-        TypeError, and a value outside its enumeration (null included)
-        ValueError."""
+        TypeError, and a value outside its enumeration (null included), an
+        empty id or a negative count ValueError."""
         if not _STAGE_KEYS.issuperset(record):
             raise ValueError(f"unknown keys: {sorted(record.keys() - _STAGE_KEYS)}")
         if type(record["id"]) is not str or type(record["about_me"]) is not str:
             raise TypeError("id and about_me must be strings")
+        if not record["id"]:
+            raise ValueError("id must be a non-empty string")
         fields = []  # the fields after gender, in order
         for key in _COUNT_KEYS:
             value = record[key]
             if type(value) is not int:
                 raise TypeError(f"{key} must be an integer, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{key} must be >= 0, got {value}")
             fields.append(value)
         get = record.get
         for key in _OPTIONAL_TEXT_KEYS:
@@ -345,9 +349,9 @@ def load_corpus(path: str | Path) -> Iterator[Profile]:
 
     An unreadable file raises StorageError, and so does a line that
     ``io_utils.json_object`` refuses or that ``Profile.from_record`` refuses
-    (another key, a missing one, or a value of another type or outside its
-    enumeration); the message names the path and the line. The first fault
-    met in file order is the one reported.
+    (another key, a missing one, a value of another type or outside its
+    enumeration, an empty id or a negative count); the message names the
+    path and the line. The first fault met in file order is the one reported.
     """
     for line_no, line in json_lines(path, "corpus "):
         try:

@@ -1,8 +1,8 @@
-"""Text normalization, tokenization and stopword removal.
+"""Text preprocessing: the tokens of a text that are not stopwords.
 
-All functions are pure and total; the same preprocessing is applied to
-target texts and to the pre-classified sample corpus, since distances are
-only meaningful when both sides share one token grammar.
+``prepare`` is pure and total; the same preprocessing is applied to target
+texts and to the pre-classified sample corpus, since distances are only
+meaningful when both sides share one token grammar.
 
 A token is a maximal run of alphanumeric characters (``str.isalnum``) of the
 lowercased text; every other character separates tokens. The character class
@@ -38,29 +38,10 @@ DEFAULT_STOPWORDS: frozenset[str] = frozenset(
 _TOKEN = re.compile(r"[^\W_]+")
 
 
-def normalize_text(raw: str) -> str:
-    """Lowercase and join the tokens with single spaces: every run of
-    non-alphanumeric characters becomes one space, and the ends are
-    stripped. Idempotent."""
-    return " ".join(_TOKEN.findall(raw.lower()))
-
-
-def tokenize(normalized: str) -> list[str]:
-    """Split normalized text on spaces. Duplicates are preserved; counting
-    happens downstream."""
-    return normalized.split()
-
-
-def remove_stopwords(
-    tokens: list[str], stops: frozenset[str] = DEFAULT_STOPWORDS
-) -> list[str]:
-    """Drop every token that appears in ``stops``, keeping relative order."""
-    return [t for t in tokens if t not in stops]
-
-
 def prepare(raw: str, stops: frozenset[str] = DEFAULT_STOPWORDS) -> list[str]:
-    """Full preprocessing: the tokens of ``raw`` that are not stopwords, in
-    order. Equals ``remove_stopwords(tokenize(normalize_text(raw)), stops)``."""
+    """The tokens of the lowercased ``raw`` that are not in ``stops``, in
+    order, duplicates kept: every maximal run of alphanumeric characters is a
+    token, and every other character separates tokens."""
     return [t for t in _TOKEN.findall(raw.lower()) if t not in stops]
 
 

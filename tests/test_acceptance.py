@@ -8,7 +8,7 @@ import time
 from datetime import date
 from pathlib import Path
 
-from socialminer.arff import ArffAttribute, ArffDataset, NOMINAL, NUMERIC, STRING, build_dataset, emit_arff, parse_arff
+from socialminer.arff import ArffAttribute, ArffDataset, NOMINAL, NUMERIC, STRING, build_dataset, emit_arff
 from socialminer.binning import (
     WallCountClass,
     ShareClass,
@@ -31,6 +31,7 @@ from socialminer.knn import (
 from socialminer.pipeline import RunConfig, run_pipeline
 from socialminer.synth import CLASS_WORDS, corpus_documents, make_corpus_records, make_profile_records, write_jsonl
 
+from arff_oracle import parse_arff
 from knn_oracle import brute_classify, brute_distance
 
 DATA_DIR = Path(__file__).parent / "data"

@@ -10,14 +10,14 @@ from socialminer.arff import (
     STRING,
     build_dataset,
     emit_arff,
-    parse_arff,
 )
 from socialminer.binning import AgeRange, ShareClass, WallCountClass
-from socialminer.errors import ArffEncodeError, ArffParseError
+from socialminer.errors import ArffEncodeError
 from socialminer.ingest import Gender, Profile
 from socialminer.knn import ClassLabel
 
 import reference_paths
+from arff_oracle import ArffParseError, parse_arff
 
 
 def enriched_profile(i=0, **overrides):

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 import socialminer
 
-from socialminer.arff import parse_arff
 from socialminer.cli import main
 from socialminer import knn
 from socialminer.errors import DomainError, ParameterError, StorageError
@@ -19,6 +18,8 @@ from socialminer.knn import load_sample_corpus
 from socialminer.pipeline import RunConfig, run_pipeline, stage_classify, stage_ingest
 from socialminer.textprep import DEFAULT_STOPWORDS
 from socialminer.synth import make_corpus_records, make_profile_records, write_jsonl
+
+from arff_oracle import parse_arff
 
 REF = date(2015, 6, 1)
 
@@ -322,6 +323,18 @@ def cli_child(*argv: str) -> subprocess.CompletedProcess:
     )
 
 
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    """``perfbench/tracer.py`` wraps package functions by module attribute
+    name; a renamed or removed one fails ``instrument`` with AttributeError."""
+    root = Path(__file__).parent.parent
+    path = os.pathsep.join([str(root / "perfbench"), str(root / "src")])
+    result = subprocess.run(
+        [sys.executable, "-c", "from tracer import Tracer, instrument; instrument(Tracer('t'))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+
+
 # JSON lines that json.loads refuses with an error other than
 # JSONDecodeError: RecursionError, and ValueError for an integer longer than
 # sys.get_int_max_str_digits() (Python 3.11 and later).
@@ -421,6 +434,30 @@ class TestBadInputEndsCleanly:
         assert (result.returncode, result.stdout, result.stderr) == (1, "", f"error: {message}\n")
         assert (out / "FAILED").read_text(encoding="utf-8") == f"StorageError: {message}\n"
         assert not (out / "classified.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["classify", "bin"])
+    @pytest.mark.parametrize(
+        "key,value,reason",
+        [("id", "", "id must be a non-empty string"),
+         ("wall_count", -5, "wall_count must be >= 0, got -5"),
+         ("music_count", -1, "music_count must be >= 0, got -1"),
+         ("activity_interest_count", -2, "activity_interest_count must be >= 0, got -2")],
+    )
+    def test_stage_line_that_ingest_would_reject(self, tmp_path, capsys, command, key, value, reason):
+        out = self.staged(tmp_path)
+        accepted = out / "accepted.jsonl"
+        lines = accepted.read_text(encoding="utf-8").splitlines(keepends=True)
+        broken = json.loads(lines[1])
+        broken[key] = value
+        lines[1] = json.dumps(broken) + "\n"
+        accepted.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        options = {"classify": ["--corpus", str(tmp_path / "corpus.jsonl")],
+                   "bin": ["--ref-date", "2015-06-01"]}
+        assert main([command, "--input", str(accepted), *options[command], "--out", str(out)]) == 1
+        message = f"corrupt corpus {accepted}:2: {reason}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert (out / "FAILED").read_text(encoding="utf-8") == f"StorageError: {message}\n"
 
     def test_raw_line_separators_stay_inside_a_profile_text(self, tmp_path):
         write_corpus(tmp_path / "corpus.jsonl")

@@ -6,15 +6,7 @@ from hypothesis import given, strategies as st
 
 import reference_paths
 from socialminer.errors import StorageError
-from socialminer.textprep import (
-    _TOKEN,
-    DEFAULT_STOPWORDS,
-    load_stopwords,
-    normalize_text,
-    prepare,
-    remove_stopwords,
-    tokenize,
-)
+from socialminer.textprep import _TOKEN, DEFAULT_STOPWORDS, load_stopwords, prepare
 
 # Characters around which lowercasing or the token class is easy to get wrong:
 # underscore, digits of other scripts, superscripts, combining marks, letters
@@ -24,64 +16,69 @@ tricky_text = st.text(alphabet=st.sampled_from(TRICKY), max_size=60)
 any_text = st.one_of(st.text(max_size=200), tricky_text)
 
 
+NO_STOPS: frozenset[str] = frozenset()
+
+
 class TestNormalizeText:
+    """The token rule of ``prepare`` with no stopwords: lowercase, and every
+    run of non-alphanumeric characters separates tokens."""
+
     def test_empty(self):
-        assert normalize_text("") == ""
+        assert prepare("", NO_STOPS) == []
 
     def test_lowercase_and_punctuation(self):
         # hand application of the normalization rules
-        assert normalize_text("I am HONEST!!") == "i am honest"
+        assert prepare("I am HONEST!!", NO_STOPS) == ["i", "am", "honest"]
 
     def test_hyphens_become_spaces(self):
-        assert normalize_text("rock-n-roll  fan") == "rock n roll fan"
+        assert prepare("rock-n-roll  fan", NO_STOPS) == ["rock", "n", "roll", "fan"]
 
     def test_digits_survive(self):
-        assert normalize_text("born in 1990.") == "born in 1990"
+        assert prepare("born in 1990.", NO_STOPS) == ["born", "in", "1990"]
 
     def test_whitespace_only(self):
-        assert normalize_text(" \t\n ") == ""
+        assert prepare(" \t\n ", NO_STOPS) == []
 
     @given(st.text(max_size=200))
     def test_idempotent(self, raw):
-        once = normalize_text(raw)
-        assert normalize_text(once) == once
+        once = prepare(raw, NO_STOPS)
+        assert prepare(" ".join(once), NO_STOPS) == once
 
     @given(st.text(max_size=200))
     def test_output_alphabet(self, raw):
-        out = normalize_text(raw)
-        assert out == out.strip()
-        assert "  " not in out
-        assert all(ch.isalnum() or ch == " " for ch in out)
+        for token in prepare(raw, NO_STOPS):
+            assert token and all(ch.isalnum() for ch in token)
 
 
 class TestTokenize:
+    """``prepare`` splits into tokens and keeps every occurrence."""
+
     def test_empty(self):
-        assert tokenize("") == []
+        assert prepare("", NO_STOPS) == []
 
     def test_split(self):
-        assert tokenize("i am honest") == ["i", "am", "honest"]
+        assert prepare("i am honest", NO_STOPS) == ["i", "am", "honest"]
 
     def test_duplicates_preserved(self):
         # occurrence counts are needed downstream
-        assert tokenize("a a b") == ["a", "a", "b"]
+        assert prepare("a a b", NO_STOPS) == ["a", "a", "b"]
 
 
 class TestRemoveStopwords:
+    """``prepare`` drops the tokens in ``stops`` and keeps the others in order."""
+
     def test_against_default_list(self):
-        assert remove_stopwords(["i", "am", "honest"]) == ["honest"]
+        assert prepare("i am honest") == ["honest"]
 
     def test_empty_input(self):
-        assert remove_stopwords([], DEFAULT_STOPWORDS) == []
+        assert prepare("", DEFAULT_STOPWORDS) == []
 
     def test_no_stopwords_is_identity(self):
-        assert remove_stopwords(["honest", "honest"], frozenset()) == [
-            "honest",
-            "honest",
-        ]
+        assert prepare("honest honest", NO_STOPS) == ["honest", "honest"]
 
     @given(st.lists(st.sampled_from(["i", "am", "a", "honest", "kind", "lazy"])))
     def test_subsequence_and_clean(self, tokens):
-        out = remove_stopwords(tokens, DEFAULT_STOPWORDS)
+        out = prepare(" ".join(tokens), DEFAULT_STOPWORDS)
         assert not set(out) & DEFAULT_STOPWORDS
         # survivors keep their relative order
         it = iter(tokens)
@@ -112,16 +109,12 @@ class TestTokenGrammar:
 
     @given(any_text)
     def test_normalize_matches_per_character_definition(self, raw):
-        assert normalize_text(raw) == reference_paths.normalize_text(raw)
+        assert " ".join(prepare(raw, NO_STOPS)) == reference_paths.normalize_text(raw)
 
     @given(any_text, st.frozensets(st.sampled_from(["a1", "ss", "σ", "the", "i"])))
     def test_prepare_matches_per_character_definition(self, raw, stops):
         assert prepare(raw) == reference_paths.prepare(raw)
         assert prepare(raw, stops) == reference_paths.prepare(raw, stops)
-
-    @given(any_text)
-    def test_prepare_composes_the_public_stages(self, raw):
-        assert prepare(raw) == remove_stopwords(tokenize(normalize_text(raw)))
 
 
 class TestLoadStopwords:
