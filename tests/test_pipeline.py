@@ -323,16 +323,120 @@ def cli_child(*argv: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_benchmark_tracer_finds_every_name_it_wraps():
+class TestStdout:
+    """The exact stdout of every command on a small input, with the --out
+    path written as OUT."""
+
+    def outputs(self, tmp_path, capsys):
+        lines = [json.dumps(record(i)) for i in range(4)]
+        lines += [json.dumps(record(4, about_me=None)),
+                  json.dumps(record(5, about_me="i am the and of to")), "{broken"]
+        profiles, corpus = tmp_path / "profiles.jsonl", tmp_path / "corpus.jsonl"
+        profiles.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_corpus(corpus)
+        full, staged = tmp_path / "full", tmp_path / "staged"
+        outputs = {}
+        for argv, out in (
+            (["run", "--input", str(profiles), "--corpus", str(corpus),
+              "--ref-date", "2015-06-01"], full),
+            (["ingest", "--input", str(profiles)], staged),
+            (["classify", "--input", str(staged / "accepted.jsonl"), "--corpus", str(corpus)],
+             staged),
+            (["bin", "--input", str(staged / "classified.jsonl"), "--ref-date", "2015-06-01"],
+             staged),
+            (["arff", "--input", str(staged / "binned.jsonl")], staged),
+            (["report", "--input", str(staged / "binned.jsonl")], staged),
+        ):
+            capsys.readouterr()
+            assert main([*argv, "--out", str(out)]) == 0, argv[0]
+            outputs[argv[0]] = capsys.readouterr().out.replace(str(out), "OUT")
+        return outputs
+
+    def test_every_command(self, tmp_path, capsys):
+        assert self.outputs(tmp_path, capsys) == {
+            "run": "ingested: 6\naccepted: 5\nrejected: 1\nmalformed: 1\nclassified: 4\n"
+                   "unclassifiable: 1\nartifacts: 40 under OUT\n",
+            "ingest": "accepted: 5\nrejected: 1\nmalformed: 1\n",
+            "classify": "classified: 4\nunclassifiable: 1\n",
+            "bin": "binned: 5\n",
+            "arff": "wrote OUT/dataset.arff\n",
+            "report": "wrote 35 report artifacts under OUT\n",
+        }
+
+    @pytest.mark.parametrize("command", [None, "run", "ingest", "classify", "bin", "arff", "report"])
+    def test_help_exits_0(self, capsys, command):
+        with pytest.raises(SystemExit) as exit:
+            main([command, "--help"] if command else ["--help"])
+        assert exit.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: socialminer")
+
+
+# Run in a child with perfbench/ on the path: instrument the package as the
+# benchmark does, run `run` and the five subcommands, then print how many
+# spans each name got and the tracer's counters.
+TRACED_COMMANDS = """
+import contextlib, io, json, sys
+from collections import Counter
+from pathlib import Path
+from tracer import Tracer, instrument
+from socialminer import cli
+from socialminer.synth import make_corpus_records, make_profile_records, write_jsonl
+
+tracer = Tracer("t")
+instrument(tracer)
+tmp = Path(sys.argv[1])
+profiles, corpus = tmp / "profiles.jsonl", tmp / "corpus.jsonl"
+write_jsonl(profiles, make_profile_records(12, seed=1) + [{"id": "x", "wall_count": 1}])
+write_jsonl(corpus, make_corpus_records(docs_per_class=3))
+full, staged = tmp / "full", tmp / "staged"
+steps = (
+    ["run", "--input", profiles, "--corpus", corpus, "--ref-date", "2015-06-01", "--out", full],
+    ["ingest", "--input", profiles, "--out", staged],
+    ["classify", "--input", staged / "accepted.jsonl", "--corpus", corpus, "--out", staged],
+    ["bin", "--input", staged / "classified.jsonl", "--ref-date", "2015-06-01", "--out", staged],
+    ["arff", "--input", staged / "binned.jsonl", "--out", staged],
+    ["report", "--input", staged / "binned.jsonl", "--out", staged],
+)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main([str(arg) for arg in argv]) for argv in steps]
+spans = Counter(span[0] for span in tracer.spans)
+print(json.dumps({"codes": codes, "spans": spans, "counts": tracer.counts}, sort_keys=True))
+"""
+
+# What the benchmark's spans and counters read for TRACED_COMMANDS: each of
+# `run` and the subcommands calls every stage once, `run` keeps its profiles
+# in memory, and the four later subcommands read their input back.
+TRACED_SPANS = {
+    "arff.build_dataset": 2, "arff.emit_arff": 2, "features.select_features": 24,
+    "features.term_counts": 84, "ingest.load_corpus": 4, "ingest.load_profiles": 2,
+    "ingest.persist_corpus": 6, "ingest.validate_and_filter": 2,
+    "io_utils.atomic_write_text": 89, "knn.classify_text": 24, "knn.knn_classify": 24,
+    "knn.load_sample_corpus": 2, "pipeline.run_pipeline": 1, "pipeline.stage_arff": 2,
+    "pipeline.stage_bin": 2, "pipeline.stage_classify": 2, "pipeline.stage_ingest": 2,
+    "pipeline.stage_report": 2, "report.aggregate": 10, "report.render": 76,
+    "textprep.prepare": 84,
+}
+TRACED_COUNTS = {
+    "arff.bytes": 2398, "ingest.load_corpus.bytes": 26844, "ingest.persist_corpus.bytes": 38626,
+    "ingest.rejected": 2, "io_utils.atomic_write_text.bytes": 169569, "knn.corpus_docs": 60,
+    "knn.rows_voted": 120, "knn.unclassifiable": 0, "report.artifacts": 78,
+}
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
     """``perfbench/tracer.py`` wraps package functions by module attribute
-    name; a renamed or removed one fails ``instrument`` with AttributeError."""
+    name; a renamed or removed one fails ``instrument`` with AttributeError.
+    A wrapped name the package no longer calls through its module attribute
+    (say, a function object kept in a table) changes the span counts."""
     root = Path(__file__).parent.parent
     path = os.pathsep.join([str(root / "perfbench"), str(root / "src")])
     result = subprocess.run(
-        [sys.executable, "-c", "from tracer import Tracer, instrument; instrument(Tracer('t'))"],
+        [sys.executable, "-c", TRACED_COMMANDS, str(tmp_path)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert (result.returncode, result.stderr) == (0, "")
+    traced = json.loads(result.stdout)
+    assert traced == {"codes": [0] * 6, "spans": TRACED_SPANS, "counts": TRACED_COUNTS}
 
 
 # JSON lines that json.loads refuses with an error other than
