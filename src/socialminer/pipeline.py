@@ -1,7 +1,7 @@
-"""Orchestrate the full flow: ingest, classify, bin, ARFF emission and
-reports. Every stage persists its output under the run's output directory so
-stages can also be run (and re-run) one at a time; identical inputs and
-configuration produce byte-identical output trees."""
+"""Orchestrate the full flow: one table of stages (``STAGES``) and one
+runner (``run_stages``). Every stage persists its output under the run's
+output directory so stages can also be run (and re-run) one at a time;
+identical inputs and configuration produce byte-identical output trees."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .arff import build_dataset, emit_arff
 from .binning import (
@@ -21,9 +21,8 @@ from .binning import (
     bin_music_share,
     bin_wall_count,
 )
-from .errors import ParameterError
+from .errors import DomainError, ParameterError
 from .ingest import (
-    ParseIssue,
     Profile,
     RejectionReport,
     load_profiles,
@@ -32,7 +31,7 @@ from .ingest import (
     validate_and_filter,
 )
 from .io_utils import atomic_write_text, batches, make_output_dir
-from .knn import ClassLabel, CorpusIndex, SampleDocument, classify_text, load_sample_corpus
+from .knn import ClassLabel, CorpusIndex, classify_text, load_sample_corpus
 from .report import aggregate, compare, emit_chart, emit_comparison_chart, emit_table, tally
 from .textprep import DEFAULT_STOPWORDS, load_stopwords
 
@@ -60,31 +59,37 @@ def _group_slug(population: str) -> str:
 
 @dataclass
 class RunConfig:
+    """The options of one command. ``run`` takes them all; a stage
+    subcommand takes those of its row in ``STAGES``, and the others keep
+    their defaults."""
+
     input_path: Path
-    corpus_path: Path
-    reference_date: date
     output_dir: Path
+    corpus_path: Optional[Path] = None
+    reference_date: Optional[date] = None
     stopword_path: Optional[Path] = None
     n_features: int = 50
     k: int = 5
     gap_policy: GapPolicy = GapPolicy.FIVE_IS_LOW
     run_id: str = "run"
 
+    def __post_init__(self) -> None:
+        self.gap_policy = GapPolicy(self.gap_policy)
+
     def validate(self) -> None:
-        if self.n_features < 1:
-            raise ParameterError(f"n_features must be >= 1, got {self.n_features}")
-        if self.k < 1:
-            raise ParameterError(f"k must be >= 1, got {self.k}")
-        for name, value in (("input", self.input_path), ("corpus", self.corpus_path)):
-            if not str(value):
-                raise ParameterError(f"{name} path must be non-empty")
-        if not str(self.output_dir):
-            raise ParameterError("output directory must be non-empty")
+        """What ``run`` checks before it makes the output directory."""
+        for name, value in (("input path", self.input_path), ("corpus path", self.corpus_path),
+                            ("output directory", self.output_dir)):
+            if not str(value or ""):
+                raise ParameterError(f"{name} must be non-empty")
         check_run_id(self.run_id)
 
 
 @dataclass
 class RunSummary:
+    """The counts the stages run so far returned, and the files they wrote.
+    Every stage counts the accepted profiles it handled."""
+
     accepted: int = 0
     rejected: int = 0
     malformed: int = 0
@@ -113,48 +118,76 @@ class RunSummary:
         }
 
 
-def stage_ingest(
-    input_path: Path, out_dir: Path, keep: bool = False
-) -> tuple[Optional[list[Profile]], RejectionReport, list[ParseIssue]]:
-    """Load, validate and persist the accepted corpus, one batch at a time,
-    then write the rejection report of the whole file. With ``keep`` (as
-    ``run`` does) every record is read and checked before anything is
-    written, and the accepted profiles are returned instead of None."""
-    raws, issues = load_profiles(input_path)
+@dataclass(frozen=True)
+class Stage:
+    """One step of the chain. ``run_stages`` calls ``stage_<name>`` of this
+    module, looked up when it is called. ``reads`` is the stage file its
+    subcommand reads (None: the raw profiles), ``writes`` the files it
+    always writes, ``options`` the ``RunConfig`` fields it takes beside the
+    input and output paths, and ``prints`` its subcommand's stdout, filled
+    from the ``RunSummary``'s counts, ``artifacts`` (how many files were
+    written), ``files`` (their paths) and ``out``."""
+
+    name: str
+    help: str
+    reads: Optional[str]
+    writes: tuple[str, ...]
+    options: tuple[str, ...]
+    prints: str
+
+
+STAGES = (
+    Stage("ingest", "load, validate and persist profiles", None,
+          (ACCEPTED_FILE, REJECTIONS_FILE), (),
+          "accepted: {accepted}\nrejected: {rejected}\nmalformed: {malformed}"),
+    Stage("classify", "classify an ingested corpus", ACCEPTED_FILE, (CLASSIFIED_FILE,),
+          ("corpus_path", "stopword_path", "n_features", "k"),
+          "classified: {classified}\nunclassifiable: {unclassifiable}"),
+    Stage("bin", "bin a classified corpus", CLASSIFIED_FILE, (BINNED_FILE,),
+          ("reference_date", "gap_policy"), "binned: {accepted}"),
+    Stage("arff", "emit the ARFF dataset", BINNED_FILE, (ARFF_FILE,), (), "wrote {files[0]}"),
+    Stage("report", "emit distribution tables and charts", BINNED_FILE, (), ("run_id",),
+          "wrote {artifacts} report artifacts under {out}"),
+)
+
+
+def stage_ingest(profiles: Optional[list[Profile]], config: RunConfig, out_dir: Path) -> dict:
+    """Load and validate the raw profiles, persist the accepted ones one
+    batch at a time, then write the rejection report of the whole file.
+    Ingest reads no profiles: given a list (as ``run`` does), it collects
+    the accepted profiles in it, so every record is read and checked before
+    anything is written; given None, it streams them."""
+    raws, issues = load_profiles(config.input_path)
     report = RejectionReport()
 
     def accepted() -> Iterator[Profile]:
         for batch in batches(raws):
-            profiles, batch_report = validate_and_filter(batch)
+            batch_profiles, batch_report = validate_and_filter(batch)
             report.rejected += batch_report.rejected
             report.accepted_count += batch_report.accepted_count
-            yield from profiles
+            yield from batch_profiles
 
-    profiles = accepted()
-    if keep:
-        profiles = list(profiles)
-    persist_corpus(profiles, out_dir / ACCEPTED_FILE)
+    if profiles is not None:
+        profiles.extend(accepted())
+    persist_corpus(accepted() if profiles is None else profiles, out_dir / ACCEPTED_FILE)
     record = report.to_record()
     record["malformed_lines"] = [
         {"line_no": issue.line_no, "message": issue.message} for issue in issues
     ]
     atomic_write_text(out_dir / REJECTIONS_FILE, json.dumps(record, indent=2) + "\n")
-    return (profiles if keep else None), report, issues
+    return {"accepted": report.accepted_count, "rejected": report.rejected_count,
+            "malformed": len(issues)}
 
 
-def stage_classify(
-    profiles: Iterable[Profile],
-    corpus: Sequence[SampleDocument],
-    n_features: int,
-    k: int,
-    stopwords: frozenset[str],
-    out_dir: Path,
-) -> tuple[int, int]:
+def stage_classify(profiles: Iterable[Profile], config: RunConfig, out_dir: Path) -> dict:
     """Label every profile's about_me text and persist it, one batch at a
-    time (``persist_corpus``); returns (classified, unclassifiable). The
-    corpus is indexed once, and k and n_features are checked before any
+    time (``persist_corpus``). The stopwords and the sample corpus are
+    loaded and indexed once, and k and n_features are checked before any
     profile is read, so a bad value fails even when there are no profiles."""
-    index = CorpusIndex.build(corpus)
+    path = config.stopword_path
+    stopwords = DEFAULT_STOPWORDS if path is None else load_stopwords(path)
+    index = CorpusIndex.build(load_sample_corpus(config.corpus_path, stopwords))
+    n_features, k = config.n_features, config.k
     index.check_k(k)
     if n_features < 1:
         raise ParameterError(f"n_features={n_features} must be >= 1")
@@ -168,21 +201,24 @@ def stage_classify(
             unclassifiable += 1
 
     written = persist_corpus(profiles, out_dir / CLASSIFIED_FILE, classify_one)
-    return written - unclassifiable, unclassifiable
+    return {"accepted": written, "unclassifiable": unclassifiable}
 
 
-def stage_bin(
-    profiles: Iterable[Profile],
-    reference_date: date,
-    gap_policy: GapPolicy,
-    out_dir: Path,
-) -> int:
+def stage_bin(profiles: Iterable[Profile], config: RunConfig, out_dir: Path) -> dict:
     """Derive age ranges and group classes for every profile and persist
-    it, one batch at a time (``persist_corpus``); returns the number of
-    profiles binned."""
+    it, one batch at a time (``persist_corpus``). A birthday that is not a
+    YYYY-MM-DD date, which ingest would have rejected, fails the stage."""
+    reference_date, gap_policy = config.reference_date, config.gap_policy
 
     def bin_one(profile: Profile) -> None:
-        birthday = parse_birthday(profile.birthday) if profile.birthday else None
+        birthday = None
+        if profile.birthday is not None:
+            birthday = parse_birthday(profile.birthday)
+            if birthday is None:
+                raise DomainError(
+                    f"profile {profile.record_id!r}: birthday {profile.birthday!r}"
+                    " is not a YYYY-MM-DD date"
+                )
         profile.age_range = age_range(age_from_birthday(birthday, reference_date))
         profile.wall_count_class = bin_wall_count(profile.wall_count)
         profile.music_share_class = bin_music_share(profile.music_count, gap_policy)
@@ -190,12 +226,13 @@ def stage_bin(
             profile.activity_interest_count, gap_policy
         )
 
-    return persist_corpus(profiles, out_dir / BINNED_FILE, bin_one)
+    return {"accepted": persist_corpus(profiles, out_dir / BINNED_FILE, bin_one)}
 
 
-def stage_arff(profiles: Iterable[Profile], out_dir: Path) -> None:
+def stage_arff(profiles: Iterable[Profile], config: RunConfig, out_dir: Path) -> dict:
     """Write the ARFF dataset; its text is built whole before it is written."""
     atomic_write_text(out_dir / ARFF_FILE, emit_arff(build_dataset(profiles)))
+    return {}
 
 
 def check_run_id(run_id: str) -> None:
@@ -205,11 +242,13 @@ def check_run_id(run_id: str) -> None:
         raise ParameterError(f"bad run id {run_id!r}: it must name one directory")
 
 
-def stage_report(profiles: Iterable[Profile], out_dir: Path, run_id: str) -> list[dict]:
+def stage_report(profiles: Iterable[Profile], config: RunConfig, out_dir: Path) -> list[dict]:
     """Write distribution tables and charts: pie charts of personality
     classes per age range, per-gender line charts, and male/female
     comparison charts for every binned measure. The profiles are counted in
-    one pass before any file is written."""
+    one pass before any file is written. Returns the manifest: one entry
+    per file written."""
+    run_id = config.run_id
     check_run_id(run_id)
     base = out_dir / "reports" / run_id
     artifacts: list[dict] = []
@@ -281,36 +320,39 @@ def failure_marker(out_dir: Path) -> Iterator[None]:
         raise
 
 
-def run_pipeline(config: RunConfig) -> RunSummary:
-    """Run every stage in order, under a failure marker."""
-    config.validate()
+def run_stages(
+    config: RunConfig,
+    stages: Sequence[Stage] = STAGES,
+    read: Optional[Callable[[Path], Iterable[Profile]]] = None,
+) -> RunSummary:
+    """Make the output directory, then run ``stages`` in table order under
+    one failure marker. A stage subcommand passes ``read``, through which
+    its stage reads the ``--input`` file. Without it, the profiles ingest
+    accepts stay in memory from stage to stage, and ``summary.json`` is
+    written last. A stage returns a dict of counts, or (report) the list of
+    the files it wrote."""
     out_dir = Path(config.output_dir)
     make_output_dir(out_dir)
     with failure_marker(out_dir):
-        stopwords = (
-            load_stopwords(config.stopword_path)
-            if config.stopword_path is not None
-            else DEFAULT_STOPWORDS
-        )
-        corpus = load_sample_corpus(config.corpus_path, stopwords)
-
-        profiles, report, issues = stage_ingest(Path(config.input_path), out_dir, keep=True)
-        _, unclassifiable = stage_classify(
-            profiles, corpus, config.n_features, config.k, stopwords, out_dir
-        )
-        stage_bin(profiles, config.reference_date, config.gap_policy, out_dir)
-        stage_arff(profiles, out_dir)
-        report_artifacts = stage_report(profiles, out_dir, config.run_id)
-
-        summary = RunSummary(
-            accepted=report.accepted_count,
-            rejected=report.rejected_count,
-            malformed=len(issues),
-            unclassifiable=unclassifiable,
-            artifacts=[ACCEPTED_FILE, REJECTIONS_FILE, CLASSIFIED_FILE, BINNED_FILE, ARFF_FILE]
-            + [entry["path"] for entry in report_artifacts],
-        )
-        atomic_write_text(
-            out_dir / SUMMARY_FILE, json.dumps(summary.to_record(), indent=2) + "\n"
-        )
+        summary = RunSummary()
+        profiles = None if read else []
+        for stage in stages:
+            if read is not None and stage.reads is not None:
+                profiles = read(config.input_path)
+            result = globals()[f"stage_{stage.name}"](profiles, config, out_dir)
+            summary.artifacts += stage.writes
+            if isinstance(result, dict):
+                vars(summary).update(result)
+            else:
+                summary.artifacts += [entry["path"] for entry in result]
+        if read is None:
+            atomic_write_text(
+                out_dir / SUMMARY_FILE, json.dumps(summary.to_record(), indent=2) + "\n"
+            )
         return summary
+
+
+def run_pipeline(config: RunConfig) -> RunSummary:
+    """Check the options, then run every stage in order on the raw profiles."""
+    config.validate()
+    return run_stages(config)

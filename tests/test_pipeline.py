@@ -16,7 +16,6 @@ from socialminer import knn
 from socialminer.errors import DomainError, ParameterError, StorageError
 from socialminer.knn import load_sample_corpus
 from socialminer.pipeline import RunConfig, run_pipeline, stage_classify, stage_ingest
-from socialminer.textprep import DEFAULT_STOPWORDS
 from socialminer.synth import make_corpus_records, make_profile_records, write_jsonl
 
 from arff_oracle import parse_arff
@@ -157,7 +156,9 @@ class TestStageClassify:
     def test_index_built_once_per_stage(self, tmp_path, monkeypatch):
         write_jsonl(tmp_path / "profiles.jsonl", [record(i) for i in range(7)])
         write_corpus(tmp_path / "corpus.jsonl")
-        profiles, _, _ = stage_ingest(tmp_path / "profiles.jsonl", tmp_path, keep=True)
+        config = config_for(tmp_path)
+        profiles = []
+        stage_ingest(profiles, config, tmp_path)
         corpus = load_sample_corpus(tmp_path / "corpus.jsonl")
         builds = []
         build = knn.CorpusIndex.build
@@ -167,16 +168,17 @@ class TestStageClassify:
             return build(corpus)
 
         monkeypatch.setattr(knn.CorpusIndex, "build", counting_build)
-        assert stage_classify(profiles, corpus, 50, 5, DEFAULT_STOPWORDS, tmp_path) == (7, 0)
+        assert stage_classify(profiles, config, tmp_path) == {"accepted": 7, "unclassifiable": 0}
         assert builds == [len(corpus)]
 
     def test_k_checked_before_any_text(self, tmp_path):
         write_jsonl(tmp_path / "profiles.jsonl", [record(0, about_me="i am the and of to")])
         write_corpus(tmp_path / "corpus.jsonl")
-        profiles, _, _ = stage_ingest(tmp_path / "profiles.jsonl", tmp_path, keep=True)
+        profiles = []
+        stage_ingest(profiles, config_for(tmp_path), tmp_path)
         corpus = load_sample_corpus(tmp_path / "corpus.jsonl")
         with pytest.raises(ParameterError):
-            stage_classify(profiles, corpus, 50, len(corpus) + 1, DEFAULT_STOPWORDS, tmp_path)
+            stage_classify(profiles, config_for(tmp_path, k=len(corpus) + 1), tmp_path)
         assert not (tmp_path / "classified.jsonl").exists()
 
     def test_k_above_corpus_fails_run_on_stopword_texts(self, tmp_path, capsys):
@@ -563,6 +565,52 @@ class TestBadInputEndsCleanly:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert (out / "FAILED").read_text(encoding="utf-8") == f"StorageError: {message}\n"
 
+    @pytest.mark.parametrize("birthday", ["2015-02-30", "not a date", ""])
+    def test_stage_birthday_that_ingest_would_reject(self, tmp_path, capsys, birthday):
+        out = self.staged(tmp_path)
+        assert self.classify(tmp_path, out) == 0
+        classified = out / "classified.jsonl"
+        lines = classified.read_text(encoding="utf-8").splitlines(keepends=True)
+        broken = json.loads(lines[1])
+        broken["birthday"] = birthday
+        lines[1] = json.dumps(broken) + "\n"
+        classified.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main(
+            ["bin", "--input", str(classified), "--ref-date", "2015-06-01", "--out", str(out)]
+        ) == 1
+        message = f"profile 'u1': birthday {birthday!r} is not a YYYY-MM-DD date"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert (out / "FAILED").read_text(encoding="utf-8") == f"DomainError: {message}\n"
+        assert not (out / "binned.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--input", "", "--corpus", "c.jsonl", "--ref-date", "2015-06-01", "--out", "o"],
+         ["run", "--input", "p.jsonl", "--corpus", "", "--ref-date", "2015-06-01", "--out", "o"],
+         ["run", "--input", "p.jsonl", "--corpus", "c.jsonl", "--stopwords", "",
+          "--ref-date", "2015-06-01", "--out", "o"],
+         ["run", "--input", "p.jsonl", "--corpus", "c.jsonl", "--ref-date", "2015-06-01",
+          "--out", ""],
+         ["ingest", "--input", "", "--out", ""],
+         ["classify", "--input", "accepted.jsonl", "--corpus", "", "--out", "o"],
+         ["report", "--input", "binned.jsonl", "--out", ""]],
+        ids=["run-input", "run-corpus", "run-stopwords", "run-out", "ingest", "classify", "report"],
+    )
+    def test_empty_path_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        # Path("") is ".", so an empty --out would write into the working
+        # directory and an empty --input would read it.
+        write_jsonl(tmp_path / "p.jsonl", [record(i) for i in range(3)])
+        write_corpus(tmp_path / "c.jsonl")
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as exit:
+            main(argv)
+        assert exit.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: socialminer") and "the path must be non-empty" in err
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_raw_line_separators_stay_inside_a_profile_text(self, tmp_path):
         write_corpus(tmp_path / "corpus.jsonl")
         about = "truthful\u2028genuine\u2029integrity\x85fair"
@@ -905,6 +953,14 @@ class TestFilesAfterFailure:
         assert self.run(tmp_path, out, "--k", "1000") == 1
         assert sorted(tree_bytes(out)) == ["FAILED", "accepted.jsonl", "rejections.json"]
         assert (out / "FAILED").read_text().startswith("ParameterError: ")
+
+    def test_missing_corpus_in_run_keeps_ingest_files(self, tmp_path):
+        self.inputs(tmp_path)
+        (tmp_path / "corpus.jsonl").unlink()
+        out = tmp_path / "run"
+        assert self.run(tmp_path, out) == 1
+        assert sorted(tree_bytes(out)) == ["FAILED", "accepted.jsonl", "rejections.json"]
+        assert (out / "FAILED").read_text().startswith("StorageError: cannot read sample corpus")
 
     @pytest.mark.parametrize(
         "command,input_name",

@@ -12,7 +12,7 @@ from socialminer.binning import AgeRange, ShareClass, WallCountClass
 from socialminer.errors import ChartError, ReportError
 from socialminer.ingest import Gender, Profile
 from socialminer.knn import ClassLabel
-from socialminer.pipeline import stage_report
+from socialminer.pipeline import RunConfig, stage_report
 from socialminer.report import (
     Distribution,
     aggregate,
@@ -272,7 +272,8 @@ class TestReportDigests:
     tests/data/report_digests.json."""
 
     def test_report_tree_matches_recorded_digests(self, tmp_path):
-        artifacts = stage_report(DIGEST_PROFILES, tmp_path, "digests")
+        config = RunConfig(input_path=tmp_path / "binned.jsonl", output_dir=tmp_path, run_id="digests")
+        artifacts = stage_report(DIGEST_PROFILES, config, tmp_path)
         base = tmp_path / "reports" / "digests"
         digests = {
             path.relative_to(base).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
