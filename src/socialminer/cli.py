@@ -14,11 +14,8 @@ from .binning import GapPolicy
 from .errors import SocialMinerError
 from .ingest import load_corpus
 from .knn import load_sample_corpus  # noqa: F401 (perfbench/tracer.py wraps cli.load_sample_corpus)
+from .pipeline import STAGES, RunConfig, run_pipeline, run_stages
 from .pipeline import (  # noqa: F401 (perfbench/tracer.py wraps cli.stage_*)
-    STAGES,
-    RunConfig,
-    run_pipeline,
-    run_stages,
     stage_arff,
     stage_bin,
     stage_classify,

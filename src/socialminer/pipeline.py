@@ -79,7 +79,8 @@ class RunConfig:
     def validate(self) -> None:
         """What ``run`` checks before it makes the output directory."""
         for name, value in (("input path", self.input_path), ("corpus path", self.corpus_path),
-                            ("output directory", self.output_dir)):
+                            ("output directory", self.output_dir),
+                            ("reference date", self.reference_date)):
             if not str(value or ""):
                 raise ParameterError(f"{name} must be non-empty")
         check_run_id(self.run_id)

@@ -1,7 +1,8 @@
 """``cli.main`` on hostile byte files in each reader's role: the profiles of
-``run``, the ``accepted.jsonl`` of ``classify`` and the sample corpus of
-``classify``. Every file ends in exit code 0 or 1, never in an exception, and
-a FAILED marker exists exactly when the exit code is 1."""
+``run``, the stage file each of ``classify``, ``bin``, ``arff`` and ``report``
+reads, and the sample corpus and ``--stopwords`` file of ``classify``. Every
+file ends in exit code 0 or 1, never in an exception, and a FAILED marker
+exists exactly when the exit code is 1."""
 
 import contextlib
 import io
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from socialminer.binning import AgeRange, ShareClass, WallCountClass
 from socialminer.cli import main
 from socialminer.ingest import Gender, Profile, _encode_record
 from socialminer.knn import ClassLabel
@@ -40,6 +42,20 @@ stage_lines = st.builds(
     wall_count=st.integers(0, 99), music_count=st.integers(0, 9),
     activity_interest_count=st.integers(0, 9),
 ).map(lambda profile: escaped(_encode_record(profile.to_record())))
+# A later stage file: the birthdays ingest accepts and those it rejects, and
+# each class present or absent.
+binned_lines = st.builds(
+    Profile, record_id=ids, about_me=texts, gender=st.sampled_from(Gender),
+    wall_count=st.integers(0, 99), music_count=st.integers(0, 9),
+    activity_interest_count=st.integers(0, 9),
+    birthday=st.none() | st.sampled_from(["1990-01-15", "2030-01-01", "2015-02-30", "not a date", ""]),
+    about_me_class=st.none() | st.sampled_from(ClassLabel),
+    age_range=st.none() | st.sampled_from(AgeRange),
+    wall_count_class=st.none() | st.sampled_from(WallCountClass),
+    music_share_class=st.none() | st.sampled_from(ShareClass),
+    activity_interest_class=st.none() | st.sampled_from(ShareClass),
+).map(lambda profile: escaped(_encode_record(profile.to_record())))
+stopword_lines = st.one_of(texts, st.sampled_from(["# honest", "HONEST", "kind"])).map(escaped)
 sample_lines = st.fixed_dictionaries(
     {"id": st.sampled_from(["s1", "s2", "s3", "s4", LONE]),
      "label": st.sampled_from([label.value for label in ClassLabel]), "text": texts},
@@ -115,6 +131,33 @@ def test_stage_file_of_classify(base, data):
 def test_sample_corpus_of_classify(base, data):
     exit_code_and_marker_agree(
         lambda path, out: ["classify", "--input", str(base / "accepted.jsonl"), "--corpus", path,
+                           "--k", "1", "--out", out],
+        base, data,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=byte_files(binned_lines))
+def test_stage_file_of_bin(base, data):
+    exit_code_and_marker_agree(
+        lambda path, out: ["bin", "--input", path, "--ref-date", "2015-06-01", "--out", out],
+        base, data,
+    )
+
+
+@pytest.mark.parametrize("command", ["arff", "report"])
+@settings(max_examples=60, deadline=None)
+@given(data=byte_files(binned_lines))
+def test_stage_file_of_arff_and_report(base, command, data):
+    exit_code_and_marker_agree(lambda path, out: [command, "--input", path, "--out", out], base, data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=byte_files(stopword_lines))
+def test_stopwords_of_classify(base, data):
+    exit_code_and_marker_agree(
+        lambda path, out: ["classify", "--input", str(base / "accepted.jsonl"),
+                           "--corpus", str(base / "corpus.jsonl"), "--stopwords", path,
                            "--k", "1", "--out", out],
         base, data,
     )
