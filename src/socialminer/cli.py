@@ -90,8 +90,8 @@ def main(argv=None) -> int:
     try:
         if command == "run":
             summary = run_pipeline(config)
-            text = "".join(f"{name}: {{{name}}}\n" for name in summary.to_record()["counts"])
-            text += "artifacts: {artifacts} under {out}"
+            lines = [f"{name}: {value}" for name, value in summary.to_record()["counts"].items()]
+            text = "\n".join(lines + ["artifacts: {artifacts} under {out}"])
         else:
             stage = next(stage for stage in STAGES if stage.name == command)
             summary = run_stages(config, (stage,), read=load_corpus)
