@@ -10,7 +10,6 @@ fields, is written atomically, and holds no other key when read back.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
@@ -37,7 +36,6 @@ REASON_BAD_BIRTHDAY = "BAD_BIRTHDAY"
 _TEXT_KEYS = ("birthday", "about_me", "activities", "gender", "interests", "political")
 _INT_KEYS = ("wall_count", "music_count")
 _INPUT_KEY_SET = frozenset(("id", *_TEXT_KEYS, *_INT_KEYS))
-_ISO_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 
 # The keys of a stage-file record beside id, about_me and gender, in the
 # order of Profile's fields.
@@ -54,21 +52,6 @@ class ParseIssue:
 
     line_no: int
     message: str
-
-
-@dataclass
-class RawProfile:
-    """One input record exactly as parsed; nothing validated beyond types."""
-
-    record_id: str
-    birthday: Optional[str] = None
-    about_me: Optional[str] = None
-    activities: Optional[str] = None
-    gender: Optional[str] = None
-    interests: Optional[str] = None
-    wall_count: Optional[int] = None
-    political: Optional[str] = None
-    music_count: Optional[int] = None
 
 
 @dataclass
@@ -125,7 +108,8 @@ class Profile:
         """Inverse of ``to_record``. A key ``to_record`` never writes raises
         ValueError, a missing key KeyError, a value of the wrong type
         TypeError, and a value outside its enumeration (null included), an
-        empty id or a negative count ValueError."""
+        empty id or a record ingest would reject (``rejection_reason``)
+        ValueError."""
         if not _STAGE_KEYS.issuperset(record):
             raise ValueError(f"unknown keys: {sorted(record.keys() - _STAGE_KEYS)}")
         if type(record["id"]) is not str or type(record["about_me"]) is not str:
@@ -137,8 +121,6 @@ class Profile:
             value = record[key]
             if type(value) is not int:
                 raise TypeError(f"{key} must be an integer, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{key} must be >= 0, got {value}")
             fields.append(value)
         get = record.get
         for key in _OPTIONAL_TEXT_KEYS:
@@ -146,6 +128,9 @@ class Profile:
             if value is not None and type(value) is not str:
                 raise TypeError(f"{key} must be a string, got {value!r}")
             fields.append(value)
+        reason = rejection_reason(record)
+        if reason is not None:
+            raise ValueError(f"ingest would reject it: {reason}")
         gender = _decode(Gender, record["gender"])
         for key, enum_type in _CLASS_KEYS.items():
             fields.append(_decode(enum_type, record[key]) if key in record else None)
@@ -169,27 +154,13 @@ def _decode(enum_type, value):
 
 @dataclass
 class RejectionReport:
-    """Which records were filtered out and why. Totality: accepted plus
-    rejected equals the number of input records."""
+    """The (id, reason) of each record ``validate_and_filter`` filtered out.
+    Totality: with the profiles it accepted, they are all of its input."""
 
     rejected: list[tuple[str, str]] = field(default_factory=list)
-    accepted_count: int = 0
-
-    @property
-    def rejected_count(self) -> int:
-        return len(self.rejected)
-
-    def to_record(self) -> dict:
-        return {
-            "accepted_count": self.accepted_count,
-            "rejected_count": self.rejected_count,
-            "rejected": [
-                {"id": record_id, "reason": reason} for record_id, reason in self.rejected
-            ],
-        }
 
 
-def _parse_record_line(line: str) -> RawProfile:
+def _parse_record_line(line: str) -> dict:
     record = json_object(line)
     if not record.keys() <= _INPUT_KEY_SET:
         raise ValueError(f"unknown keys: {sorted(record.keys() - _INPUT_KEY_SET)}")
@@ -206,16 +177,16 @@ def _parse_record_line(line: str) -> RawProfile:
         value = get(key)
         if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
             raise ValueError(f"{key} must be an integer")
-    record["record_id"] = record.pop("id")
-    return RawProfile(**record)
+    return record
 
 
-def load_profiles(path: str | Path) -> tuple[Iterator[RawProfile], list[ParseIssue]]:
-    """Parse a JSON-lines file of records into RawProfiles, in input order,
-    one line at a time through ``io_utils.json_lines``.
+def load_profiles(path: str | Path) -> tuple[Iterator[dict], list[ParseIssue]]:
+    """Parse a JSON-lines file of records, in input order, one line at a time
+    through ``io_utils.json_lines``.
 
-    Returns an iterator of the profiles and the list of ParseIssues, which
-    fills as the iterator is consumed: lines that ``io_utils.json_object``
+    Returns an iterator of the decoded records, type-checked and holding
+    only the input keys, and the list of ParseIssues, which fills as the
+    iterator is consumed: lines that ``io_utils.json_object``
     refuses, or that hold other keys or types, become ParseIssues with their
     line number. The file is opened by the first ``next``; there an
     unreadable path raises StorageError. A duplicate id anywhere in the file
@@ -225,23 +196,27 @@ def load_profiles(path: str | Path) -> tuple[Iterator[RawProfile], list[ParseIss
     return _parse_lines(path, issues), issues
 
 
-def _parse_lines(path: str | Path, issues: list[ParseIssue]) -> Iterator[RawProfile]:
+def _parse_lines(path: str | Path, issues: list[ParseIssue]) -> Iterator[dict]:
     seen: set[str] = set()
     for line_no, line in json_lines(path):
         try:
-            raw = _parse_record_line(line)
+            record = _parse_record_line(line)
         except ValueError as exc:
             issues.append(ParseIssue(line_no, str(exc)))
             continue
-        if raw.record_id in seen:
-            raise DuplicateIdError(f"duplicate record id {raw.record_id!r} at line {line_no}")
-        seen.add(raw.record_id)
-        yield raw
+        record_id = record["id"]
+        if record_id in seen:
+            raise DuplicateIdError(f"duplicate record id {record_id!r} at line {line_no}")
+        seen.add(record_id)
+        yield record
 
 
 def parse_birthday(text: str) -> Optional[date]:
-    """ISO-8601 calendar date, or None when the text is not one."""
-    if not _ISO_DATE.match(text):
+    """ISO-8601 calendar date (YYYY-MM-DD), or None when the text is not one."""
+    # Enough to leave only YYYY-MM-DD: none of the other forms fromisoformat
+    # takes (20150101, 2015-W01-1, ...) is 10 characters long with "-" at
+    # positions 4 and 7, and it takes ASCII digits only.
+    if len(text) != 10 or text[4] != "-" or text[7] != "-":
         return None
     try:
         return date.fromisoformat(text)
@@ -265,51 +240,54 @@ def _normalize_gender(text: Optional[str]) -> Gender:
     return Gender.UNSPECIFIED
 
 
-def _rejection_reason(raw: RawProfile) -> Optional[str]:
-    if raw.about_me is None or not raw.about_me.strip():
+def rejection_reason(record: dict) -> Optional[str]:
+    """The record rule, shared by the profiles and the stage-file reader:
+    the ``rejections.json`` reason of a decoded, type-checked record, or
+    None. A record needs a non-blank about_me, both counts, no negative
+    count (``activity_interest_count`` is in stage files only) and, if it
+    has a birthday, a YYYY-MM-DD date."""
+    get = record.get
+    about_me = get("about_me")
+    if about_me is None or not about_me.strip():
         return REASON_MISSING_TEXT
-    if raw.wall_count is None or raw.music_count is None:
+    wall_count, music_count = get("wall_count"), get("music_count")
+    if wall_count is None or music_count is None:
         return REASON_MISSING_NUMERIC
-    if raw.wall_count < 0 or raw.music_count < 0:
+    if wall_count < 0 or music_count < 0 or get("activity_interest_count", 0) < 0:
         return REASON_NEGATIVE_NUMERIC
-    if raw.birthday is not None and parse_birthday(raw.birthday) is None:
+    birthday = get("birthday")
+    if birthday is not None and parse_birthday(birthday) is None:
         return REASON_BAD_BIRTHDAY
     return None
 
 
-def validate_and_filter(
-    raws: list[RawProfile],
-) -> tuple[list[Profile], RejectionReport]:
-    """Filter out erroneous and missing records; total over its input.
-
-    A record is accepted when it has a non-blank about_me, both numeric
-    counts present and non-negative, and a parseable birthday if one was
-    given at all. Gender is normalized case-insensitively; anything that is
-    not male or female becomes Unspecified.
-    """
+def validate_and_filter(records: list[dict]) -> tuple[list[Profile], RejectionReport]:
+    """Filter out the records ``rejection_reason`` gives a reason for; total
+    over its input. Gender is normalized case-insensitively; anything that
+    is not male or female becomes Unspecified."""
     accepted: list[Profile] = []
     report = RejectionReport()
-    for raw in raws:
-        reason = _rejection_reason(raw)
+    for record in records:
+        reason = rejection_reason(record)
         if reason is not None:
-            report.rejected.append((raw.record_id, reason))
+            report.rejected.append((record["id"], reason))
             continue
+        get = record.get
+        activities, interests = get("activities"), get("interests")
         accepted.append(
             Profile(
-                record_id=raw.record_id,
-                about_me=raw.about_me,
-                gender=_normalize_gender(raw.gender),
-                wall_count=raw.wall_count,
-                music_count=raw.music_count,
-                activity_interest_count=count_items(raw.activities)
-                + count_items(raw.interests),
-                birthday=raw.birthday,
-                activities=raw.activities,
-                interests=raw.interests,
-                political=raw.political,
+                record_id=record["id"],
+                about_me=record["about_me"],
+                gender=_normalize_gender(get("gender")),
+                wall_count=record["wall_count"],
+                music_count=record["music_count"],
+                activity_interest_count=count_items(activities) + count_items(interests),
+                birthday=get("birthday"),
+                activities=activities,
+                interests=interests,
+                political=get("political"),
             )
         )
-    report.accepted_count = len(accepted)
     return accepted, report
 
 
@@ -350,8 +328,9 @@ def load_corpus(path: str | Path) -> Iterator[Profile]:
     An unreadable file raises StorageError, and so does a line that
     ``io_utils.json_object`` refuses or that ``Profile.from_record`` refuses
     (another key, a missing one, a value of another type or outside its
-    enumeration, an empty id or a negative count); the message names the
-    path and the line. The first fault met in file order is the one reported.
+    enumeration, an empty id or a record ingest would reject); the message
+    names the path and the line. The first fault met in file order is the
+    one reported.
     """
     for line_no, line in json_lines(path, "corpus "):
         try:

@@ -21,15 +21,8 @@ from .binning import (
     bin_music_share,
     bin_wall_count,
 )
-from .errors import DomainError, ParameterError
-from .ingest import (
-    Profile,
-    RejectionReport,
-    load_profiles,
-    parse_birthday,
-    persist_corpus,
-    validate_and_filter,
-)
+from .errors import ParameterError
+from .ingest import Profile, load_profiles, parse_birthday, persist_corpus, validate_and_filter
 from .io_utils import atomic_write_text, batches, make_output_dir
 from .knn import ClassLabel, CorpusIndex, classify_text, load_sample_corpus
 from .report import aggregate, compare, emit_chart, emit_comparison_chart, emit_table, tally
@@ -158,26 +151,28 @@ def stage_ingest(profiles: Optional[list[Profile]], config: RunConfig, out_dir: 
     Ingest reads no profiles: given a list (as ``run`` does), it collects
     the accepted profiles in it, so every record is read and checked before
     anything is written; given None, it streams them."""
-    raws, issues = load_profiles(config.input_path)
-    report = RejectionReport()
+    records, issues = load_profiles(config.input_path)
+    rejected: list[tuple[str, str]] = []
 
     def accepted() -> Iterator[Profile]:
-        for batch in batches(raws):
-            batch_profiles, batch_report = validate_and_filter(batch)
-            report.rejected += batch_report.rejected
-            report.accepted_count += batch_report.accepted_count
+        for batch in batches(records):
+            batch_profiles, report = validate_and_filter(batch)
+            rejected.extend(report.rejected)
             yield from batch_profiles
 
     if profiles is not None:
         profiles.extend(accepted())
-    persist_corpus(accepted() if profiles is None else profiles, out_dir / ACCEPTED_FILE)
-    record = report.to_record()
-    record["malformed_lines"] = [
-        {"line_no": issue.line_no, "message": issue.message} for issue in issues
-    ]
+    written = persist_corpus(accepted() if profiles is None else profiles, out_dir / ACCEPTED_FILE)
+    record = {
+        "accepted_count": written,
+        "rejected_count": len(rejected),
+        "rejected": [{"id": record_id, "reason": reason} for record_id, reason in rejected],
+        "malformed_lines": [
+            {"line_no": issue.line_no, "message": issue.message} for issue in issues
+        ],
+    }
     atomic_write_text(out_dir / REJECTIONS_FILE, json.dumps(record, indent=2) + "\n")
-    return {"accepted": report.accepted_count, "rejected": report.rejected_count,
-            "malformed": len(issues)}
+    return {"accepted": written, "rejected": len(rejected), "malformed": len(issues)}
 
 
 def stage_classify(profiles: Iterable[Profile], config: RunConfig, out_dir: Path) -> dict:
@@ -207,19 +202,12 @@ def stage_classify(profiles: Iterable[Profile], config: RunConfig, out_dir: Path
 
 def stage_bin(profiles: Iterable[Profile], config: RunConfig, out_dir: Path) -> dict:
     """Derive age ranges and group classes for every profile and persist
-    it, one batch at a time (``persist_corpus``). A birthday that is not a
-    YYYY-MM-DD date, which ingest would have rejected, fails the stage."""
+    it, one batch at a time (``persist_corpus``). Every profile has passed
+    ``ingest.rejection_reason``, so a birthday, if given, is a date."""
     reference_date, gap_policy = config.reference_date, config.gap_policy
 
     def bin_one(profile: Profile) -> None:
-        birthday = None
-        if profile.birthday is not None:
-            birthday = parse_birthday(profile.birthday)
-            if birthday is None:
-                raise DomainError(
-                    f"profile {profile.record_id!r}: birthday {profile.birthday!r}"
-                    " is not a YYYY-MM-DD date"
-                )
+        birthday = None if profile.birthday is None else parse_birthday(profile.birthday)
         profile.age_range = age_range(age_from_birthday(birthday, reference_date))
         profile.wall_count_class = bin_wall_count(profile.wall_count)
         profile.music_share_class = bin_music_share(profile.music_count, gap_policy)

@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import math
 import re
+from datetime import date
 from pathlib import Path
+from typing import Optional
 
 from socialminer.arff import NOMINAL, NUMERIC, ArffAttribute, ArffDataset, _attribute_line, _format_field
 from socialminer.errors import ArffEncodeError, CorpusError, DuplicateIdError, StorageError
@@ -42,6 +44,19 @@ def knn_classify(dm: list[DistanceRow], k: int) -> tuple[ClassLabel, list[Distan
     tied = [label for label, n in votes.items() if n == top]
     winner = min(tied, key=lambda label: (summed[label], label.value))
     return winner, nearest
+
+
+_ISO_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
+
+
+def parse_birthday(text: str) -> Optional[date]:
+    """``ingest.parse_birthday``: a regex match, then ``date.fromisoformat``."""
+    if not _ISO_DATE.match(text):
+        return None
+    try:
+        return date.fromisoformat(text)
+    except ValueError:
+        return None
 
 
 def profile_record(profile) -> dict:
@@ -132,9 +147,9 @@ def load_profiles(path):
         except ValueError as exc:
             issues.append(ParseIssue(line_no, str(exc)))
             continue
-        if raw.record_id in seen:
-            raise DuplicateIdError(f"duplicate record id {raw.record_id!r} at line {line_no}")
-        seen.add(raw.record_id)
+        if raw["id"] in seen:
+            raise DuplicateIdError(f"duplicate record id {raw['id']!r} at line {line_no}")
+        seen.add(raw["id"])
         profiles.append(raw)
     return profiles, issues
 

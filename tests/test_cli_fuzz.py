@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import tempfile
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -37,18 +38,22 @@ profile_lines = st.fixed_dictionaries(
     optional={"birthday": st.sampled_from(["1990-01-15", "2030-01-01", "1990-13-01"]),
               "gender": texts},
 ).map(lambda record: escaped(json.dumps(record, ensure_ascii=False)))
+# Beside any text, non-blank ones and dates before --ref-date, so that most
+# records pass the record rule.
+about_me_texts = texts | texts.map("honest{}".format)
+birthdays = st.none() | st.sampled_from(["1990-01-15", "2030-01-01", "2015-02-30", "not a date", ""]) \
+    | st.dates(max_value=date(2015, 6, 1)).map(date.isoformat)
 stage_lines = st.builds(
-    Profile, record_id=ids, about_me=texts, gender=st.sampled_from(Gender),
+    Profile, record_id=ids, about_me=about_me_texts, gender=st.sampled_from(Gender),
     wall_count=st.integers(0, 99), music_count=st.integers(0, 9),
-    activity_interest_count=st.integers(0, 9),
+    activity_interest_count=st.integers(0, 9), birthday=birthdays,
 ).map(lambda profile: escaped(_encode_record(profile.to_record())))
 # A later stage file: the birthdays ingest accepts and those it rejects, and
 # each class present or absent.
 binned_lines = st.builds(
-    Profile, record_id=ids, about_me=texts, gender=st.sampled_from(Gender),
+    Profile, record_id=ids, about_me=about_me_texts, gender=st.sampled_from(Gender),
     wall_count=st.integers(0, 99), music_count=st.integers(0, 9),
-    activity_interest_count=st.integers(0, 9),
-    birthday=st.none() | st.sampled_from(["1990-01-15", "2030-01-01", "2015-02-30", "not a date", ""]),
+    activity_interest_count=st.integers(0, 9), birthday=birthdays,
     about_me_class=st.none() | st.sampled_from(ClassLabel),
     age_range=st.none() | st.sampled_from(AgeRange),
     wall_count_class=st.none() | st.sampled_from(WallCountClass),

@@ -1,7 +1,10 @@
 import json
+import tempfile
+from datetime import date
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_paths
 from socialminer.binning import AgeRange, ShareClass, WallCountClass
@@ -9,7 +12,6 @@ from socialminer.errors import DuplicateIdError, StorageError
 from socialminer.ingest import (
     Gender,
     Profile,
-    RawProfile,
     REASON_BAD_BIRTHDAY,
     REASON_MISSING_NUMERIC,
     REASON_MISSING_TEXT,
@@ -19,6 +21,7 @@ from socialminer.ingest import (
     load_profiles,
     parse_birthday,
     persist_corpus,
+    rejection_reason,
     validate_and_filter,
 )
 from socialminer.knn import ClassLabel
@@ -46,8 +49,8 @@ def full_record(record_id="u1", **overrides):
 
 def read_profiles(path):
     """``load_profiles`` read to the end: (list of profiles, issues)."""
-    raws, issues = load_profiles(path)
-    return list(raws), issues
+    records, issues = load_profiles(path)
+    return list(records), issues
 
 
 def load_file(tmp_path, data):
@@ -65,13 +68,13 @@ class TestLoadProfiles:
     def test_three_lines_in_order(self, tmp_path):
         text = "\n".join(line(id=f"u{i}") for i in range(3))
         profiles, issues = load_file(tmp_path, text)
-        assert [p.record_id for p in profiles] == ["u0", "u1", "u2"]
+        assert [p["id"] for p in profiles] == ["u0", "u1", "u2"]
         assert issues == []
 
     def test_malformed_line_carries_line_number(self, tmp_path):
         text = line(id="u1") + "\nnot json at all\n" + line(id="u2")
         profiles, issues = load_file(tmp_path, text)
-        assert [p.record_id for p in profiles] == ["u1", "u2"]
+        assert [p["id"] for p in profiles] == ["u1", "u2"]
         assert len(issues) == 1
         assert issues[0].line_no == 2
 
@@ -104,17 +107,17 @@ class TestLoadProfiles:
 
     def test_null_values_count_as_missing(self, tmp_path):
         profiles, _ = load_file(tmp_path, line(id="u1", birthday=None))
-        assert profiles[0].birthday is None
+        assert profiles[0].get("birthday") is None
 
     def test_negative_counts_parse_and_flow_to_validation(self, tmp_path):
         profiles, issues = load_file(tmp_path, line(id="u1", wall_count=-4))
-        assert profiles[0].wall_count == -4 and not issues
+        assert profiles[0]["wall_count"] == -4 and not issues
 
     def test_reads_from_path(self, tmp_path):
         p = tmp_path / "in.jsonl"
         p.write_text(line(id="u1") + "\n", encoding="utf-8")
         profiles, _ = read_profiles(p)
-        assert profiles[0].record_id == "u1"
+        assert profiles[0]["id"] == "u1"
 
     def test_unreadable_source(self, tmp_path):
         with pytest.raises(StorageError):
@@ -131,8 +134,8 @@ class TestLoadProfiles:
             + b"\n"
         )
         profiles, issues = read_profiles(p)
-        assert [r.record_id for r in profiles] == ["u1", "u4"]
-        assert profiles[1].about_me == "café"
+        assert [r["id"] for r in profiles] == ["u1", "u4"]
+        assert profiles[1]["about_me"] == "café"
         assert [(i.line_no, i.message) for i in issues] == [
             (2, "not valid UTF-8"), (3, "not valid UTF-8"), (4, "not valid UTF-8")
         ]
@@ -140,7 +143,7 @@ class TestLoadProfiles:
     def test_invalid_utf8_in_byte_stream(self, tmp_path):
         data = line(id="u1").encode() + b"\n\xc3(\n" + line(id="u2").encode()
         profiles, issues = load_file(tmp_path, data)
-        assert [r.record_id for r in profiles] == ["u1", "u2"]
+        assert [r["id"] for r in profiles] == ["u1", "u2"]
         assert [i.line_no for i in issues] == [2]
 
     def test_line_numbers_follow_every_line_break(self, tmp_path):
@@ -162,7 +165,7 @@ class TestLoadProfiles:
             + raw(id="u6")
         )
         profiles, issues = read_profiles(p)
-        assert [(r.record_id, r.about_me) for r in profiles] == [
+        assert [(r["id"], r.get("about_me")) for r in profiles] == [
             ("u1", "a\u2028b"), ("u2", "c\u2029d"), ("u3", "e\x85f"), ("u6", None)
         ]
         assert [(i.line_no, i.message) for i in issues] == [
@@ -178,53 +181,53 @@ class TestLoadProfiles:
             '{"id": "\\udfff"}',
         ])
         profiles, issues = load_file(tmp_path, text)
-        assert [p.record_id for p in profiles] == ["u2"]
-        assert profiles[0].about_me == "pair \U0001F600"
+        assert [p["id"] for p in profiles] == ["u2"]
+        assert profiles[0]["about_me"] == "pair \U0001F600"
         assert [(i.line_no, i.message.split(" ")[0]) for i in issues] == [(1, "about_me"), (3, "id")]
 
 
 class TestValidateAndFilter:
     def test_valid_record_accepted(self):
-        raws = [RawProfile(**_as_raw(full_record()))]
-        accepted, report = validate_and_filter(raws)
+        records = [full_record()]
+        accepted, report = validate_and_filter(records)
         assert len(accepted) == 1
-        assert report.accepted_count == 1 and report.rejected_count == 0
+        assert report.rejected == []
         p = accepted[0]
         assert p.gender is Gender.MALE
         assert p.activity_interest_count == 3  # reading, hiking + music
 
     def test_missing_about_me_rejected(self):
-        raws = [RawProfile(**_as_raw(full_record(about_me=None)))]
-        accepted, report = validate_and_filter(raws)
+        records = [full_record(about_me=None)]
+        accepted, report = validate_and_filter(records)
         assert not accepted
         assert report.rejected == [("u1", REASON_MISSING_TEXT)]
 
     def test_blank_about_me_rejected(self):
-        raws = [RawProfile(**_as_raw(full_record(about_me="   ")))]
-        _, report = validate_and_filter(raws)
+        records = [full_record(about_me="   ")]
+        _, report = validate_and_filter(records)
         assert report.rejected == [("u1", REASON_MISSING_TEXT)]
 
     def test_missing_numeric_rejected(self):
         for f in ("wall_count", "music_count"):
-            raws = [RawProfile(**_as_raw(full_record(**{f: None})))]
-            _, report = validate_and_filter(raws)
+            records = [full_record(**{f: None})]
+            _, report = validate_and_filter(records)
             assert report.rejected == [("u1", REASON_MISSING_NUMERIC)]
 
     def test_negative_numeric_rejected(self):
-        raws = [RawProfile(**_as_raw(full_record(music_count=-1)))]
-        _, report = validate_and_filter(raws)
+        records = [full_record(music_count=-1)]
+        _, report = validate_and_filter(records)
         assert report.rejected == [("u1", REASON_NEGATIVE_NUMERIC)]
 
     def test_unparseable_birthday_rejected(self):
         for bad in ("15/06/1990", "1990-13-01", "1990-02-30", "yesterday"):
-            raws = [RawProfile(**_as_raw(full_record(birthday=bad)))]
-            _, report = validate_and_filter(raws)
+            records = [full_record(birthday=bad)]
+            _, report = validate_and_filter(records)
             assert report.rejected == [("u1", REASON_BAD_BIRTHDAY)], bad
 
     def test_absent_birthday_accepted(self):
-        raws = [RawProfile(**_as_raw(full_record(birthday=None)))]
-        accepted, report = validate_and_filter(raws)
-        assert report.accepted_count == 1
+        records = [full_record(birthday=None)]
+        accepted, report = validate_and_filter(records)
+        assert len(accepted) == 1
         assert accepted[0].birthday is None
 
     @pytest.mark.parametrize(
@@ -239,18 +242,18 @@ class TestValidateAndFilter:
         ],
     )
     def test_gender_normalization(self, text, expected):
-        raws = [RawProfile(**_as_raw(full_record(gender=text)))]
-        accepted, _ = validate_and_filter(raws)
+        records = [full_record(gender=text)]
+        accepted, _ = validate_and_filter(records)
         assert accepted[0].gender is expected
 
     def test_totality(self):
-        raws = [
-            RawProfile(**_as_raw(full_record("u1"))),
-            RawProfile(**_as_raw(full_record("u2", about_me=None))),
-            RawProfile(**_as_raw(full_record("u3", wall_count=None))),
+        records = [
+            full_record("u1"),
+            full_record("u2", about_me=None),
+            full_record("u3", wall_count=None),
         ]
-        accepted, report = validate_and_filter(raws)
-        assert report.accepted_count + report.rejected_count == 3
+        accepted, report = validate_and_filter(records)
+        assert len(accepted) + len(report.rejected) == 3
         assert {p.record_id for p in accepted} | {r for r, _ in report.rejected} == {
             "u1",
             "u2",
@@ -274,6 +277,29 @@ class TestCountItems:
         assert count_items(text) == n
 
 
+# Characters a date is written in or mistaken for: ASCII, Arabic-Indic and
+# full-width digits, the separators of fromisoformat's other forms, and a
+# line break.
+_DATE_CHARS = "0123456789-WT:+. \n\u0661\u0662\uff11\uff12"
+
+
+@st.composite
+def _edited_date(draw):
+    """A YYYY-MM-DD date with up to two characters replaced, inserted or
+    deleted."""
+    text = draw(st.dates()).isoformat()
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        char = draw(st.sampled_from(_DATE_CHARS))
+        text = draw(st.sampled_from([
+            text[:at] + char + text[at + 1:], text[:at] + char + text[at:], text[:at] + text[at + 1:],
+        ]))
+    return text
+
+
+birthday_texts = st.one_of(_edited_date(), st.text(alphabet=_DATE_CHARS, max_size=12), st.text(max_size=12))
+
+
 class TestParseBirthday:
     def test_valid(self):
         d = parse_birthday("1990-06-15")
@@ -282,6 +308,52 @@ class TestParseBirthday:
     @pytest.mark.parametrize("bad", ["", "1990-6-15", "19900615", "1990-02-30", "x"])
     def test_invalid(self, bad):
         assert parse_birthday(bad) is None
+
+    @settings(max_examples=500)
+    @given(birthday_texts)
+    @example("2015-02-30")
+    @example("2015-W01-1")
+    @example("20150101")
+    @example("2015-01-01\n")
+    @example("\u0662\u0660\u0661\u0665-\u0660\u0661-\u0660\u0661")
+    @example("\uff12\uff10\uff11\uff15-01-01")
+    def test_matches_the_regex_reference(self, text):
+        assert parse_birthday(text) == reference_paths.parse_birthday(text)
+
+
+class TestOneRecordRule:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        about_me=st.sampled_from(["honest kind", "", "   ", "\t\n", "\u2028", "x"]) | st.text(max_size=6),
+        wall_count=st.integers(-2, 99),
+        music_count=st.integers(-2, 9),
+        birthday=st.none() | birthday_texts,
+    )
+    def test_profiles_and_stage_readers_give_the_same_reason(
+        self, about_me, wall_count, music_count, birthday
+    ):
+        record = {"id": "u1", "about_me": about_me, "wall_count": wall_count,
+                  "music_count": music_count}
+        if birthday is not None:
+            record["birthday"] = birthday
+        with tempfile.TemporaryDirectory() as work:
+            profiles_path, stage_path = Path(work) / "profiles.jsonl", Path(work) / "accepted.jsonl"
+            profiles_path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+            records, issues = load_profiles(profiles_path)
+            accepted, report = validate_and_filter(list(records))
+            assert issues == [] and len(accepted) + len(report.rejected) == 1
+            ingest_reason = report.rejected[0][1] if report.rejected else None
+
+            stage_record = {**record, "gender": "Unspecified", "activity_interest_count": 0}
+            stage_path.write_text(json.dumps(stage_record) + "\n", encoding="utf-8")
+            try:
+                assert len(list(load_corpus(stage_path))) == 1
+                stage_reason = None
+            except StorageError as exc:
+                prefix = f"corrupt corpus {stage_path}:1: ingest would reject it: "
+                assert str(exc).startswith(prefix), str(exc)
+                stage_reason = str(exc)[len(prefix):]
+        assert stage_reason == ingest_reason
 
 
 def make_profile(i, **overrides):
@@ -365,15 +437,17 @@ def optional(strategy):
     return st.one_of(st.none(), strategy)
 
 
+# Beside any text, dates and non-blank texts, so that most profiles pass the
+# record rule.
 profiles_strategy = st.builds(
     Profile,
     record_id=st.text(min_size=1, max_size=8),
-    about_me=st.text(max_size=20),
+    about_me=st.text(max_size=20) | st.text(min_size=1, max_size=20).map("x{}".format),
     gender=st.sampled_from(Gender),
     wall_count=st.integers(min_value=0, max_value=10**6),
     music_count=st.integers(min_value=0, max_value=10**6),
     activity_interest_count=st.integers(min_value=0, max_value=100),
-    birthday=optional(st.text(max_size=10)),
+    birthday=optional(st.text(max_size=10) | st.dates().map(date.isoformat)),
     activities=optional(st.text(max_size=10)),
     interests=optional(st.text(max_size=10)),
     political=optional(st.text(max_size=10)),
@@ -395,7 +469,13 @@ class TestRecordCodec:
 
     @given(profiles_strategy)
     def test_round_trip_through_json(self, profile):
-        back = Profile.from_record(json.loads(json.dumps(profile.to_record())))
+        record = json.loads(json.dumps(profile.to_record()))
+        reason = rejection_reason(record)
+        if reason is not None:
+            with pytest.raises(ValueError, match=f"^ingest would reject it: {reason}$"):
+                Profile.from_record(record)
+            return
+        back = Profile.from_record(record)
         assert back == profile
         for key, _ in ENUM_FIELDS:
             assert getattr(back, key) is getattr(profile, key)
@@ -456,8 +536,3 @@ class TestLoadCorpusErrors:
         with pytest.raises(StorageError, match="accepted.jsonl"):
             list(load_corpus(p))
 
-
-def _as_raw(record):
-    mapped = dict(record)
-    mapped["record_id"] = mapped.pop("id")
-    return mapped

@@ -541,48 +541,40 @@ class TestBadInputEndsCleanly:
         assert (out / "FAILED").read_text(encoding="utf-8") == f"StorageError: {message}\n"
         assert not (out / "classified.jsonl").exists()
 
-    @pytest.mark.parametrize("command", ["classify", "bin"])
+    @pytest.mark.parametrize("command", ["classify", "bin", "arff", "report"])
     @pytest.mark.parametrize(
         "key,value,reason",
         [("id", "", "id must be a non-empty string"),
-         ("wall_count", -5, "wall_count must be >= 0, got -5"),
-         ("music_count", -1, "music_count must be >= 0, got -1"),
-         ("activity_interest_count", -2, "activity_interest_count must be >= 0, got -2")],
+         ("wall_count", -5, "ingest would reject it: NEGATIVE_NUMERIC"),
+         ("music_count", -1, "ingest would reject it: NEGATIVE_NUMERIC"),
+         ("activity_interest_count", -2, "ingest would reject it: NEGATIVE_NUMERIC"),
+         ("about_me", "   ", "ingest would reject it: MISSING_TEXT"),
+         ("birthday", "2015-02-30", "ingest would reject it: BAD_BIRTHDAY"),
+         ("birthday", "not a date", "ingest would reject it: BAD_BIRTHDAY"),
+         ("birthday", "", "ingest would reject it: BAD_BIRTHDAY")],
     )
     def test_stage_line_that_ingest_would_reject(self, tmp_path, capsys, command, key, value, reason):
         out = self.staged(tmp_path)
-        accepted = out / "accepted.jsonl"
-        lines = accepted.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert self.classify(tmp_path, out) == 0
+        assert main(["bin", "--input", str(out / "classified.jsonl"), "--ref-date", "2015-06-01",
+                     "--out", str(out)]) == 0
+        stage_file = out / {"classify": "accepted.jsonl", "bin": "classified.jsonl"}.get(
+            command, "binned.jsonl")
+        lines = stage_file.read_text(encoding="utf-8").splitlines(keepends=True)
         broken = json.loads(lines[1])
         broken[key] = value
         lines[1] = json.dumps(broken) + "\n"
-        accepted.write_text("".join(lines), encoding="utf-8")
+        stage_file.write_text("".join(lines), encoding="utf-8")
         capsys.readouterr()
         options = {"classify": ["--corpus", str(tmp_path / "corpus.jsonl")],
                    "bin": ["--ref-date", "2015-06-01"]}
-        assert main([command, "--input", str(accepted), *options[command], "--out", str(out)]) == 1
-        message = f"corrupt corpus {accepted}:2: {reason}"
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert (out / "FAILED").read_text(encoding="utf-8") == f"StorageError: {message}\n"
-
-    @pytest.mark.parametrize("birthday", ["2015-02-30", "not a date", ""])
-    def test_stage_birthday_that_ingest_would_reject(self, tmp_path, capsys, birthday):
-        out = self.staged(tmp_path)
-        assert self.classify(tmp_path, out) == 0
-        classified = out / "classified.jsonl"
-        lines = classified.read_text(encoding="utf-8").splitlines(keepends=True)
-        broken = json.loads(lines[1])
-        broken["birthday"] = birthday
-        lines[1] = json.dumps(broken) + "\n"
-        classified.write_text("".join(lines), encoding="utf-8")
-        capsys.readouterr()
-        assert main(
-            ["bin", "--input", str(classified), "--ref-date", "2015-06-01", "--out", str(out)]
-        ) == 1
-        message = f"profile 'u1': birthday {birthday!r} is not a YYYY-MM-DD date"
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert (out / "FAILED").read_text(encoding="utf-8") == f"DomainError: {message}\n"
-        assert not (out / "binned.jsonl").exists()
+        failed = tmp_path / "failed"
+        argv = [command, "--input", str(stage_file), *options.get(command, []), "--out", str(failed)]
+        assert main(argv) == 1
+        message = f"corrupt corpus {stage_file}:2: {reason}"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert (failed / "FAILED").read_text(encoding="utf-8") == f"StorageError: {message}\n"
+        assert [path.name for path in failed.rglob("*")] == ["FAILED"]
 
     @pytest.mark.parametrize(
         "argv",

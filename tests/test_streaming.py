@@ -9,6 +9,7 @@ import gc
 import json
 import os
 import tracemalloc
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,9 @@ import reference_paths
 from socialminer.binning import AgeRange, ShareClass, WallCountClass
 from socialminer.cli import main
 from socialminer.errors import StorageError
-from socialminer.ingest import Gender, Profile, _encode_record, load_corpus, load_profiles, persist_corpus
+from socialminer.ingest import (
+    Gender, Profile, _encode_record, load_corpus, load_profiles, persist_corpus, rejection_reason,
+)
 from socialminer.io_utils import BATCH_SIZE, atomic_write_text, batches
 from socialminer.knn import ClassLabel, load_sample_corpus
 from socialminer.synth import make_corpus_records, make_profile_records, write_jsonl
@@ -43,15 +46,17 @@ def optional(strategy):
     return st.one_of(st.none(), strategy)
 
 
+# Beside any text, dates and non-blank texts, so that most records pass the
+# record rule.
 profiles_strategy = st.builds(
     Profile,
     record_id=st.sampled_from(["u1", "u2", "u3", "u4", "u5", "u6"]),
-    about_me=texts,
+    about_me=texts | texts.map("a{}".format),
     gender=st.sampled_from(Gender),
     wall_count=st.integers(min_value=0, max_value=10**6),
     music_count=st.integers(min_value=0, max_value=10**6),
     activity_interest_count=st.integers(min_value=0, max_value=100),
-    birthday=optional(texts),
+    birthday=optional(texts | st.dates().map(date.isoformat)),
     activities=optional(texts),
     interests=optional(texts),
     political=optional(texts),
@@ -211,7 +216,20 @@ class TestStreamedWriter:
         persist_corpus(profiles, scratch)
         reference_paths.persist_corpus(profiles, reference)
         assert scratch.read_bytes() == reference.read_bytes()
-        assert read_corpus(scratch) == profiles
+        failing = [
+            (line_no, reason)
+            for line_no, reason in enumerate((rejection_reason(p.to_record()) for p in profiles), 1)
+            if reason is not None
+        ]
+        if not failing:
+            assert read_corpus(scratch) == profiles
+        else:
+            line_no, reason = failing[0]
+            with pytest.raises(StorageError) as caught:
+                read_corpus(scratch)
+            assert str(caught.value) == (
+                f"corrupt corpus {scratch}:{line_no}: ingest would reject it: {reason}"
+            )
 
     def test_failed_stream_leaves_no_file(self, tmp_path):
         def records():

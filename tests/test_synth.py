@@ -60,7 +60,7 @@ class TestProfileRecords:
         raws, issues = load_profiles(tmp_path / "profiles.jsonl")
         assert not issues
         accepted, report = validate_and_filter(raws)
-        assert report.rejected_count == 0
+        assert report.rejected == []
         assert len(accepted) == 150
 
     def test_deterministic(self):
