@@ -14,15 +14,19 @@ the frequencies.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import _count_elements
 from typing import Iterable, Mapping, Sequence
 
 from .errors import EmptyDocumentError
 
 
 def term_counts(tokens: Iterable[str]) -> dict[str, int]:
-    """Exact occurrence counts of a stopword-filtered token list."""
-    return dict(Counter(tokens))
+    """Exact occurrence counts of a stopword-filtered token iterable, keyed in
+    order of first occurrence. ``Counter.update``'s C loop counts them
+    straight into a plain dict."""
+    counts: dict[str, int] = {}
+    _count_elements(counts, tokens)
+    return counts
 
 
 def term_frequency(counts: Mapping[str, int]) -> dict[str, float]:

@@ -5,14 +5,22 @@ texts and to the pre-classified sample corpus, since distances are only
 meaningful when both sides share one token grammar.
 
 A token is a maximal run of alphanumeric characters (``str.isalnum``) of the
-lowercased text; every other character separates tokens. The character class
-``[^\\W_]`` matches exactly the characters for which ``isalnum`` is true, so
-one precompiled regular expression finds the tokens in C.
+lowercased text; every other character separates tokens. Both routes to the
+tokens run in C and yield the same tokens:
+
+- An ASCII text (checked after lowercasing: U+212A KELVIN SIGN lowercases to
+  ASCII ``k``) is translated with every ASCII character that is not
+  alphanumeric mapped to a space, then split on whitespace. No ASCII
+  alphanumeric character is whitespace, so the split keeps exactly the runs.
+- Any other text is searched with one precompiled regular expression: the
+  character class ``[^\\W_]`` matches exactly the characters for which
+  ``isalnum`` is true.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import filterfalse
 from pathlib import Path
 
 from .errors import StorageError
@@ -36,13 +44,19 @@ DEFAULT_STOPWORDS: frozenset[str] = frozenset(
 
 
 _TOKEN = re.compile(r"[^\W_]+")
+_ASCII_SEPARATORS = {c: " " for c in range(128) if not chr(c).isalnum()}
 
 
 def prepare(raw: str, stops: frozenset[str] = DEFAULT_STOPWORDS) -> list[str]:
     """The tokens of the lowercased ``raw`` that are not in ``stops``, in
     order, duplicates kept: every maximal run of alphanumeric characters is a
     token, and every other character separates tokens."""
-    return [t for t in _TOKEN.findall(raw.lower()) if t not in stops]
+    lowered = raw.lower()
+    if lowered.isascii():
+        tokens = lowered.translate(_ASCII_SEPARATORS).split()
+    else:
+        tokens = _TOKEN.findall(lowered)
+    return list(filterfalse(stops.__contains__, tokens))
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -30,6 +31,15 @@ class TestTermCounts:
     @given(tokens_strategy)
     def test_total_equals_length(self, tokens):
         assert sum(term_counts(tokens).values()) == len(tokens)
+
+    @given(st.lists(st.text(alphabet="abcdefg", max_size=3), max_size=40))
+    def test_equals_counter_in_first_occurrence_order(self, tokens):
+        # load_sample_corpus passes a map iterator, not a list
+        for source in (tokens, map(str, tokens)):
+            counts = term_counts(source)
+            assert type(counts) is dict
+            assert counts == dict(Counter(tokens))
+            assert list(counts) == list(dict.fromkeys(tokens))
 
 
 class TestTermFrequency:

@@ -6,14 +6,24 @@ from hypothesis import given, strategies as st
 
 import reference_paths
 from socialminer.errors import StorageError
-from socialminer.textprep import _TOKEN, DEFAULT_STOPWORDS, load_stopwords, prepare
+from socialminer.textprep import (
+    _ASCII_SEPARATORS,
+    _TOKEN,
+    DEFAULT_STOPWORDS,
+    load_stopwords,
+    prepare,
+)
 
 # Characters around which lowercasing or the token class is easy to get wrong:
 # underscore, digits of other scripts, superscripts, combining marks, letters
-# whose lowercase form is longer, separators that str.split() knows.
-TRICKY = "_-'’ \t\n\x1c\x85\xa0\u2028\u3000²½Ⅻ٣߀İẞßΣσςǅ\u0301\u0345\u200b\ufeffa1Z"
+# whose lowercase form is longer, separators that str.split() knows, and
+# U+212A KELVIN SIGN, which is not ASCII but lowercases to ASCII "k".
+TRICKY = "_-'’ \t\n\x1c\x85\xa0\u2028\u3000²½Ⅻ٣߀İẞßΣσςǅ\u0301\u0345\u200b\ufeff\u212aa1Z"
 tricky_text = st.text(alphabet=st.sampled_from(TRICKY), max_size=60)
-any_text = st.one_of(st.text(max_size=200), tricky_text)
+# Long ASCII-only texts take prepare's translate-and-split route; the other
+# strategies rarely draw them.
+ascii_text = st.text(st.characters(max_codepoint=127), max_size=400)
+any_text = st.one_of(st.text(max_size=200), tricky_text, ascii_text)
 
 
 NO_STOPS: frozenset[str] = frozenset()
@@ -100,6 +110,16 @@ class TestTokenGrammar:
     def test_token_class_is_isalnum_on_every_code_point(self):
         every = "".join(map(chr, range(sys.maxunicode + 1)))
         assert "".join(_TOKEN.findall(every)) == "".join(ch for ch in every if ch.isalnum())
+
+    def test_ascii_separators_are_the_ascii_non_alphanumerics(self):
+        kept = string.ascii_letters + string.digits
+        assert [chr(c) for c in range(128) if chr(c).isalnum()] == sorted(kept)
+        assert _ASCII_SEPARATORS == {c: " " for c in range(128) if chr(c) not in kept}
+
+    def test_kelvin_sign_lowercases_into_the_ascii_route(self):
+        # "\u212a" is not ASCII, but its lowercase "k" is, so the text takes
+        # the translate-and-split route and still yields the regex's tokens.
+        assert prepare("\u212aelvin, 3\u212a!", NO_STOPS) == ["kelvin", "3k"]
 
     def test_no_alphanumeric_character_is_whitespace(self):
         # The per-character definition split on whitespace after mapping
