@@ -291,8 +291,16 @@ def validate_and_filter(records: list[dict]) -> tuple[list[Profile], RejectionRe
     return accepted, report
 
 
-# One encoder for every record; json.dumps would build a new one per call.
-_encode_record = json.JSONEncoder(ensure_ascii=False).encode
+# One C encoder for every record (JSONEncoder.encode builds one per call), from
+# JSONEncoder(ensure_ascii=False)'s arguments but markers=None: records are flat.
+if json.encoder.c_make_encoder is None:  # no _json module
+    _encode_record = json.JSONEncoder(ensure_ascii=False).encode
+else:
+    _encode_chunks = json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring, None,
+        ": ", ", ", False, False, True)  # separators, sort_keys, skipkeys, allow_nan
+    def _encode_record(record: dict) -> str:
+        return "".join(_encode_chunks(record, 0))  # a list, or a tuple on 3.12+
 
 
 def persist_corpus(

@@ -15,6 +15,8 @@ from typing import Iterable, Iterator, TypeVar, Union
 from .errors import StorageError
 
 _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+# json.loads ends in this C scanner, after a copy of the line and two regex matches.
+_scan_once = json.JSONDecoder().scan_once
 
 # The records a stage subcommand holds at once. Each stage reads a batch,
 # works on all of it, then encodes and writes it, before it reads the next.
@@ -74,15 +76,22 @@ def json_object(line: str) -> dict:
     r"""Decode one line into a JSON object, or raise ValueError with one of
     ``not valid UTF-8`` (from ``check_utf8``), ``not valid JSON: …``, ``line
     is not an object`` or ``<key> is not valid UTF-8: lone surrogate`` (a
-    top-level string that a ``\u`` escape made unwritable as UTF-8)."""
+    top-level string that a ``\u`` escape made unwritable as UTF-8). The C
+    scanner decodes first; a line it does not take whole, as one object up to
+    the line's end or its final "\n", goes through ``json.loads`` as before."""
     check_utf8(line)
     try:
-        # Without its "\n", a line's JSON errors point into it.
-        record = json.loads(line.rstrip("\n"))
-    except (ValueError, RecursionError) as exc:  # too many digits, too deep nesting
-        raise ValueError(f"not valid JSON: {exc}") from exc
-    if not isinstance(record, dict):
-        raise ValueError("line is not an object")
+        record, end = _scan_once(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        record = None
+    if not isinstance(record, dict) or line[end:] not in ("", "\n"):
+        try:
+            # Without its "\n", a line's JSON errors point into it.
+            record = json.loads(line.rstrip("\n"))
+        except (ValueError, RecursionError) as exc:  # too many digits, too deep nesting
+            raise ValueError(f"not valid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise ValueError("line is not an object")
     if "\\" in line:
         for key, value in record.items():
             if isinstance(value, str) and _LONE_SURROGATE.search(value):

@@ -4,6 +4,7 @@ must agree with its reference here: same values, same bytes, same errors."""
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from datetime import date
@@ -12,8 +13,8 @@ from typing import Optional
 
 from socialminer.arff import NOMINAL, NUMERIC, ArffAttribute, ArffDataset, _attribute_line, _format_field
 from socialminer.errors import ArffEncodeError, CorpusError, DuplicateIdError, StorageError
-from socialminer.ingest import ParseIssue, Profile, _encode_record, _parse_record_line
-from socialminer.io_utils import atomic_write_text, json_object
+from socialminer.ingest import ParseIssue, Profile, _parse_record_line
+from socialminer.io_utils import atomic_write_text
 from socialminer.knn import ClassLabel, DistanceRow, SampleDocument
 from socialminer.textprep import DEFAULT_STOPWORDS
 
@@ -154,9 +155,36 @@ def load_profiles(path):
     return profiles, issues
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def json_object_reference(line: str) -> dict:
+    """``io_utils.json_object`` through ``json.loads`` alone, with its four
+    messages."""
+    if _SURROGATE.search(line):
+        raise ValueError("not valid UTF-8")
+    try:
+        record = json.loads(line.rstrip("\n"))
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"not valid JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise ValueError("line is not an object")
+    if "\\" in line:
+        for key, value in record.items():
+            if isinstance(value, str) and _SURROGATE.search(value):
+                raise ValueError(f"{key} is not valid UTF-8: lone surrogate")
+    return record
+
+
+# ``ingest._encode_record`` as ``JSONEncoder.encode`` runs it, one C encoder per call.
+encode_record_reference = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def persist_corpus(profiles, path) -> None:
     """``ingest.persist_corpus``: every line joined into one text, then written."""
-    atomic_write_text(path, "".join([_encode_record(p.to_record()) + "\n" for p in profiles]))
+    atomic_write_text(
+        path, "".join([encode_record_reference(p.to_record()) + "\n" for p in profiles])
+    )
 
 
 def load_corpus(path):
@@ -170,7 +198,7 @@ def load_corpus(path):
         if not line.strip():
             continue
         try:
-            profiles.append(Profile.from_record(json_object(line)))
+            profiles.append(Profile.from_record(json_object_reference(line)))
         except (KeyError, TypeError, ValueError) as exc:
             raise StorageError(f"corrupt corpus {path}:{line_no}: {exc}") from exc
     return profiles
@@ -187,7 +215,7 @@ def load_sample_corpus(path, stopwords: frozenset[str] = DEFAULT_STOPWORDS):
         if not line.strip():
             continue
         try:
-            record = json_object(line)
+            record = json_object_reference(line)
         except ValueError as exc:
             raise CorpusError(f"{path}:{line_no}: {exc}") from exc
         if set(record) != {"id", "label", "text"}:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -21,6 +22,7 @@ from socialminer.synth import make_corpus_records, make_profile_records, write_j
 from arff_oracle import parse_arff
 
 REF = date(2015, 6, 1)
+REPO = Path(__file__).parent.parent
 
 
 def write_corpus(path: Path) -> None:
@@ -987,3 +989,84 @@ class TestFilesAfterFailure:
         (out / "classified.jsonl").write_bytes(b"".join(lines))
         assert self.stage(tmp_path, out, "bin") == 1
         assert sorted(tree_bytes(out)) == ["FAILED", "classified.jsonl"]
+
+
+
+class TestRunDigests:
+    """Every byte `run` writes for the shipped `data/` fixture, pinned by
+    sha256 in tests/data/run_digests.json, so each Python version the tests
+    run on checks the same bytes."""
+
+    def test_data_run_tree_matches_recorded_digests(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(
+            ["run", "--input", str(REPO / "data" / "profiles.jsonl"),
+             "--corpus", str(REPO / "data" / "sample_corpus.jsonl"),
+             "--ref-date", "2015-06-01", "--out", str(out)]
+        ) == 0
+        digests = {name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(out).items()}
+        recorded = json.loads((REPO / "tests" / "data" / "run_digests.json").read_text(encoding="utf-8"))
+        assert digests == recorded
+
+
+def rejected_record(j: int) -> dict:
+    """A profile ingest rejects: no text, or a negative count."""
+    if j % 2:
+        return {"id": f"r{j}", "about_me": " ", "wall_count": 1, "music_count": 1}
+    return {"id": f"r{j}", "about_me": "honest", "wall_count": -1, "music_count": 1}
+
+
+class TestInputOrder:
+    """Shuffling the lines of both input files moves no output but the order
+    of the rows in the stage files and the ARFF data."""
+
+    @staticmethod
+    def lines_by_id(text: bytes) -> dict:
+        lines = text.decode("utf-8").splitlines()
+        by_id = {json.loads(line)["id"]: line for line in lines}
+        assert len(by_id) == len(lines)
+        return by_id
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 3),
+        n=st.integers(0, 12),
+        rejected=st.integers(0, 3),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_shuffled_inputs_give_the_same_outputs(self, seed, n, rejected, rng):
+        profiles = make_profile_records(n, seed=seed) + [rejected_record(j) for j in range(rejected)]
+        corpus = make_corpus_records(seed=seed, docs_per_class=3)
+        trees = []
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for name in ("given", "shuffled"):
+                if name == "shuffled":
+                    rng.shuffle(profiles)
+                    rng.shuffle(corpus)
+                write_jsonl(tmp / f"{name}-profiles.jsonl", profiles)
+                write_jsonl(tmp / f"{name}-corpus.jsonl", corpus)
+                assert main(
+                    ["run", "--input", str(tmp / f"{name}-profiles.jsonl"),
+                     "--corpus", str(tmp / f"{name}-corpus.jsonl"),
+                     "--ref-date", "2015-06-01", "--out", str(tmp / name)]
+                ) == 0
+                trees.append(tree_bytes(tmp / name))
+        given_tree, shuffled_tree = trees
+        assert sorted(given_tree) == sorted(shuffled_tree)
+        for name, data in given_tree.items():
+            if name == "summary.json" or name.startswith("reports/"):
+                assert shuffled_tree[name] == data, name
+        for name in ("accepted.jsonl", "classified.jsonl", "binned.jsonl"):
+            assert self.lines_by_id(shuffled_tree[name]) == self.lines_by_id(given_tree[name])
+        given_rejections, shuffled_rejections = (
+            json.loads(tree["rejections.json"]) for tree in trees
+        )
+        for rejections in (given_rejections, shuffled_rejections):
+            rejections["rejected"].sort(key=json.dumps)
+        assert shuffled_rejections == given_rejections
+        assert len(given_rejections["rejected"]) == rejected
+        given_header, given_rows = given_tree["dataset.arff"].split(b"@data\n")
+        shuffled_header, shuffled_rows = shuffled_tree["dataset.arff"].split(b"@data\n")
+        assert shuffled_header == given_header
+        assert sorted(shuffled_rows.splitlines()) == sorted(given_rows.splitlines())
