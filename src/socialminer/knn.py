@@ -15,8 +15,13 @@ square root. Counts are integers, so d² is exact, and its square root equals
 the dense path's float sum of float squares bit for bit. That holds while d²
 stays below 2**50, where integer d² values are exact floats and distinct ones
 keep distinct, equally ordered square roots; the index refuses targets that
-could reach it. The dense ``distance_matrix`` (one row per sample) is kept as
-the reference path.
+could reach it.
+
+``classify_text`` calls ``CorpusIndex.vote``, which votes on the labels and
+square roots of those k positions directly. One voting rule, shared with
+``knn_classify``, decides both paths. The row views, ``CorpusIndex.nearest``
+over the same ranking and the dense ``distance_matrix`` (one row per sample)
+with ``knn_classify``, are kept as the reference paths that tests compare.
 """
 
 from __future__ import annotations
@@ -148,10 +153,17 @@ def knn_classify(
     if k < 1 or k > len(dm):
         raise ParameterError(f"k={k} outside [1, {len(dm)}]")
     nearest = sorted(dm, key=_DISTANCE_THEN_ID)[:k]
+    _, labels, distances = zip(*nearest)
+    return _majority(labels, distances), nearest
 
+
+def _majority(labels: Sequence[ClassLabel], distances: Sequence[float]) -> ClassLabel:
+    """The vote of ``knn_classify`` and ``CorpusIndex.vote`` (see the former)
+    over the k nearest in (distance, doc_id) order. Both pass that order, so
+    each label's summed distance is the same float on both paths."""
     votes: dict[ClassLabel, int] = {}
     summed: dict[ClassLabel, float] = {}
-    for _, label, distance in nearest:
+    for label, distance in zip(labels, distances):
         votes[label] = votes.get(label, 0) + 1
         summed[label] = summed.get(label, 0.0) + distance
     top = max(votes.values())
@@ -159,7 +171,7 @@ def knn_classify(
     _, _, winner = min(
         (summed[label], label._value_, label) for label, n in votes.items() if n == top
     )
-    return winner, nearest
+    return winner
 
 
 EXACT_LIMIT = 2**50
@@ -219,7 +231,24 @@ class CorpusIndex:
         self, target_vec: Sequence[int], features: Sequence[str], k: int
     ) -> DistanceMatrix:
         """The k rows of ``distance_matrix(target_vec, docs, features)`` with
-        smallest (distance, doc_id), in that order."""
+        smallest (distance, doc_id), in that order: the row view of the
+        ranking that ``vote`` classifies on."""
+        top, d2 = self._rank(target_vec, features, k)
+        docs = self.docs
+        return [DistanceRow(docs[i].doc_id, docs[i].label, math.sqrt(d2[i])) for i in top]
+
+    def vote(self, target_vec: Sequence[int], features: Sequence[str], k: int) -> ClassLabel:
+        """``knn_classify(self.nearest(target_vec, features, k), k)[0]``,
+        with no row built and no second sort."""
+        top, d2 = self._rank(target_vec, features, k)
+        docs = self.docs
+        return _majority([docs[i].label for i in top], [math.sqrt(d2[i]) for i in top])
+
+    def _rank(
+        self, target_vec: Sequence[int], features: Sequence[str], k: int
+    ) -> tuple[list[int], list[int]]:
+        """The positions of the k smallest (d², position), in that order,
+        and every position's d²."""
         if not features:
             raise DimensionError("feature set is empty")
         self.check_k(k)
@@ -240,11 +269,7 @@ class CorpusIndex:
                 if delta:
                     for position in positions:
                         d2[position] += delta
-        docs = self.docs
-        return [
-            DistanceRow(docs[i].doc_id, docs[i].label, math.sqrt(d2[i]))
-            for i in heapq.nsmallest(k, range(len(d2)), key=d2.__getitem__)
-        ]
+        return heapq.nsmallest(k, range(len(d2)), key=d2.__getitem__), d2
 
 
 def classify_text(
@@ -254,8 +279,10 @@ def classify_text(
     k: int = 5,
     stopwords: frozenset[str] = DEFAULT_STOPWORDS,
 ) -> ClassLabel:
-    """Full classification of one raw text against an indexed sample corpus.
-    Build the ``CorpusIndex`` once and classify every text against it."""
+    """Full classification of one raw text against an indexed sample corpus:
+    prepare, select features, then ``CorpusIndex.vote`` on the k nearest
+    positions. Build the ``CorpusIndex`` once and classify every text
+    against it."""
     if n_features < 1:
         raise ParameterError(f"n_features={n_features} must be >= 1")
     tokens = prepare(text, stopwords)
@@ -265,8 +292,7 @@ def classify_text(
     # Ranking the counts ranks the frequencies: they share one denominator.
     features = select_features(target_counts, n_features)
     target_vec = count_vector(features, target_counts)
-    label, _ = knn_classify(index.nearest(target_vec, features, k), k)
-    return label
+    return index.vote(target_vec, features, k)
 
 
 def load_sample_corpus(

@@ -303,7 +303,9 @@ def assert_nearest_matches_dense(index, corpus, target_vec, features, k):
         (d.doc_id, d.label.value, brute_distance(target_vec, count_vector(features, d.counts)))
         for d in corpus
     ]
-    assert knn_classify(rows, k)[0].value == brute_classify(oracle_rows, k)
+    label = knn_classify(rows, k)[0]
+    assert label.value == brute_classify(oracle_rows, k)
+    assert index.vote(target_vec, features, k) is label
 
 
 class TestCorpusIndex:
@@ -344,6 +346,7 @@ class TestCorpusIndex:
             for d in corpus
         ]
         assert label.value == brute_classify(oracle_rows, k)
+        assert index.vote(target_vec, features, k) is label
         assert classify_text(target, index, n_features, k) is label
 
     def test_k_checked_against_corpus(self):
@@ -353,11 +356,20 @@ class TestCorpusIndex:
             with pytest.raises(ParameterError):
                 index.nearest([1], ["honest"], k)
             with pytest.raises(ParameterError):
+                index.vote([1], ["honest"], k)
+            with pytest.raises(ParameterError):
                 classify_text("honest", index, 50, k)
 
     def test_empty_corpus(self):
         with pytest.raises(CorpusError):
             CorpusIndex.build([])
+
+    def test_empty_features(self):
+        index = CorpusIndex.build([doc("s1", "honest")])
+        with pytest.raises(DimensionError):
+            index.nearest([], [], 1)
+        with pytest.raises(DimensionError):
+            index.vote([], [], 1)
 
     def test_postings_hold_positions_and_counts(self):
         index = CorpusIndex.build([doc("s2", "kind kind honest"), doc("s1", "kind")])
@@ -405,7 +417,46 @@ class TestCorpusIndex:
             dense = distance_matrix(target_vec, corpus, features)
             assert len({row.distance for row in dense}) < 20  # many equal distances
             for k in (1, 5, 255, 256, 257, 300):
+                # checks index.vote against the dense vote and the oracle too
                 assert_nearest_matches_dense(index, corpus, target_vec, features, k)
+
+
+def honest_doc(doc_id, count, label):
+    """A document whose distance from the target [3] over ["honest"] is
+    |3 - count|."""
+    return SampleDocument(doc_id, label, {"honest": count})
+
+
+class TestVote:
+    """Fixed ``CorpusIndex.vote`` cases, one per tie-break, each built so
+    that skipping the tie-break picks another label."""
+
+    def assert_vote(self, corpus, k, expected):
+        index = CorpusIndex.build(corpus)
+        assert index.vote([3], ["honest"], k) is expected
+        assert knn_classify(index.nearest([3], ["honest"], k), k)[0] is expected
+        assert knn_classify(distance_matrix([3], corpus, ["honest"]), k)[0] is expected
+
+    def test_count_tie_goes_to_smaller_summed_distance(self):
+        # 2 votes each; Lazy holds the nearest row and the smaller label
+        # string, Romantic the smaller sum (2 + 3 against 1 + 5)
+        corpus = [
+            honest_doc("a", 2, ClassLabel.LAZY),
+            honest_doc("b", 8, ClassLabel.LAZY),
+            honest_doc("c", 1, ClassLabel.ROMANTIC),
+            honest_doc("d", 6, ClassLabel.ROMANTIC),
+        ]
+        self.assert_vote(corpus, 4, ClassLabel.ROMANTIC)
+
+    def test_full_tie_goes_to_smaller_label_string(self):
+        # 1 vote each at distance 1; Lazy comes first in doc-id order
+        corpus = [honest_doc("a", 2, ClassLabel.LAZY), honest_doc("b", 4, ClassLabel.EMOTIONAL)]
+        self.assert_vote(corpus, 2, ClassLabel.EMOTIONAL)
+
+    def test_distance_tie_goes_to_smaller_doc_id(self):
+        # both at distance 1; "z" comes first in corpus and label order
+        corpus = [honest_doc("z", 2, ClassLabel.HONEST), honest_doc("a", 4, ClassLabel.LAZY)]
+        self.assert_vote(corpus, 1, ClassLabel.LAZY)
 
 
 def huge_doc(count):
@@ -425,6 +476,8 @@ class TestExactnessGuard:
         index = CorpusIndex.build([huge_doc(2**25)])  # Σ s² = 2**50
         with pytest.raises(DimensionError):
             index.nearest([1], ["honest"], 1)
+        with pytest.raises(DimensionError):
+            index.vote([1], ["honest"], 1)
         with pytest.raises(DimensionError):
             classify_text("honest", index, 50, 1)
 

@@ -414,7 +414,7 @@ TRACED_SPANS = {
     "arff.build_dataset": 2, "arff.emit_arff": 2, "features.select_features": 24,
     "features.term_counts": 84, "ingest.load_corpus": 4, "ingest.load_profiles": 2,
     "ingest.persist_corpus": 6, "ingest.validate_and_filter": 2,
-    "io_utils.atomic_write_text": 89, "knn.classify_text": 24, "knn.knn_classify": 24,
+    "io_utils.atomic_write_text": 89, "knn.classify_text": 24,
     "knn.load_sample_corpus": 2, "pipeline.run_pipeline": 1, "pipeline.stage_arff": 2,
     "pipeline.stage_bin": 2, "pipeline.stage_classify": 2, "pipeline.stage_ingest": 2,
     "pipeline.stage_report": 2, "report.aggregate": 10, "report.render": 76,
@@ -423,7 +423,7 @@ TRACED_SPANS = {
 TRACED_COUNTS = {
     "arff.bytes": 2398, "ingest.load_corpus.bytes": 26844, "ingest.persist_corpus.bytes": 38626,
     "ingest.rejected": 2, "io_utils.atomic_write_text.bytes": 169569, "knn.corpus_docs": 60,
-    "knn.rows_voted": 120, "knn.unclassifiable": 0, "report.artifacts": 78,
+    "knn.unclassifiable": 0, "report.artifacts": 78,
 }
 
 
