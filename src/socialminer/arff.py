@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
-from .binning import AgeRange, ShareClass, WallCountClass
 from .errors import ArffEncodeError
-from .ingest import Gender
-from .knn import ClassLabel
+from .ingest import FIELD_ENUMS
 
 NUMERIC = "numeric"
 NOMINAL = "nominal"
@@ -124,51 +123,28 @@ def emit_arff(ds: ArffDataset) -> str:
 
 
 PROFILE_RELATION = "social_profiles"
-
-
-def _profile_attributes() -> list[ArffAttribute]:
-    share = tuple(v.value for v in ShareClass)
-    return [
-        ArffAttribute("age_range", NOMINAL, tuple(v.value for v in AgeRange)),
-        ArffAttribute("gender", NOMINAL, tuple(v.value for v in Gender)),
-        ArffAttribute("about_me_class", NOMINAL, tuple(v.value for v in ClassLabel)),
-        ArffAttribute("wall_count", NUMERIC),
-        ArffAttribute("wall_count_class", NOMINAL, tuple(v.value for v in WallCountClass)),
-        ArffAttribute("music_count", NUMERIC),
-        ArffAttribute("music_share_class", NOMINAL, share),
-        ArffAttribute("activity_interest_count", NUMERIC),
-        ArffAttribute("activity_interest_class", NOMINAL, share),
-    ]
+# The columns of the profile dataset, in order; a field of
+# ``ingest.FIELD_ENUMS`` is nominal over its enumeration's values.
+PROFILE_COLUMNS = (
+    "age_range", "gender", "about_me_class", "wall_count", "wall_count_class", "music_count",
+    "music_share_class", "activity_interest_count", "activity_interest_class",
+)
 
 
 def build_dataset(profiles) -> ArffDataset:
     """Fixed 9-attribute dataset over classified, binned profiles, one row
     per profile in corpus order."""
-    rows = []
+    values_of, rows = itemgetter(*PROFILE_COLUMNS), []
     for profile in profiles:
-        derived = (
-            profile.age_range,
-            profile.about_me_class,
-            profile.wall_count_class,
-            profile.music_share_class,
-            profile.activity_interest_class,
-        )
-        if any(v is None for v in derived):
+        try:
+            rows.append(values_of(profile))
+        except KeyError:
             raise ArffEncodeError(
-                f"profile {profile.record_id!r} is not fully classified and binned"
-            )
-        # _value_ is the member's value without the value property's call.
-        rows.append(
-            (
-                profile.age_range._value_,
-                profile.gender._value_,
-                profile.about_me_class._value_,
-                profile.wall_count,
-                profile.wall_count_class._value_,
-                profile.music_count,
-                profile.music_share_class._value_,
-                profile.activity_interest_count,
-                profile.activity_interest_class._value_,
-            )
-        )
-    return ArffDataset(PROFILE_RELATION, _profile_attributes(), rows)
+                f"profile {profile['id']!r} is not fully classified and binned"
+            ) from None
+    attributes = [
+        ArffAttribute(name, NOMINAL, tuple(member.value for member in FIELD_ENUMS[name]))
+        if name in FIELD_ENUMS else ArffAttribute(name, NUMERIC)
+        for name in PROFILE_COLUMNS
+    ]
+    return ArffDataset(PROFILE_RELATION, attributes, rows)

@@ -3,8 +3,13 @@
 Input is UTF-8 JSON lines, one flat object per line with the keys
 id, birthday, about_me, activities, gender, interests, wall_count,
 political, music_count. Absent keys (or JSON null) mean the attribute is
-missing. The persisted corpus uses the same notation plus the derived
-fields, is written atomically, and holds no other key when read back.
+missing.
+
+An accepted profile is a stage-file record: the ``dict`` that one line of
+a stage file holds, in the key order ``validate_and_filter`` builds, to
+which classify and bin add the class keys as enumeration values. The stages
+write it as it is, atomically, and read it back through
+``check_stage_record``; README ("Input formats") lists its keys.
 """
 
 from __future__ import annotations
@@ -37,13 +42,21 @@ _TEXT_KEYS = ("birthday", "about_me", "activities", "gender", "interests", "poli
 _INT_KEYS = ("wall_count", "music_count")
 _INPUT_KEY_SET = frozenset(("id", *_TEXT_KEYS, *_INT_KEYS))
 
-# The keys of a stage-file record beside id, about_me and gender, in the
-# order of Profile's fields.
+# Every field that takes an enumeration's value: gender, then the five class
+# keys that classify and bin add, in stage-file order. ``arff`` and
+# ``report`` read their enums and domains from it, and the stage-file check
+# its value sets.
+FIELD_ENUMS = {"gender": Gender, "about_me_class": ClassLabel, "age_range": AgeRange,
+               "wall_count_class": WallCountClass, "music_share_class": ShareClass,
+               "activity_interest_class": ShareClass}
+# Each value maps to itself: the one string of it that records share.
+_FIELD_VALUES = {key: {member.value: member.value for member in enum_type}
+                 for key, enum_type in FIELD_ENUMS.items()}
+_CLASS_KEYS = tuple(FIELD_ENUMS)[1:]
+# The keys of a stage-file record beside id, about_me, gender and the classes.
 _COUNT_KEYS = ("wall_count", "music_count", "activity_interest_count")
 _OPTIONAL_TEXT_KEYS = ("birthday", "activities", "interests", "political")
-_CLASS_KEYS = {"about_me_class": ClassLabel, "age_range": AgeRange, "wall_count_class": WallCountClass,
-               "music_share_class": ShareClass, "activity_interest_class": ShareClass}
-_STAGE_KEYS = frozenset(("id", "about_me", "gender", *_COUNT_KEYS, *_OPTIONAL_TEXT_KEYS, *_CLASS_KEYS))
+_STAGE_KEYS = frozenset(("id", "about_me", *_COUNT_KEYS, *_OPTIONAL_TEXT_KEYS, *FIELD_ENUMS))
 
 
 @dataclass(frozen=True)
@@ -52,104 +65,6 @@ class ParseIssue:
 
     line_no: int
     message: str
-
-
-@dataclass
-class Profile:
-    """An accepted record plus the fields later stages fill in."""
-
-    record_id: str
-    about_me: str
-    gender: Gender
-    wall_count: int
-    music_count: int
-    activity_interest_count: int
-    birthday: Optional[str] = None
-    activities: Optional[str] = None
-    interests: Optional[str] = None
-    political: Optional[str] = None
-    about_me_class: Optional[ClassLabel] = None
-    age_range: Optional[AgeRange] = None
-    wall_count_class: Optional[WallCountClass] = None
-    music_share_class: Optional[ShareClass] = None
-    activity_interest_class: Optional[ShareClass] = None
-
-    def to_record(self) -> dict:
-        """The persisted form, in a fixed key order. Absent optional fields are
-        left out and enum members become their values (read from ``_value_``,
-        which skips the ``value`` property's descriptor call)."""
-        record = {"id": self.record_id}
-        if self.birthday is not None:
-            record["birthday"] = self.birthday
-        record["about_me"] = self.about_me
-        if self.activities is not None:
-            record["activities"] = self.activities
-        record["gender"] = self.gender._value_
-        if self.interests is not None:
-            record["interests"] = self.interests
-        record["wall_count"] = self.wall_count
-        if self.political is not None:
-            record["political"] = self.political
-        record["music_count"] = self.music_count
-        record["activity_interest_count"] = self.activity_interest_count
-        for key, member in (
-            ("about_me_class", self.about_me_class),
-            ("age_range", self.age_range),
-            ("wall_count_class", self.wall_count_class),
-            ("music_share_class", self.music_share_class),
-            ("activity_interest_class", self.activity_interest_class),
-        ):
-            if member is not None:
-                record[key] = member._value_
-        return record
-
-    @classmethod
-    def from_record(cls, record: dict) -> "Profile":
-        """Inverse of ``to_record``. A key ``to_record`` never writes raises
-        ValueError, a missing key KeyError, a value of the wrong type
-        TypeError, and a value outside its enumeration (null included), an
-        empty id or a record ingest would reject (``rejection_reason``)
-        ValueError."""
-        if not _STAGE_KEYS.issuperset(record):
-            raise ValueError(f"unknown keys: {sorted(record.keys() - _STAGE_KEYS)}")
-        if type(record["id"]) is not str or type(record["about_me"]) is not str:
-            raise TypeError("id and about_me must be strings")
-        if not record["id"]:
-            raise ValueError("id must be a non-empty string")
-        fields = []  # the fields after gender, in order
-        for key in _COUNT_KEYS:
-            value = record[key]
-            if type(value) is not int:
-                raise TypeError(f"{key} must be an integer, got {value!r}")
-            fields.append(value)
-        get = record.get
-        for key in _OPTIONAL_TEXT_KEYS:
-            value = get(key)
-            if value is not None and type(value) is not str:
-                raise TypeError(f"{key} must be a string, got {value!r}")
-            fields.append(value)
-        reason = rejection_reason(record)
-        if reason is not None:
-            raise ValueError(f"ingest would reject it: {reason}")
-        gender = _decode(Gender, record["gender"])
-        for key, enum_type in _CLASS_KEYS.items():
-            fields.append(_decode(enum_type, record[key]) if key in record else None)
-        return cls(record["id"], record["about_me"], gender, *fields)
-
-
-_MEMBERS = {
-    enum_type: {member.value: member for member in enum_type}
-    for enum_type in (Gender, ClassLabel, AgeRange, WallCountClass, ShareClass)
-}
-
-
-def _decode(enum_type, value):
-    """``enum_type(value)``, looked up in a value table first; a miss (an
-    unknown, null or unhashable value) goes to ``enum_type`` for its error."""
-    try:
-        return _MEMBERS[enum_type][value]
-    except (KeyError, TypeError):
-        return enum_type(value)
 
 
 @dataclass
@@ -231,13 +146,12 @@ def count_items(text: Optional[str]) -> int:
     return sum(1 for item in text.split(",") if item.strip())
 
 
-def _normalize_gender(text: Optional[str]) -> Gender:
-    lowered = (text or "").strip().lower()
-    if lowered == "male":
-        return Gender.MALE
-    if lowered == "female":
-        return Gender.FEMALE
-    return Gender.UNSPECIFIED
+_GENDERS = {"male": Gender.MALE.value, "female": Gender.FEMALE.value}
+
+
+def _normalize_gender(text: Optional[str]) -> str:
+    """Male or Female for those words in any case, else Unspecified."""
+    return _GENDERS.get((text or "").strip().lower(), Gender.UNSPECIFIED.value)
 
 
 def rejection_reason(record: dict) -> Optional[str]:
@@ -261,11 +175,12 @@ def rejection_reason(record: dict) -> Optional[str]:
     return None
 
 
-def validate_and_filter(records: list[dict]) -> tuple[list[Profile], RejectionReport]:
+def validate_and_filter(records: list[dict]) -> tuple[list[dict], RejectionReport]:
     """Filter out the records ``rejection_reason`` gives a reason for; total
-    over its input. Gender is normalized case-insensitively; anything that
-    is not male or female becomes Unspecified."""
-    accepted: list[Profile] = []
+    over its input. Each accepted record becomes a stage-file record: its
+    keys in stage-file order, absent ones left out, gender normalized
+    (``_normalize_gender``) and activity_interest_count added."""
+    accepted: list[dict] = []
     report = RejectionReport()
     for record in records:
         reason = rejection_reason(record)
@@ -274,20 +189,12 @@ def validate_and_filter(records: list[dict]) -> tuple[list[Profile], RejectionRe
             continue
         get = record.get
         activities, interests = get("activities"), get("interests")
-        accepted.append(
-            Profile(
-                record_id=record["id"],
-                about_me=record["about_me"],
-                gender=_normalize_gender(get("gender")),
-                wall_count=record["wall_count"],
-                music_count=record["music_count"],
-                activity_interest_count=count_items(activities) + count_items(interests),
-                birthday=get("birthday"),
-                activities=activities,
-                interests=interests,
-                political=get("political"),
-            )
-        )
+        profile = {"id": record["id"], "birthday": get("birthday"), "about_me": record["about_me"],
+                   "activities": activities, "gender": _normalize_gender(get("gender")),
+                   "interests": interests, "wall_count": record["wall_count"],
+                   "political": get("political"), "music_count": record["music_count"],
+                   "activity_interest_count": count_items(activities) + count_items(interests)}
+        accepted.append({key: value for key, value in profile.items() if value is not None})
     return accepted, report
 
 
@@ -304,15 +211,15 @@ else:
 
 
 def persist_corpus(
-    profiles: Iterable[Profile],
+    profiles: Iterable[dict],
     path: str | Path,
-    prepare: Optional[Callable[[Profile], None]] = None,
+    prepare: Optional[Callable[[dict], None]] = None,
 ) -> int:
-    """Write the corpus as JSON lines, atomically, one batch of records
-    (``io_utils.batches``) at a time as ``profiles`` yields them: a batch is
-    read, then ``prepare`` (a stage's work on one record, when given) runs on
-    each of its records, then the batch is encoded and written. Returns the
-    number of records written."""
+    """Write the stage-file records as JSON lines, each as it is, atomically,
+    one batch of records (``io_utils.batches``) at a time as ``profiles``
+    yields them: a batch is read, then ``prepare`` (a stage's work on one
+    record, when given) runs on each of its records, then the batch is
+    encoded and written. Returns the number of records written."""
     written = 0
 
     def chunks() -> Iterator[str]:
@@ -322,27 +229,75 @@ def persist_corpus(
                 for profile in batch:
                     prepare(profile)
             written += len(batch)
-            yield "".join([_encode_record(profile.to_record()) + "\n" for profile in batch])
+            yield "".join([_encode_record(profile) + "\n" for profile in batch])
 
     atomic_write_text(path, chunks())
     return written
 
 
-def load_corpus(path: str | Path) -> Iterator[Profile]:
-    """Read back a persisted corpus one record at a time, through
-    ``io_utils.json_lines``, reproducing the profiles exactly. The file is
-    opened by the first ``next``.
+def check_stage_record(record: dict) -> None:
+    """Refuse a decoded stage-file line that ingest, classify and bin could
+    not have written. The checks run in this order and the first fault is
+    raised: a key they never write (ValueError); id or about_me missing
+    (KeyError) or not a string (TypeError); an empty id (ValueError); a count
+    missing (KeyError) or not an integer (TypeError); an optional text that
+    is not a string (TypeError); a record ingest would reject
+    (``rejection_reason``, ValueError); gender missing (KeyError); then
+    gender and each class present, where a value outside its enumeration,
+    null included, raises the enumeration's own error. A null optional text
+    is taken out of the record, as if absent, and an enumeration value is
+    replaced by the enumeration's own equal string, which records share."""
+    if not _STAGE_KEYS.issuperset(record):
+        raise ValueError(f"unknown keys: {sorted(record.keys() - _STAGE_KEYS)}")
+    if type(record["id"]) is not str or type(record["about_me"]) is not str:
+        raise TypeError("id and about_me must be strings")
+    if not record["id"]:
+        raise ValueError("id must be a non-empty string")
+    for key in _COUNT_KEYS:
+        value = record[key]
+        if type(value) is not int:
+            raise TypeError(f"{key} must be an integer, got {value!r}")
+    for key in _OPTIONAL_TEXT_KEYS:
+        if key in record:
+            value = record[key]
+            if value is None:
+                del record[key]
+            elif type(value) is not str:
+                raise TypeError(f"{key} must be a string, got {value!r}")
+    reason = rejection_reason(record)
+    if reason is not None:
+        raise ValueError(f"ingest would reject it: {reason}")
+    record["gender"] = _member_value("gender", record["gender"])
+    for key in _CLASS_KEYS:
+        if key in record:
+            record[key] = _member_value(key, record[key])
+
+
+def _member_value(key: str, value) -> str:
+    """The value of ``FIELD_ENUMS[key]`` equal to ``value``, as the one string
+    every record shares; any other value (an unknown, null or unhashable
+    one) goes to the enumeration for its error."""
+    try:
+        return _FIELD_VALUES[key][value]
+    except (KeyError, TypeError):
+        return FIELD_ENUMS[key](value)._value_
+
+
+def load_corpus(path: str | Path) -> Iterator[dict]:
+    """Read back a stage file one record at a time, through
+    ``io_utils.json_lines``, yielding each decoded record as its line holds
+    it, keys in the line's order. The file is opened by the first ``next``.
 
     An unreadable file raises StorageError, and so does a line that
-    ``io_utils.json_object`` refuses or that ``Profile.from_record`` refuses
-    (another key, a missing one, a value of another type or outside its
-    enumeration, an empty id or a record ingest would reject); the message
-    names the path and the line. The first fault met in file order is the
-    one reported.
+    ``io_utils.json_object`` or ``check_stage_record`` refuses (another key,
+    a missing one, a value of another type or outside its enumeration, an
+    empty id or a record ingest would reject); the message names the path
+    and the line. The first fault met in file order is the one reported.
     """
     for line_no, line in json_lines(path, "corpus "):
         try:
-            profile = Profile.from_record(json_object(line))
+            record = json_object(line)
+            check_stage_record(record)
         except (KeyError, TypeError, ValueError) as exc:
             raise StorageError(f"corrupt corpus {path}:{line_no}: {exc}") from exc
-        yield profile
+        yield record

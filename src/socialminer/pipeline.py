@@ -22,7 +22,7 @@ from .binning import (
     bin_wall_count,
 )
 from .errors import ParameterError
-from .ingest import Profile, load_profiles, parse_birthday, persist_corpus, validate_and_filter
+from .ingest import load_profiles, parse_birthday, persist_corpus, validate_and_filter
 from .io_utils import atomic_write_text, batches, make_output_dir
 from .knn import ClassLabel, CorpusIndex, classify_text, load_sample_corpus
 from .report import aggregate, compare, emit_chart, emit_comparison_chart, emit_table, tally
@@ -54,7 +54,9 @@ def _group_slug(population: str) -> str:
 class RunConfig:
     """The options of one command. ``run`` takes them all; a stage
     subcommand takes those of its row in ``STAGES``, and the others keep
-    their defaults."""
+    their defaults. ``output_dir=Path("")`` is ``Path(".")``, so the run
+    writes into the working directory; only the CLI, which refuses an empty
+    path, can tell the two apart."""
 
     input_path: Path
     output_dir: Path
@@ -145,7 +147,7 @@ STAGES = (
 )
 
 
-def stage_ingest(profiles: Optional[list[Profile]], config: RunConfig, out_dir: Path) -> dict:
+def stage_ingest(profiles: Optional[list[dict]], config: RunConfig, out_dir: Path) -> dict:
     """Load and validate the raw profiles, persist the accepted ones one
     batch at a time, then write the rejection report of the whole file.
     Ingest reads no profiles: given a list (as ``run`` does), it collects
@@ -154,7 +156,7 @@ def stage_ingest(profiles: Optional[list[Profile]], config: RunConfig, out_dir: 
     records, issues = load_profiles(config.input_path)
     rejected: list[tuple[str, str]] = []
 
-    def accepted() -> Iterator[Profile]:
+    def accepted() -> Iterator[dict]:
         for batch in batches(records):
             batch_profiles, report = validate_and_filter(batch)
             rejected.extend(report.rejected)
@@ -175,7 +177,7 @@ def stage_ingest(profiles: Optional[list[Profile]], config: RunConfig, out_dir: 
     return {"accepted": written, "rejected": len(rejected), "malformed": len(issues)}
 
 
-def stage_classify(profiles: Iterable[Profile], config: RunConfig, out_dir: Path) -> dict:
+def stage_classify(profiles: Iterable[dict], config: RunConfig, out_dir: Path) -> dict:
     """Label every profile's about_me text and persist it, one batch at a
     time (``persist_corpus``). The stopwords and the sample corpus are
     loaded and indexed once, and k and n_features are checked before any
@@ -189,10 +191,10 @@ def stage_classify(profiles: Iterable[Profile], config: RunConfig, out_dir: Path
         raise ParameterError(f"n_features={n_features} must be >= 1")
     unclassifiable = 0
 
-    def classify_one(profile: Profile) -> None:
+    def classify_one(profile: dict) -> None:
         nonlocal unclassifiable
-        label = classify_text(profile.about_me, index, n_features, k, stopwords)
-        profile.about_me_class = label
+        label = classify_text(profile["about_me"], index, n_features, k, stopwords)
+        profile["about_me_class"] = label._value_
         if label is ClassLabel.UNCLASSIFIABLE:
             unclassifiable += 1
 
@@ -200,25 +202,25 @@ def stage_classify(profiles: Iterable[Profile], config: RunConfig, out_dir: Path
     return {"accepted": written, "unclassifiable": unclassifiable}
 
 
-def stage_bin(profiles: Iterable[Profile], config: RunConfig, out_dir: Path) -> dict:
+def stage_bin(profiles: Iterable[dict], config: RunConfig, out_dir: Path) -> dict:
     """Derive age ranges and group classes for every profile and persist
     it, one batch at a time (``persist_corpus``). Every profile has passed
     ``ingest.rejection_reason``, so a birthday, if given, is a date."""
     reference_date, gap_policy = config.reference_date, config.gap_policy
 
-    def bin_one(profile: Profile) -> None:
-        birthday = None if profile.birthday is None else parse_birthday(profile.birthday)
-        profile.age_range = age_range(age_from_birthday(birthday, reference_date))
-        profile.wall_count_class = bin_wall_count(profile.wall_count)
-        profile.music_share_class = bin_music_share(profile.music_count, gap_policy)
-        profile.activity_interest_class = bin_activities_interests(
-            profile.activity_interest_count, gap_policy
-        )
+    def bin_one(profile: dict) -> None:
+        birthday = profile.get("birthday")
+        birthday = None if birthday is None else parse_birthday(birthday)
+        profile["age_range"] = age_range(age_from_birthday(birthday, reference_date))._value_
+        profile["wall_count_class"] = bin_wall_count(profile["wall_count"])._value_
+        profile["music_share_class"] = bin_music_share(profile["music_count"], gap_policy)._value_
+        profile["activity_interest_class"] = bin_activities_interests(
+            profile["activity_interest_count"], gap_policy)._value_
 
     return {"accepted": persist_corpus(profiles, out_dir / BINNED_FILE, bin_one)}
 
 
-def stage_arff(profiles: Iterable[Profile], config: RunConfig, out_dir: Path) -> dict:
+def stage_arff(profiles: Iterable[dict], config: RunConfig, out_dir: Path) -> dict:
     """Write the ARFF dataset; its text is built whole before it is written."""
     atomic_write_text(out_dir / ARFF_FILE, emit_arff(build_dataset(profiles)))
     return {}
@@ -231,7 +233,7 @@ def check_run_id(run_id: str) -> None:
         raise ParameterError(f"bad run id {run_id!r}: it must name one directory")
 
 
-def stage_report(profiles: Iterable[Profile], config: RunConfig, out_dir: Path) -> list[dict]:
+def stage_report(profiles: Iterable[dict], config: RunConfig, out_dir: Path) -> list[dict]:
     """Write distribution tables and charts: pie charts of personality
     classes per age range, per-gender line charts, and male/female
     comparison charts for every binned measure. The profiles are counted in
@@ -312,7 +314,7 @@ def failure_marker(out_dir: Path) -> Iterator[None]:
 def run_stages(
     config: RunConfig,
     stages: Sequence[Stage] = STAGES,
-    read: Optional[Callable[[Path], Iterable[Profile]]] = None,
+    read: Optional[Callable[[Path], Iterable[dict]]] = None,
 ) -> RunSummary:
     """Make the output directory, then run ``stages`` in table order under
     one failure marker. A stage subcommand passes ``read``, through which

@@ -7,21 +7,17 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .binning import AgeRange, ShareClass, WallCountClass
 from .errors import ChartError, ReportError
-from .ingest import Gender, Profile
-from .knn import ClassLabel
+from .ingest import FIELD_ENUMS
 
-GROUP_FIELDS = {"age_range": AgeRange, "gender": Gender}
-MEASURE_FIELDS = {
-    "about_me_class": ClassLabel,
-    "wall_count_class": WallCountClass,
-    "music_share_class": ShareClass,
-    "activity_interest_class": ShareClass,
-}
+# The fields a report groups by and those it measures, each one of
+# ``ingest.FIELD_ENUMS``, whose enumeration gives its values in order.
+GROUP_FIELDS = ("age_range", "gender")
+MEASURE_FIELDS = ("about_me_class", "wall_count_class", "music_share_class",
+                  "activity_interest_class")
 # The fields of a tally key, in order.
 REPORT_FIELDS = (*GROUP_FIELDS, *MEASURE_FIELDS)
 # The (group_by, measure) tables of a report, in the order they are written;
@@ -58,22 +54,23 @@ class Comparison:
     right: Distribution
 
 
-def tally(profiles: Iterable[Profile]) -> Counter:
+def tally(profiles: Iterable[dict]) -> Counter:
     """Count the profiles by their tuple of ``REPORT_FIELDS`` values, in one
     pass; there are at most as many keys as combinations of those values.
     Every profile must have both fields of each of ``REPORT_TABLES``; the
     first one that lacks a field raises ReportError naming it and the first
     table it cannot be counted in."""
-    values_of = attrgetter(*REPORT_FIELDS)
+    values_of = itemgetter(*REPORT_FIELDS)
     counts: Counter = Counter()
     for profile in profiles:
-        values = values_of(profile)
-        if None in values:
+        try:
+            values = values_of(profile)
+        except KeyError:
             for group_by, measure in REPORT_TABLES:
-                if getattr(profile, group_by) is None or getattr(profile, measure) is None:
+                if group_by not in profile or measure not in profile:
                     raise ReportError(
-                        f"profile {profile.record_id!r} missing {group_by} or {measure}"
-                    )
+                        f"profile {profile['id']!r} missing {group_by} or {measure}"
+                    ) from None
         counts[values] += 1
     return counts
 
@@ -86,20 +83,14 @@ def aggregate(counts: Counter, group_by: str, measure: str) -> list[Distribution
         raise ReportError(f"cannot group by {group_by!r}")
     if measure not in MEASURE_FIELDS:
         raise ReportError(f"cannot measure {measure!r}")
-    groups = list(GROUP_FIELDS[group_by])
-    buckets = list(MEASURE_FIELDS[measure])
-    # Counted by member; the values are read once per bucket at the end.
-    table = {group: dict.fromkeys(buckets, 0) for group in groups}
+    buckets = [member.value for member in FIELD_ENUMS[measure]]
+    table = {member.value: dict.fromkeys(buckets, 0) for member in FIELD_ENUMS[group_by]}
     group_at, measure_at = REPORT_FIELDS.index(group_by), REPORT_FIELDS.index(measure)
     for values, n in counts.items():
         table[values[group_at]][values[measure_at]] += n
     return [
-        Distribution(
-            measure,
-            f"{group_by}={group.value}",
-            {bucket.value: n for bucket, n in table[group].items()},
-        )
-        for group in groups
+        Distribution(measure, f"{group_by}={group}", bucket_counts)
+        for group, bucket_counts in table.items()
     ]
 
 

@@ -13,7 +13,7 @@ from typing import Optional
 
 from socialminer.arff import NOMINAL, NUMERIC, ArffAttribute, ArffDataset, _attribute_line, _format_field
 from socialminer.errors import ArffEncodeError, CorpusError, DuplicateIdError, StorageError
-from socialminer.ingest import ParseIssue, Profile, _parse_record_line
+from socialminer.ingest import ParseIssue, _parse_record_line, check_stage_record
 from socialminer.io_utils import atomic_write_text
 from socialminer.knn import ClassLabel, DistanceRow, SampleDocument
 from socialminer.textprep import DEFAULT_STOPWORDS
@@ -60,30 +60,26 @@ def parse_birthday(text: str) -> Optional[date]:
         return None
 
 
-def profile_record(profile) -> dict:
-    """``Profile.to_record``: every field, then the absent ones dropped."""
-    record = {
-        "id": profile.record_id,
-        "birthday": profile.birthday,
-        "about_me": profile.about_me,
-        "activities": profile.activities,
-        "gender": profile.gender.value,
-        "interests": profile.interests,
-        "wall_count": profile.wall_count,
-        "political": profile.political,
-        "music_count": profile.music_count,
-        "activity_interest_count": profile.activity_interest_count,
-    }
-    for key, value in (
-        ("about_me_class", profile.about_me_class),
-        ("age_range", profile.age_range),
-        ("wall_count_class", profile.wall_count_class),
-        ("music_share_class", profile.music_share_class),
-        ("activity_interest_class", profile.activity_interest_class),
-    ):
-        if value is not None:
-            record[key] = value.value
-    return {k: v for k, v in record.items() if v is not None}
+# Every key of a stage-file record, in the order ingest, classify and bin
+# write them (README, "Input formats").
+STAGE_KEY_ORDER = (
+    "id", "birthday", "about_me", "activities", "gender", "interests", "wall_count", "political",
+    "music_count", "activity_interest_count", "about_me_class", "age_range", "wall_count_class",
+    "music_share_class", "activity_interest_class",
+)
+
+
+def stage_record(record_id, about_me, gender, wall_count, music_count, activity_interest_count,
+                 **optional) -> dict:
+    """A stage-file record as the stages write it: its keys in
+    ``STAGE_KEY_ORDER``, those given as None left out, enum members as their
+    values."""
+    fields = {"id": record_id, "about_me": about_me, "gender": gender, "wall_count": wall_count,
+              "music_count": music_count, "activity_interest_count": activity_interest_count,
+              **optional}
+    assert fields.keys() <= set(STAGE_KEY_ORDER), fields.keys() - set(STAGE_KEY_ORDER)
+    return {key: getattr(fields[key], "value", fields[key])
+            for key in STAGE_KEY_ORDER if fields.get(key) is not None}
 
 
 def _format_value(value, attr: ArffAttribute, row_no: int) -> str:
@@ -183,7 +179,7 @@ encode_record_reference = json.JSONEncoder(ensure_ascii=False).encode
 def persist_corpus(profiles, path) -> None:
     """``ingest.persist_corpus``: every line joined into one text, then written."""
     atomic_write_text(
-        path, "".join([encode_record_reference(p.to_record()) + "\n" for p in profiles])
+        path, "".join([encode_record_reference(p) + "\n" for p in profiles])
     )
 
 
@@ -198,9 +194,11 @@ def load_corpus(path):
         if not line.strip():
             continue
         try:
-            profiles.append(Profile.from_record(json_object_reference(line)))
+            record = json_object_reference(line)
+            check_stage_record(record)
         except (KeyError, TypeError, ValueError) as exc:
             raise StorageError(f"corrupt corpus {path}:{line_no}: {exc}") from exc
+        profiles.append(record)
     return profiles
 
 

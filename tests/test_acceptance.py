@@ -17,7 +17,7 @@ from socialminer.binning import (
     bin_wall_count,
 )
 from socialminer.features import term_counts, term_frequency
-from socialminer.ingest import Gender, Profile
+from socialminer.ingest import Gender
 from socialminer.knn import (
     ClassLabel,
     PERSONALITY_LABELS,
@@ -32,6 +32,7 @@ from socialminer.pipeline import RunConfig, run_pipeline
 from socialminer.synth import CLASS_WORDS, corpus_documents, make_corpus_records, make_profile_records, write_jsonl
 
 from arff_oracle import parse_arff
+from reference_paths import stage_record
 from knn_oracle import brute_classify, brute_distance
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -199,9 +200,9 @@ def test_arff_round_trip():
     assert time.perf_counter() - start < 2.0
 
 
-def _profile(record_id, label, gender_text, birthday, wall, music, acts) -> Profile:
+def _profile(record_id, label, gender_text, birthday, wall, music, acts) -> dict:
     gender = {"male": Gender.MALE, "female": Gender.FEMALE}.get(gender_text, Gender.UNSPECIFIED)
-    return Profile(
+    return stage_record(
         record_id=record_id,
         about_me="placeholder",
         gender=gender,
@@ -218,11 +219,12 @@ def _bin_all(profiles):
     from socialminer.ingest import parse_birthday
 
     for p in profiles:
-        born = parse_birthday(p.birthday) if p.birthday else None
-        p.age_range = age_range(age_from_birthday(born, REF_DATE))
-        p.wall_count_class = bin_wall_count(p.wall_count)
-        p.music_share_class = bin_music_share(p.music_count, GapPolicy.FIVE_IS_LOW)
-        p.activity_interest_class = bin_activities_interests(p.activity_interest_count, GapPolicy.FIVE_IS_LOW)
+        born = parse_birthday(p["birthday"]) if p.get("birthday") else None
+        p["age_range"] = age_range(age_from_birthday(born, REF_DATE)).value
+        p["wall_count_class"] = bin_wall_count(p["wall_count"]).value
+        p["music_share_class"] = bin_music_share(p["music_count"], GapPolicy.FIVE_IS_LOW).value
+        p["activity_interest_class"] = bin_activities_interests(
+            p["activity_interest_count"], GapPolicy.FIVE_IS_LOW).value
 
 
 def _class_text(label: ClassLabel) -> str:

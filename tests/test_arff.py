@@ -13,7 +13,7 @@ from socialminer.arff import (
 )
 from socialminer.binning import AgeRange, ShareClass, WallCountClass
 from socialminer.errors import ArffEncodeError
-from socialminer.ingest import Gender, Profile
+from socialminer.ingest import Gender
 from socialminer.knn import ClassLabel
 
 import reference_paths
@@ -36,7 +36,7 @@ def enriched_profile(i=0, **overrides):
         activity_interest_class=ShareClass.LOW,
     )
     fields.update(overrides)
-    return Profile(**fields)
+    return reference_paths.stage_record(**fields)
 
 
 GOLDEN_HEADER = """@relation social_profiles
@@ -76,7 +76,7 @@ class TestBuildDataset:
 
     def test_unbinned_profile_rejected(self):
         p = enriched_profile()
-        p.wall_count_class = None
+        del p["wall_count_class"]
         with pytest.raises(ArffEncodeError):
             build_dataset([p])
 

@@ -16,9 +16,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from socialminer.binning import AgeRange, ShareClass, WallCountClass
 from socialminer.cli import main
-from socialminer.ingest import Gender, Profile, _encode_record
+from socialminer.ingest import Gender, _encode_record
 from socialminer.knn import ClassLabel
 from socialminer.synth import make_corpus_records, write_jsonl
+
+from reference_paths import stage_record
 
 LONE = "\ud800"
 # Written as the escape "\ud800": valid JSON that no UTF-8 file can hold.
@@ -44,14 +46,14 @@ about_me_texts = texts | texts.map("honest{}".format)
 birthdays = st.none() | st.sampled_from(["1990-01-15", "2030-01-01", "2015-02-30", "not a date", ""]) \
     | st.dates(max_value=date(2015, 6, 1)).map(date.isoformat)
 stage_lines = st.builds(
-    Profile, record_id=ids, about_me=about_me_texts, gender=st.sampled_from(Gender),
+    stage_record, record_id=ids, about_me=about_me_texts, gender=st.sampled_from(Gender),
     wall_count=st.integers(0, 99), music_count=st.integers(0, 9),
     activity_interest_count=st.integers(0, 9), birthday=birthdays,
-).map(lambda profile: escaped(_encode_record(profile.to_record())))
+).map(lambda record: escaped(_encode_record(record)))
 # A later stage file: the birthdays ingest accepts and those it rejects, and
 # each class present or absent.
 binned_lines = st.builds(
-    Profile, record_id=ids, about_me=about_me_texts, gender=st.sampled_from(Gender),
+    stage_record, record_id=ids, about_me=about_me_texts, gender=st.sampled_from(Gender),
     wall_count=st.integers(0, 99), music_count=st.integers(0, 9),
     activity_interest_count=st.integers(0, 9), birthday=birthdays,
     about_me_class=st.none() | st.sampled_from(ClassLabel),
@@ -59,7 +61,7 @@ binned_lines = st.builds(
     wall_count_class=st.none() | st.sampled_from(WallCountClass),
     music_share_class=st.none() | st.sampled_from(ShareClass),
     activity_interest_class=st.none() | st.sampled_from(ShareClass),
-).map(lambda profile: escaped(_encode_record(profile.to_record())))
+).map(lambda record: escaped(_encode_record(record)))
 stopword_lines = st.one_of(texts, st.sampled_from(["# honest", "HONEST", "kind"])).map(escaped)
 sample_lines = st.fixed_dictionaries(
     {"id": st.sampled_from(["s1", "s2", "s3", "s4", LONE]),

@@ -11,11 +11,11 @@ from socialminer.binning import AgeRange, ShareClass, WallCountClass
 from socialminer.errors import DuplicateIdError, StorageError
 from socialminer.ingest import (
     Gender,
-    Profile,
     REASON_BAD_BIRTHDAY,
     REASON_MISSING_NUMERIC,
     REASON_MISSING_TEXT,
     REASON_NEGATIVE_NUMERIC,
+    check_stage_record,
     count_items,
     load_corpus,
     load_profiles,
@@ -193,8 +193,8 @@ class TestValidateAndFilter:
         assert len(accepted) == 1
         assert report.rejected == []
         p = accepted[0]
-        assert p.gender is Gender.MALE
-        assert p.activity_interest_count == 3  # reading, hiking + music
+        assert (p["gender"], type(p["gender"])) == (Gender.MALE.value, str)
+        assert p["activity_interest_count"] == 3  # reading, hiking + music
 
     def test_missing_about_me_rejected(self):
         records = [full_record(about_me=None)]
@@ -228,7 +228,7 @@ class TestValidateAndFilter:
         records = [full_record(birthday=None)]
         accepted, report = validate_and_filter(records)
         assert len(accepted) == 1
-        assert accepted[0].birthday is None
+        assert "birthday" not in accepted[0]
 
     @pytest.mark.parametrize(
         "text,expected",
@@ -244,7 +244,8 @@ class TestValidateAndFilter:
     def test_gender_normalization(self, text, expected):
         records = [full_record(gender=text)]
         accepted, _ = validate_and_filter(records)
-        assert accepted[0].gender is expected
+        gender = accepted[0]["gender"]
+        assert (gender, type(gender)) == (expected.value, str)
 
     def test_totality(self):
         records = [
@@ -254,7 +255,7 @@ class TestValidateAndFilter:
         ]
         accepted, report = validate_and_filter(records)
         assert len(accepted) + len(report.rejected) == 3
-        assert {p.record_id for p in accepted} | {r for r, _ in report.rejected} == {
+        assert {p["id"] for p in accepted} | {r for r, _ in report.rejected} == {
             "u1",
             "u2",
             "u3",
@@ -370,7 +371,7 @@ def make_profile(i, **overrides):
         political=None,
     )
     fields.update(overrides)
-    return Profile(**fields)
+    return reference_paths.stage_record(**fields)
 
 
 class TestCorpusRoundTrip:
@@ -440,7 +441,7 @@ def optional(strategy):
 # Beside any text, dates and non-blank texts, so that most profiles pass the
 # record rule.
 profiles_strategy = st.builds(
-    Profile,
+    reference_paths.stage_record,
     record_id=st.text(min_size=1, max_size=8),
     about_me=st.text(max_size=20) | st.text(min_size=1, max_size=20).map("x{}".format),
     gender=st.sampled_from(Gender),
@@ -459,36 +460,29 @@ profiles_strategy = st.builds(
 )
 
 
-class TestRecordCodec:
-    @given(profiles_strategy)
-    def test_to_record_matches_reference_keys_order_and_types(self, profile):
-        record = profile.to_record()
-        reference = reference_paths.profile_record(profile)
-        assert list(record.items()) == list(reference.items())
-        assert [type(v) for v in record.values()] == [type(v) for v in reference.values()]
-
+class TestStageRecordCheck:
     @given(profiles_strategy)
     def test_round_trip_through_json(self, profile):
-        record = json.loads(json.dumps(profile.to_record()))
+        record = json.loads(json.dumps(profile))
         reason = rejection_reason(record)
         if reason is not None:
             with pytest.raises(ValueError, match=f"^ingest would reject it: {reason}$"):
-                Profile.from_record(record)
+                check_stage_record(record)
             return
-        back = Profile.from_record(record)
-        assert back == profile
+        check_stage_record(record)
+        assert list(record.items()) == list(profile.items())
         for key, _ in ENUM_FIELDS:
-            assert getattr(back, key) is getattr(profile, key)
+            assert type(record.get(key, "")) is str
 
     @pytest.mark.parametrize("key,enum_type", ENUM_FIELDS)
     @pytest.mark.parametrize("value", [None, "Nope", "low", 3, True, [1], {"a": 1}])
     def test_bad_enum_value_raises_like_the_enum(self, key, enum_type, value):
-        record = make_profile(1, about_me_class=ClassLabel.HONEST).to_record()
+        record = make_profile(1, about_me_class=ClassLabel.HONEST)
         record[key] = value
         with pytest.raises(Exception) as expected:
             enum_type(value)
         with pytest.raises(type(expected.value)) as got:
-            Profile.from_record(record)
+            check_stage_record(record)
         assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize(
@@ -497,16 +491,27 @@ class TestRecordCodec:
          ("activity_interest_count", True), ("birthday", 1990), ("political", ["x"])],
     )
     def test_mistyped_field_is_type_error(self, key, value):
-        record = make_profile(1).to_record()
+        record = make_profile(1)
         record[key] = value
         with pytest.raises(TypeError, match=key):
-            Profile.from_record(record)
+            check_stage_record(record)
 
     def test_unknown_key_is_value_error(self):
-        record = make_profile(1).to_record()
+        record = make_profile(1)
         record["bogus"] = 1
         with pytest.raises(ValueError, match=r"^unknown keys: \['bogus'\]$"):
-            Profile.from_record(record)
+            check_stage_record(record)
+
+    def test_null_optional_text_is_taken_out(self, tmp_path):
+        # As absent: it is not written back, as no stage writes a null.
+        p = tmp_path / "classified.jsonl"
+        record = make_profile(1, about_me_class=ClassLabel.HONEST)
+        p.write_text(json.dumps({**record, "birthday": None, "political": None}) + "\n",
+                     encoding="utf-8")
+        loaded = list(load_corpus(p))
+        assert loaded == [{k: v for k, v in record.items() if k != "birthday"}]
+        persist_corpus(loaded, p)
+        assert p.read_text(encoding="utf-8") == json.dumps(loaded[0], ensure_ascii=False) + "\n"
 
 
 class TestLoadCorpusErrors:
@@ -523,11 +528,28 @@ class TestLoadCorpusErrors:
 
     def test_mistyped_field_names_path_and_line(self, tmp_path):
         p = tmp_path / "binned.jsonl"
-        record = make_profile(1).to_record()
+        record = make_profile(1)
         record["wall_count"] = "1"
         p.write_text(json.dumps(record) + "\n", encoding="utf-8")
         with pytest.raises(StorageError, match=r"binned\.jsonl:1: wall_count"):
             list(load_corpus(p))
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [({"wall_count": None}, "'wall_count'"),
+         ({"gender": None}, "'gender'"),
+         ({"age_range": "Young"}, "'Young' is not a valid AgeRange")],
+        ids=["missing_wall_count", "missing_gender", "age_range_outside_enum"],
+    )
+    def test_refusal_text(self, tmp_path, change, message):
+        p = tmp_path / "binned.jsonl"
+        record = make_profile(1, about_me_class=ClassLabel.HONEST, age_range=AgeRange.FROM_20_TO_32)
+        record.update(change)
+        p.write_text(json.dumps({k: v for k, v in record.items() if v is not None}) + "\n",
+                     encoding="utf-8")
+        with pytest.raises(StorageError) as caught:
+            list(load_corpus(p))
+        assert str(caught.value) == f"corrupt corpus {p}:1: {message}"
 
     def test_invalid_utf8_is_storage_error(self, tmp_path):
         p = tmp_path / "accepted.jsonl"

@@ -19,6 +19,7 @@ from socialminer.knn import load_sample_corpus
 from socialminer.pipeline import RunConfig, run_pipeline, stage_classify, stage_ingest
 from socialminer.synth import make_corpus_records, make_profile_records, write_jsonl
 
+import reference_paths
 from arff_oracle import parse_arff
 
 REF = date(2015, 6, 1)
@@ -526,8 +527,8 @@ class TestBadInputEndsCleanly:
         assert not (out / "classified.jsonl").exists()
 
     def test_unknown_key_in_stage_file(self, tmp_path):
-        # A key to_record never writes is a corrupt line, not one the next
-        # stage file silently drops.
+        # A key no stage writes is a corrupt line, not one the next stage
+        # file silently drops.
         out = self.staged(tmp_path)
         accepted = out / "accepted.jsonl"
         accepted.write_text(
@@ -885,6 +886,76 @@ class TestRunMatchesStageSubcommands:
             n + sum(accepted for _, (_, accepted, _) in hostile),
             sum(malformed for _, (_, _, malformed) in hostile),
         )
+
+
+class TestStageRecordKeyOrder:
+    """ingest, classify and bin write each record with its keys in one order
+    (README, "Input formats"); a record read from a stage file keeps the
+    order its line has."""
+
+    CLASSES = ("about_me_class", "age_range", "wall_count_class", "music_share_class",
+               "activity_interest_class")
+
+    def stages(self, tmp_path, out, *commands):
+        options = {
+            "ingest": ["--input", str(tmp_path / "profiles.jsonl")],
+            "classify": ["--input", str(out / "accepted.jsonl"),
+                         "--corpus", str(tmp_path / "corpus.jsonl")],
+            "bin": ["--input", str(out / "classified.jsonl"), "--ref-date", "2015-06-01"],
+            "arff": ["--input", str(out / "binned.jsonl")],
+            "report": ["--input", str(out / "binned.jsonl")],
+        }
+        for command in commands:
+            assert main([command, *options[command], "--out", str(out)]) == 0, command
+
+    @staticmethod
+    def lines(path):
+        return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+    def test_ingest_classify_and_bin_write_the_listed_order(self, tmp_path):
+        given = {"birthday": "1990-01-15", "activities": "reading", "interests": "chess",
+                 "political": "none"}
+        optional, absent = tuple(given), dict.fromkeys(given)
+        # All optional keys, none and each alone, each record also given with
+        # its keys reversed.
+        records = [record(0, **given), record(1, **absent)]
+        records += [record(2 + j, **{**absent, key: value})
+                    for j, (key, value) in enumerate(given.items())]
+        records += [dict(reversed(r.items())) | {"id": r["id"] + "r"} for r in records]
+        write_jsonl(tmp_path / "profiles.jsonl", records)
+        write_corpus(tmp_path / "corpus.jsonl")
+        out = tmp_path / "out"
+        self.stages(tmp_path, out, "ingest", "classify", "bin")
+        order = reference_paths.STAGE_KEY_ORDER
+        for name, classes in (("accepted", ()), ("classified", self.CLASSES[:1]),
+                              ("binned", self.CLASSES)):
+            written = self.lines(out / f"{name}.jsonl")
+            assert len(written) == len(records), name
+            for raw, line in zip(records, written):
+                present = [key for key in order[:10]
+                           if key not in optional or raw.get(key) is not None]
+                assert list(line) == present + list(classes), (name, line)
+
+    def test_hand_edited_key_order_is_kept(self, tmp_path):
+        write_jsonl(tmp_path / "profiles.jsonl", [record(i) for i in range(4)])
+        write_corpus(tmp_path / "corpus.jsonl")
+        plain, edited = tmp_path / "plain", tmp_path / "edited"
+        self.stages(tmp_path, plain, "ingest", "classify", "bin", "arff", "report")
+        self.stages(tmp_path, edited, "ingest")
+        accepted = edited / "accepted.jsonl"
+        lines = self.lines(accepted)
+        lines[1] = dict(reversed(lines[1].items()))
+        accepted.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        self.stages(tmp_path, edited, "classify", "bin", "arff", "report")
+        reversed_keys = list(lines[1])
+        assert list(self.lines(edited / "classified.jsonl")[1]) == reversed_keys + ["about_me_class"]
+        assert list(self.lines(edited / "binned.jsonl")[1]) == reversed_keys + list(self.CLASSES)
+        for name in ("classified.jsonl", "binned.jsonl"):
+            assert self.lines(edited / name) == self.lines(plain / name)
+        plain_files, edited_files = tree_bytes(plain), tree_bytes(edited)
+        for name in ("accepted.jsonl", "classified.jsonl", "binned.jsonl"):
+            del plain_files[name], edited_files[name]
+        assert edited_files == plain_files
 
 
 class TestFilesAfterFailure:

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from socialminer.binning import AgeRange, ShareClass, WallCountClass
 from socialminer.errors import ChartError, ReportError
-from socialminer.ingest import Gender, Profile
+from socialminer.ingest import Gender
 from socialminer.knn import ClassLabel
 from socialminer.pipeline import RunConfig, stage_report
 from socialminer.report import (
@@ -24,6 +24,8 @@ from socialminer.report import (
     tally,
 )
 
+from reference_paths import stage_record
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -33,7 +35,7 @@ def distributions(profiles, group_by, measure):
 
 
 def profile(i, gender, age_bucket, label):
-    return Profile(
+    return stage_record(
         record_id=f"u{i}",
         about_me="text",
         gender=gender,
@@ -108,7 +110,7 @@ class TestAggregate:
 
     def test_unclassified_profile_rejected(self):
         p = profile(1, M, AgeRange.UP_TO_19, ClassLabel.HONEST)
-        p.about_me_class = None
+        del p["about_me_class"]
         with pytest.raises(ReportError, match="^profile 'u1' missing age_range or about_me_class$"):
             distributions([p], "age_range", "about_me_class")
 
@@ -239,7 +241,7 @@ class TestEmitChart:
 
 
 def binned(i, gender, age_bucket, label, wall, music, activity):
-    return Profile(
+    return stage_record(
         record_id=f"d{i}",
         about_me="text",
         gender=gender,

@@ -20,7 +20,7 @@ from socialminer.binning import AgeRange, ShareClass, WallCountClass
 from socialminer.cli import main
 from socialminer.errors import StorageError
 from socialminer.ingest import (
-    Gender, Profile, _encode_record, load_corpus, load_profiles, persist_corpus, rejection_reason,
+    Gender, _encode_record, load_corpus, load_profiles, persist_corpus, rejection_reason,
 )
 from socialminer.io_utils import BATCH_SIZE, atomic_write_text, batches
 from socialminer.knn import ClassLabel, load_sample_corpus
@@ -49,7 +49,7 @@ def optional(strategy):
 # Beside any text, dates and non-blank texts, so that most records pass the
 # record rule.
 profiles_strategy = st.builds(
-    Profile,
+    reference_paths.stage_record,
     record_id=st.sampled_from(["u1", "u2", "u3", "u4", "u5", "u6"]),
     about_me=texts | texts.map("a{}".format),
     gender=st.sampled_from(Gender),
@@ -67,11 +67,11 @@ profiles_strategy = st.builds(
     activity_interest_class=optional(st.sampled_from(ShareClass)),
 )
 
-stage_lines = profiles_strategy.map(lambda p: _encode_record(p.to_record()))
+stage_lines = profiles_strategy.map(_encode_record)
 profile_lines = profiles_strategy.map(
     lambda p: json.dumps(
-        {"id": p.record_id, "about_me": p.about_me, "birthday": p.birthday,
-         "wall_count": p.wall_count, "music_count": p.music_count},
+        {"id": p["id"], "about_me": p["about_me"], "birthday": p.get("birthday"),
+         "wall_count": p["wall_count"], "music_count": p["music_count"]},
         ensure_ascii=False,
     )
 )
@@ -162,14 +162,15 @@ class TestStreamedReaders:
         # Files of several 8 KiB blocks, shifted by 0-3 bytes, so that
         # multi-byte characters and separators fall on block boundaries.
         texts = ["é€😀\u2028 " * (i % 7) + "x" for i in range(300)]
-        profiles = [Profile(f"u{i}", text, Gender.MALE, i, i, 0) for i, text in enumerate(texts)]
+        profiles = [reference_paths.stage_record(f"u{i}", text, Gender.MALE, i, i, 0)
+                    for i, text in enumerate(texts)]
         files = (
             (lambda path: read_profiles(path)[0], lambda path: reference_paths.load_profiles(path)[0],
-             [json.dumps({"id": p.record_id, "about_me": p.about_me,
+             [json.dumps({"id": p["id"], "about_me": p["about_me"],
                           "wall_count": 1, "music_count": 1}, ensure_ascii=False)
               for p in profiles]),
             (read_corpus, reference_paths.load_corpus,
-             [_encode_record(p.to_record()) for p in profiles]),
+             [_encode_record(p) for p in profiles]),
             (load_sample_corpus, reference_paths.load_sample_corpus,
              [json.dumps({"id": f"s{i}", "label": "Honest", "text": text}, ensure_ascii=False)
               for i, text in enumerate(texts)]),
@@ -218,7 +219,7 @@ class TestStreamedWriter:
         assert scratch.read_bytes() == reference.read_bytes()
         failing = [
             (line_no, reason)
-            for line_no, reason in enumerate((rejection_reason(p.to_record()) for p in profiles), 1)
+            for line_no, reason in enumerate(map(rejection_reason, profiles), 1)
             if reason is not None
         ]
         if not failing:
@@ -247,9 +248,10 @@ def test_stage_file_memory_stays_under_half_the_file(tmp_path):
     time, not the file's text or its list of lines."""
     about = "honest kind generous " * 10
     profiles = [
-        Profile(f"u{i}", about + str(i), Gender.FEMALE, i, i % 7, i % 5,
-                birthday="1990-01-15", activities="reading, hiking",
-                about_me_class=ClassLabel.HONEST, age_range=AgeRange.FROM_20_TO_32)
+        reference_paths.stage_record(
+            f"u{i}", about + str(i), Gender.FEMALE, i, i % 7, i % 5,
+            birthday="1990-01-15", activities="reading, hiking",
+            about_me_class=ClassLabel.HONEST, age_range=AgeRange.FROM_20_TO_32)
         for i in range(2000)
     ]
     path = tmp_path / "binned.jsonl"
