@@ -19,20 +19,17 @@ from .ingest import FIELD_ENUMS
 NUMERIC = "numeric"
 NOMINAL = "nominal"
 STRING = "string"
-DATE = "date"
 
 _QUOTE_TRIGGERS = set(",' \t{}%")
 
 
 @dataclass(frozen=True)
 class ArffAttribute:
-    """One typed column. ``domain`` applies to nominal attributes only,
-    ``date_format`` to date attributes only."""
+    """One typed column. ``domain`` applies to nominal attributes only."""
 
     name: str
     kind: str
     domain: tuple[str, ...] = ()
-    date_format: str = ""
 
 
 @dataclass
@@ -81,8 +78,6 @@ def _attribute_line(attr: ArffAttribute) -> str:
         kind = "numeric"
     elif attr.kind == STRING:
         kind = "string"
-    elif attr.kind == DATE:
-        kind = "date" + (f" {_format_field(attr.date_format)}" if attr.date_format else "")
     elif attr.kind == NOMINAL:
         if not attr.domain:
             raise ArffEncodeError(f"attribute {attr.name!r}: empty nominal domain")

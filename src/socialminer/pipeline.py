@@ -25,7 +25,7 @@ from .errors import ParameterError
 from .ingest import load_profiles, parse_birthday, persist_corpus, validate_and_filter
 from .io_utils import atomic_write_text, batches, make_output_dir
 from .knn import ClassLabel, CorpusIndex, classify_text, load_sample_corpus
-from .report import aggregate, compare, emit_chart, emit_comparison_chart, emit_table, tally
+from .report import REPORT_TABLES, aggregate, emit_chart, emit_comparison_chart, emit_table, tally
 from .textprep import DEFAULT_STOPWORDS, load_stopwords
 
 ACCEPTED_FILE = "accepted.jsonl"
@@ -36,12 +36,6 @@ ARFF_FILE = "dataset.arff"
 SUMMARY_FILE = "summary.json"
 FAILURE_MARKER = "FAILED"
 
-_GENDER_MEASURES = (
-    ("about_me_class", "about_me"),
-    ("wall_count_class", "wall_count"),
-    ("music_share_class", "music_share"),
-    ("activity_interest_class", "activity_interest"),
-)
 _ARTIFACT_KINDS = {".csv": "table", ".svg": "chart", ".json": "manifest"}
 
 
@@ -234,11 +228,12 @@ def check_run_id(run_id: str) -> None:
 
 
 def stage_report(profiles: Iterable[dict], config: RunConfig, out_dir: Path) -> list[dict]:
-    """Write distribution tables and charts: pie charts of personality
-    classes per age range, per-gender line charts, and male/female
-    comparison charts for every binned measure. The profiles are counted in
-    one pass before any file is written. Returns the manifest: one entry
-    per file written."""
+    """Write a table per group of each of ``report.REPORT_TABLES``, in order,
+    named after its measure without ``_class`` and its group field's first
+    word. By age range, each non-empty group also gets a pie chart; by
+    gender, Male and Female get a line chart each, then their comparison
+    table and chart. The profiles are counted in one pass before any file is
+    written. Returns the manifest: one entry per file written."""
     run_id = config.run_id
     check_run_id(run_id)
     base = out_dir / "reports" / run_id
@@ -258,37 +253,25 @@ def stage_report(profiles: Iterable[dict], config: RunConfig, out_dir: Path) -> 
             entry["chart_type"] = chart_type
         artifacts.append({**entry, "filter": population, "measure": measure})
 
-    for dist in aggregate(counts, "age_range", "about_me_class"):
-        slug = _group_slug(dist.population)
-        write(f"tables/about_me_age_{slug}.csv", emit_table(dist), dist.population, dist.dimension)
-        if dist.total > 0:
-            write(
-                f"charts/pie_about_me_age_{slug}.svg", emit_chart(dist, "pie"),
-                dist.population, dist.dimension, "pie",
-            )
-
-    for measure, slug in _GENDER_MEASURES:
-        dists = aggregate(counts, "gender", measure)
+    for group_by, measure in REPORT_TABLES:
+        slug, by = measure.removesuffix("_class"), group_by.split("_")[0]
+        dists = aggregate(counts, group_by, measure)
         for dist in dists:
             group = _group_slug(dist.population)
-            write(f"tables/{slug}_gender_{group}.csv", emit_table(dist), dist.population, measure)
-        male, female = dists[:2]
-        for dist in (male, female):
-            group = _group_slug(dist.population)
-            write(
-                f"charts/line_{slug}_{group}.svg", emit_chart(dist, "line"),
-                dist.population, measure, "line",
-            )
-        comparison = compare(male, female)
-        population = f"{male.population} vs {female.population}"
-        write(
-            f"tables/comparison_{slug}_male_female.csv", emit_table(comparison),
-            population, measure,
-        )
-        write(
-            f"charts/cmp_{slug}_male_vs_female.svg", emit_comparison_chart(comparison),
-            population, measure, "comparison",
-        )
+            write(f"tables/{slug}_{by}_{group}.csv", emit_table(dist), dist.population, measure)
+            if group_by == "age_range" and dist.total > 0:
+                write(f"charts/pie_{slug}_{by}_{group}.svg", emit_chart(dist, "pie"),
+                      dist.population, measure, "pie")
+        if group_by == "gender":
+            male, female = dists[:2]
+            for dist in (male, female):
+                write(f"charts/line_{slug}_{_group_slug(dist.population)}.svg",
+                      emit_chart(dist, "line"), dist.population, measure, "line")
+            population = f"{male.population} vs {female.population}"
+            write(f"tables/comparison_{slug}_male_female.csv", emit_table(male, female),
+                  population, measure)
+            write(f"charts/cmp_{slug}_male_vs_female.svg", emit_comparison_chart(male, female),
+                  population, measure, "comparison")
 
     manifest = {"run_id": run_id, "artifacts": artifacts}
     write(SUMMARY_FILE, json.dumps(manifest, indent=2) + "\n", "all", "all")

@@ -21,7 +21,8 @@ MEASURE_FIELDS = ("about_me_class", "wall_count_class", "music_share_class",
 # The fields of a tally key, in order.
 REPORT_FIELDS = (*GROUP_FIELDS, *MEASURE_FIELDS)
 # The (group_by, measure) tables of a report, in the order they are written;
-# together they cover every field of REPORT_FIELDS.
+# together they cover every field of REPORT_FIELDS. They are the report's
+# whole layout: ``pipeline.stage_report`` names each file from these fields.
 REPORT_TABLES = (
     ("age_range", "about_me_class"),
     *(("gender", measure) for measure in MEASURE_FIELDS),
@@ -44,14 +45,6 @@ class Distribution:
     @property
     def total(self) -> int:
         return sum(self.bucket_counts.values())
-
-
-@dataclass
-class Comparison:
-    """Two distributions of the same measure over identical bucket sets."""
-
-    left: Distribution
-    right: Distribution
 
 
 def tally(profiles: Iterable[dict]) -> Counter:
@@ -94,27 +87,18 @@ def aggregate(counts: Counter, group_by: str, measure: str) -> list[Distribution
     ]
 
 
-def compare(left: Distribution, right: Distribution) -> Comparison:
-    """Pair two distributions bucket by bucket; raw counts, no renormalization."""
-    if list(left.bucket_counts) != list(right.bucket_counts):
-        raise ReportError(
-            f"bucket sets differ: {list(left.bucket_counts)} vs {list(right.bucket_counts)}"
-        )
-    return Comparison(left, right)
-
-
-def emit_table(obj: Distribution | Comparison) -> str:
-    """Comma-separated table, one row per bucket, LF line endings."""
-    if isinstance(obj, Comparison):
-        lines = [f"bucket,{obj.left.population},{obj.right.population}"]
-        for bucket in obj.left.bucket_counts:
-            lines.append(
-                f"{bucket},{obj.left.bucket_counts[bucket]},{obj.right.bucket_counts[bucket]}"
-            )
+def emit_table(dist: Distribution, other: Distribution | None = None) -> str:
+    """Comma-separated table, one row per bucket, LF line endings: the count
+    and percent of ``dist``, or the raw counts of ``dist`` and ``other`` side
+    by side. Two distributions of one ``aggregate`` share their buckets."""
+    if other is not None:
+        lines = [f"bucket,{dist.population},{other.population}"]
+        for bucket, count in dist.bucket_counts.items():
+            lines.append(f"{bucket},{count},{other.bucket_counts[bucket]}")
         return "\n".join(lines) + "\n"
-    total = obj.total
+    total = dist.total
     lines = ["bucket,count,percent"]
-    for bucket, count in obj.bucket_counts.items():
+    for bucket, count in dist.bucket_counts.items():
         percent = 100.0 * count / total if total else 0.0
         lines.append(f"{bucket},{count},{percent:.2f}")
     return "\n".join(lines) + "\n"
@@ -264,9 +248,8 @@ def emit_chart(dist: Distribution, kind: str) -> str:
     raise ChartError(f"unknown chart kind {kind!r}")
 
 
-def emit_comparison_chart(comparison: Comparison) -> str:
+def emit_comparison_chart(left: Distribution, right: Distribution) -> str:
     """Two-series line chart comparing the left and right populations."""
-    left, right = comparison.left, comparison.right
     return _line_svg(
         f"{left.dimension}: {left.population} vs {right.population}",
         list(left.bucket_counts),

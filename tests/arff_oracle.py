@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from typing import Optional, Sequence
 
-from socialminer.arff import DATE, NOMINAL, NUMERIC, STRING, ArffAttribute, ArffDataset
+from socialminer.arff import NOMINAL, NUMERIC, STRING, ArffAttribute, ArffDataset
 from socialminer.errors import SocialMinerError
 
 _INT_PATTERN = re.compile(r"^[+-]?\d+$")
@@ -104,13 +104,6 @@ def _parse_attribute(rest: str, line_no: int) -> ArffAttribute:
         if tail:
             raise ArffParseError(line_no, "unexpected text after string type")
         return ArffAttribute(name, STRING)
-    if keyword == "date":
-        fmt = ""
-        if tail:
-            fmt, end, _ = _scan_field(tail, 0, line_no, " \t")
-            if tail[end:].strip():
-                raise ArffParseError(line_no, "unexpected text after date format")
-        return ArffAttribute(name, DATE, date_format=fmt)
     raise ArffParseError(line_no, f"unknown attribute kind {word!r}")
 
 

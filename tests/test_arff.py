@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from socialminer.arff import (
     ArffAttribute,
     ArffDataset,
-    DATE,
     NOMINAL,
     NUMERIC,
     STRING,
@@ -164,12 +163,11 @@ class TestParse:
                 ArffAttribute("n", NUMERIC),
                 ArffAttribute("c", NOMINAL, ("x", "y z", "w,v")),
                 ArffAttribute("s", STRING),
-                ArffAttribute("d", DATE, date_format="yyyy-MM-dd"),
             ],
             [
-                (1, "x", "plain", "2020-01-01"),
-                (2.5, "y z", "with space", "2021-12-31"),
-                (None, None, None, None),
+                (1, "x", "plain"),
+                (2.5, "y z", "with space"),
+                (None, None, None),
             ],
         )
         back = parse_arff(emit_arff(ds))
@@ -220,10 +218,7 @@ def attribute_strategy():
         st.lists(safe_text.filter(bool), min_size=1, max_size=4, unique=True),
     )
     string = st.builds(lambda n: ArffAttribute(n, STRING), name_text)
-    date = st.builds(
-        lambda n, f: ArffAttribute(n, DATE, date_format=f), name_text, safe_text
-    )
-    return st.one_of(numeric, nominal, string, date)
+    return st.one_of(numeric, nominal, string)
 
 
 def value_for(attr: ArffAttribute):

@@ -16,7 +16,6 @@ from socialminer.pipeline import RunConfig, stage_report
 from socialminer.report import (
     Distribution,
     aggregate,
-    compare,
     emit_chart,
     emit_comparison_chart,
     emit_table,
@@ -92,6 +91,7 @@ class TestAggregate:
 
     def test_hand_tally_by_gender(self):
         dists = {d.population: d for d in distributions(TEN_PROFILES, "gender", "about_me_class")}
+        assert list(dists)[:2] == ["gender=Male", "gender=Female"]
         male = dists["gender=Male"].bucket_counts
         female = dists["gender=Female"].bucket_counts
         assert (male["Honest"], male["Aggressive"], male["Sincere"], male["Emotional"]) == (2, 1, 1, 1)
@@ -101,6 +101,13 @@ class TestAggregate:
     def test_buckets_in_enumeration_order(self):
         d = distributions(TEN_PROFILES, "gender", "wall_count_class")[0]
         assert list(d.bucket_counts) == [v.value for v in WallCountClass]
+
+    def test_disjoint_nonzero_buckets_align_on_zero_filled_sets(self):
+        pair = [profile(1, M, AgeRange.HIDDEN, ClassLabel.HONEST),
+                profile(2, F, AgeRange.HIDDEN, ClassLabel.LAZY)]
+        male, female = distributions(pair, "gender", "about_me_class")[:2]
+        assert list(male.bucket_counts) == list(female.bucket_counts)
+        assert (male.bucket_counts["Lazy"], female.bucket_counts["Honest"]) == (0, 0)
 
     def test_unknown_dimension(self):
         with pytest.raises(ReportError):
@@ -120,31 +127,6 @@ class TestAggregate:
         shuffled = TEN_PROFILES[:]
         random.Random(5).shuffle(shuffled)
         assert distributions(shuffled, "age_range", "about_me_class") == dists
-
-class TestCompare:
-    def test_identical_sides(self):
-        d = distributions(TEN_PROFILES, "gender", "about_me_class")[0]
-        c = compare(d, d)
-        assert c.left == c.right == d
-
-    def test_paired_counts(self):
-        male, female = distributions(TEN_PROFILES, "gender", "about_me_class")[:2]
-        c = compare(male, female)
-        assert c.left.population == "gender=Male" and c.right.population == "gender=Female"
-        assert c.left.bucket_counts["Honest"] == 2
-        assert c.right.bucket_counts["Honest"] == 1
-
-    def test_disjoint_nonzero_buckets_align_on_zero_filled_sets(self):
-        left = Distribution("m", "left", {"a": 1, "b": 0})
-        right = Distribution("m", "right", {"a": 0, "b": 3})
-        c = compare(left, right)
-        assert list(c.left.bucket_counts) == list(c.right.bucket_counts)
-
-    def test_bucket_mismatch(self):
-        left = Distribution("m", "left", {"a": 1})
-        right = Distribution("m", "right", {"b": 1})
-        with pytest.raises(ReportError):
-            compare(left, right)
 
 class TestEmitTable:
     def test_distribution_shape(self):
@@ -167,7 +149,7 @@ class TestEmitTable:
 
     def test_comparison_table(self):
         male, female = distributions(TEN_PROFILES, "gender", "about_me_class")[:2]
-        text = emit_table(compare(male, female))
+        text = emit_table(male, female)
         parsed = list(csv.reader(io.StringIO(text)))
         assert parsed[0] == ["bucket", "gender=Male", "gender=Female"]
         honest = next(row for row in parsed[1:] if row[0] == "Honest")
@@ -230,7 +212,7 @@ class TestEmitChart:
 
     def test_comparison_chart(self):
         male, female = distributions(TEN_PROFILES, "gender", "about_me_class")[:2]
-        svg = emit_comparison_chart(compare(male, female))
+        svg = emit_comparison_chart(male, female)
         assert svg.count("<polyline") == 2
         assert "gender=Male" in svg and "gender=Female" in svg
 
