@@ -10,10 +10,11 @@ from hypothesis import given, strategies as st
 
 from socialminer.binning import AgeRange, ShareClass, WallCountClass
 from socialminer.errors import ChartError, ReportError
-from socialminer.ingest import Gender
+from socialminer.ingest import FIELD_ENUMS, Gender
 from socialminer.knn import ClassLabel
 from socialminer.pipeline import RunConfig, stage_report
 from socialminer.report import (
+    REPORT_TABLES,
     Distribution,
     aggregate,
     emit_chart,
@@ -102,13 +103,6 @@ class TestAggregate:
         d = distributions(TEN_PROFILES, "gender", "wall_count_class")[0]
         assert list(d.bucket_counts) == [v.value for v in WallCountClass]
 
-    def test_disjoint_nonzero_buckets_align_on_zero_filled_sets(self):
-        pair = [profile(1, M, AgeRange.HIDDEN, ClassLabel.HONEST),
-                profile(2, F, AgeRange.HIDDEN, ClassLabel.LAZY)]
-        male, female = distributions(pair, "gender", "about_me_class")[:2]
-        assert list(male.bucket_counts) == list(female.bucket_counts)
-        assert (male.bucket_counts["Lazy"], female.bucket_counts["Honest"]) == (0, 0)
-
     def test_unknown_dimension(self):
         with pytest.raises(ReportError):
             aggregate(tally([]), "age_range", "wall_count")
@@ -127,6 +121,42 @@ class TestAggregate:
         shuffled = TEN_PROFILES[:]
         random.Random(5).shuffle(shuffled)
         assert distributions(shuffled, "age_range", "about_me_class") == dists
+
+class TestCompare:
+    """A comparison is two distributions of one ``aggregate`` passed side by
+    side to ``emit_table`` and ``emit_comparison_chart``."""
+
+    def test_identical_sides(self):
+        d = distributions(TEN_PROFILES, "gender", "about_me_class")[0]
+        rows = list(csv.reader(io.StringIO(emit_table(d, d))))
+        assert rows[0] == ["bucket", d.population, d.population]
+        assert rows[1:] == [[bucket, str(n), str(n)] for bucket, n in d.bucket_counts.items()]
+
+    def test_paired_counts(self):
+        male, female = distributions(TEN_PROFILES, "gender", "about_me_class")[:2]
+        assert male.population == "gender=Male" and female.population == "gender=Female"
+        assert male.bucket_counts["Honest"] == 2
+        assert female.bucket_counts["Honest"] == 1
+
+    def test_disjoint_nonzero_buckets_align_on_zero_filled_sets(self):
+        pair = [profile(1, M, AgeRange.HIDDEN, ClassLabel.HONEST),
+                profile(2, F, AgeRange.HIDDEN, ClassLabel.LAZY)]
+        male, female = distributions(pair, "gender", "about_me_class")[:2]
+        assert list(male.bucket_counts) == list(female.bucket_counts)
+        assert (male.bucket_counts["Lazy"], female.bucket_counts["Honest"]) == (0, 0)
+
+    @given(st.lists(st.sampled_from(TEN_PROFILES), max_size=12))
+    def test_bucket_mismatch(self, profiles):
+        """No group of an ``aggregate`` lacks a bucket of its measure, so no
+        side-by-side table can pair mismatched buckets."""
+        counts = tally(profiles)
+        for group_by, measure in REPORT_TABLES:
+            buckets = [member.value for member in FIELD_ENUMS[measure]]
+            dists = aggregate(counts, group_by, measure)
+            assert all(list(d.bucket_counts) == buckets for d in dists)
+            rows = list(csv.reader(io.StringIO(emit_table(dists[0], dists[1]))))
+            assert [row[0] for row in rows[1:]] == buckets
+            assert all(len(row) == 3 for row in rows)
 
 class TestEmitTable:
     def test_distribution_shape(self):
