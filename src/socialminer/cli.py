@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .binning import GapPolicy
 from .errors import SocialMinerError
-from .ingest import load_corpus
+from .ingest import load_corpus, parse_birthday
 from .knn import load_sample_corpus  # noqa: F401 (perfbench/tracer.py wraps cli.load_sample_corpus)
 from .pipeline import STAGES, RunConfig, run_pipeline, run_stages
 from .pipeline import (  # noqa: F401 (perfbench/tracer.py wraps cli.stage_*)
@@ -25,10 +25,11 @@ from .pipeline import (  # noqa: F401 (perfbench/tracer.py wraps cli.stage_*)
 
 
 def _iso_date(text: str) -> date:
-    try:
-        return date.fromisoformat(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a YYYY-MM-DD date: {text!r}") from exc
+    """A date as ingest takes a birthday (``ingest.parse_birthday``)."""
+    parsed = parse_birthday(text)
+    if parsed is None:
+        raise argparse.ArgumentTypeError(f"not a YYYY-MM-DD date: {text!r}")
+    return parsed
 
 
 def _path(text: str) -> Path:

@@ -38,7 +38,7 @@ class ArffEncodeError(SocialMinerError):
 
 
 class ReportError(SocialMinerError):
-    """Aggregation inputs are inconsistent (e.g. mismatched bucket sets)."""
+    """A profile lacks a report field (``tally``); an unknown group or measure (``aggregate``)."""
 
 
 class ChartError(SocialMinerError):

@@ -22,7 +22,7 @@ from .binning import (
     bin_wall_count,
 )
 from .errors import ParameterError
-from .ingest import load_profiles, parse_birthday, persist_corpus, validate_and_filter
+from .ingest import FIELD_ENUMS, load_profiles, parse_birthday, persist_corpus, validate_and_filter
 from .io_utils import atomic_write_text, batches, make_output_dir
 from .knn import ClassLabel, CorpusIndex, classify_text, load_sample_corpus
 from .report import REPORT_TABLES, aggregate, emit_chart, emit_comparison_chart, emit_table, tally
@@ -37,11 +37,6 @@ SUMMARY_FILE = "summary.json"
 FAILURE_MARKER = "FAILED"
 
 _ARTIFACT_KINDS = {".csv": "table", ".svg": "chart", ".json": "manifest"}
-
-
-def _group_slug(population: str) -> str:
-    """'age_range=UpTo19' -> 'upto19'."""
-    return population.split("=", 1)[1].lower()
 
 
 @dataclass
@@ -144,9 +139,8 @@ STAGES = (
 def stage_ingest(profiles: Optional[list[dict]], config: RunConfig, out_dir: Path) -> dict:
     """Load and validate the raw profiles, persist the accepted ones one
     batch at a time, then write the rejection report of the whole file.
-    Ingest reads no profiles: given a list (as ``run`` does), it collects
-    the accepted profiles in it, so every record is read and checked before
-    anything is written; given None, it streams them."""
+    Ingest reads no profiles: given a list (as ``run`` does), it also
+    collects the accepted profiles in it for the stages after it."""
     records, issues = load_profiles(config.input_path)
     rejected: list[tuple[str, str]] = []
 
@@ -156,9 +150,8 @@ def stage_ingest(profiles: Optional[list[dict]], config: RunConfig, out_dir: Pat
             rejected.extend(report.rejected)
             yield from batch_profiles
 
-    if profiles is not None:
-        profiles.extend(accepted())
-    written = persist_corpus(accepted() if profiles is None else profiles, out_dir / ACCEPTED_FILE)
+    collect = None if profiles is None else profiles.append
+    written = persist_corpus(accepted(), out_dir / ACCEPTED_FILE, collect)
     record = {
         "accepted_count": written,
         "rejected_count": len(rejected),
@@ -229,11 +222,12 @@ def check_run_id(run_id: str) -> None:
 
 def stage_report(profiles: Iterable[dict], config: RunConfig, out_dir: Path) -> list[dict]:
     """Write a table per group of each of ``report.REPORT_TABLES``, in order,
-    named after its measure without ``_class`` and its group field's first
-    word. By age range, each non-empty group also gets a pie chart; by
-    gender, Male and Female get a line chart each, then their comparison
-    table and chart. The profiles are counted in one pass before any file is
-    written. Returns the manifest: one entry per file written."""
+    named after its measure without ``_class``, its group field's first word
+    and the group's value in lower case. By age range, each non-empty group
+    also gets a pie chart; by gender, Male and Female get a line chart each,
+    then their comparison table and chart. The profiles are counted in one
+    pass before any file is written. Returns the manifest: one entry per
+    file written."""
     run_id = config.run_id
     check_run_id(run_id)
     base = out_dir / "reports" / run_id
@@ -256,17 +250,17 @@ def stage_report(profiles: Iterable[dict], config: RunConfig, out_dir: Path) -> 
     for group_by, measure in REPORT_TABLES:
         slug, by = measure.removesuffix("_class"), group_by.split("_")[0]
         dists = aggregate(counts, group_by, measure)
-        for dist in dists:
-            group = _group_slug(dist.population)
+        groups = [member.value.lower() for member in FIELD_ENUMS[group_by]]
+        for group, dist in zip(groups, dists):
             write(f"tables/{slug}_{by}_{group}.csv", emit_table(dist), dist.population, measure)
             if group_by == "age_range" and dist.total > 0:
                 write(f"charts/pie_{slug}_{by}_{group}.svg", emit_chart(dist, "pie"),
                       dist.population, measure, "pie")
         if group_by == "gender":
             male, female = dists[:2]
-            for dist in (male, female):
-                write(f"charts/line_{slug}_{_group_slug(dist.population)}.svg",
-                      emit_chart(dist, "line"), dist.population, measure, "line")
+            for group, dist in zip(groups, (male, female)):
+                write(f"charts/line_{slug}_{group}.svg", emit_chart(dist, "line"),
+                      dist.population, measure, "line")
             population = f"{male.population} vs {female.population}"
             write(f"tables/comparison_{slug}_male_female.csv", emit_table(male, female),
                   population, measure)

@@ -180,12 +180,13 @@ def _pie_svg(dist: Distribution) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _line_svg(
-    title: str, buckets: Sequence[str], series: Sequence[tuple[str, Sequence[int]]]
-) -> str:
-    """Line chart of (name, counts) series over the same buckets, each point
-    labelled with its count. Series i is drawn in palette colour 2·i; more
-    than one series adds a legend row of their names below the plot."""
+def _line_svg(title: str, dists: Sequence[Distribution]) -> str:
+    """Line chart of one series per distribution, named by its population,
+    over their shared buckets, each point labelled with its count. Series i
+    is drawn in palette colour 2·i; more than one series adds a legend row
+    of their names below the plot."""
+    series = [(d.population, list(d.bucket_counts.values())) for d in dists]
+    buckets = list(dists[0].bucket_counts)
     width, height = 780, 420 if len(series) == 1 else 440
     left, right, top, bottom = 60.0, width - 40.0, 50.0, 340.0
     y_max = max([max(counts) for _, counts in series] + [1])
@@ -240,18 +241,10 @@ def emit_chart(dist: Distribution, kind: str) -> str:
     if kind == "pie":
         return _pie_svg(dist)
     if kind == "line":
-        return _line_svg(
-            f"{dist.dimension} ({dist.population})",
-            list(dist.bucket_counts),
-            [(dist.population, list(dist.bucket_counts.values()))],
-        )
+        return _line_svg(f"{dist.dimension} ({dist.population})", [dist])
     raise ChartError(f"unknown chart kind {kind!r}")
 
 
 def emit_comparison_chart(left: Distribution, right: Distribution) -> str:
     """Two-series line chart comparing the left and right populations."""
-    return _line_svg(
-        f"{left.dimension}: {left.population} vs {right.population}",
-        list(left.bucket_counts),
-        [(d.population, list(d.bucket_counts.values())) for d in (left, right)],
-    )
+    return _line_svg(f"{left.dimension}: {left.population} vs {right.population}", [left, right])

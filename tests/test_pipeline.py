@@ -278,11 +278,16 @@ class TestCli:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_bad_date_rejected_by_parser(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(
-                ["bin", "--input", "x", "--ref-date", "June 1st", "--out", str(tmp_path)]
-            )
+    # 20150601 and 2015-W23-1 are ISO 8601 dates that date.fromisoformat
+    # takes from Python 3.11 on; --ref-date, like a birthday, takes YYYY-MM-DD only.
+    @pytest.mark.parametrize("text", ["June 1st", "20150601", "2015-W23-1"])
+    def test_bad_date_rejected_by_parser(self, tmp_path, capsys, text):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bin", "--input", "x", "--ref-date", text, "--out", str(tmp_path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: socialminer bin ")
+        assert err.endswith(f"error: argument --ref-date: not a YYYY-MM-DD date: {text!r}\n")
 
     def test_stopword_override_makes_text_unclassifiable(self, tmp_path):
         self.run_inputs(tmp_path)
