@@ -18,6 +18,8 @@ import json
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -214,22 +216,58 @@ def persist_corpus(
     profiles: Iterable[dict],
     path: str | Path,
     prepare: Optional[Callable[[dict], None]] = None,
+    adds: tuple[str, ...] = (),
 ) -> int:
-    """Write the stage-file records as JSON lines, each as it is, atomically,
+    r"""Write the stage-file records as JSON lines, each as it is, atomically,
     one batch of records (``io_utils.batches``) at a time as ``profiles``
     yields them: a batch is read, then ``prepare`` (a stage's work on one
-    record, when given) runs on each of its records, then the batch is
-    encoded and written. Returns the number of records written."""
+    record, when given, which sets each key of ``adds``) runs on each of its
+    records, then the batch is encoded and written. Returns the number of
+    records written.
+
+    Given a ``StageFile`` and ``adds`` (as ``classify`` and ``bin`` are), a
+    record is written as the line it was read from, up to its closing "}",
+    then ", ", the keys ``prepare`` added, "}" and "\n", those keys encoded by
+    ``_encode_record``, whenever ``StageFile.batches`` kept its line (one the
+    C scanner took whole, and from which no null text was taken out) and the
+    record held none of ``adds`` before ``prepare``; every other record is
+    encoded whole. For a line ``_encode_record`` wrote, both give the same
+    bytes; a hand-edited line keeps its own spacing, escapes, ``-0`` and
+    repeated keys."""
     written = 0
+    if adds and isinstance(profiles, StageFile):
+        pairs = profiles.batches()
+        values_of = itemgetter(*adds)
+        suffixes: dict = {}
+    else:
+        pairs = ((batch, None) for batch in batches(profiles))
 
     def chunks() -> Iterator[str]:
         nonlocal written
-        for batch in batches(profiles):
+        for batch, lines in pairs:
+            if lines is not None:
+                sizes = list(map(len, batch))
             if prepare is not None:
                 for profile in batch:
                     prepare(profile)
             written += len(batch)
-            yield "".join([_encode_record(profile) + "\n" for profile in batch])
+            if lines is None:
+                yield "".join([_encode_record(profile) + "\n" for profile in batch])
+                continue
+            text = []
+            for profile, line, size in zip(batch, lines, sizes):
+                # prepare set every key of adds: it grew by all of them only
+                # if it held none of them.
+                if line is None or len(profile) - size != len(adds):
+                    text.append(_encode_record(profile) + "\n")
+                    continue
+                values = values_of(profile)
+                suffix = suffixes.get(values)
+                if suffix is None:
+                    added = dict(islice(profile.items(), size, None))
+                    suffix = suffixes[values] = ", " + _encode_record(added)[1:] + "\n"
+                text.append(line[:line.rindex("}")] + suffix)
+            yield "".join(text)
 
     atomic_write_text(path, chunks())
     return written
@@ -283,21 +321,55 @@ def _member_value(key: str, value) -> str:
         return FIELD_ENUMS[key](value)._value_
 
 
-def load_corpus(path: str | Path) -> Iterator[dict]:
+class StageFile:
+    """The records of a stage file, as ``load_corpus`` describes them, read
+    anew by each iteration."""
+
+    def __init__(self, path: str | Path):
+        self.path = path
+
+    def __iter__(self) -> Iterator[dict]:
+        return self._records(None)
+
+    def batches(self) -> Iterator[tuple[list[dict], list[Optional[str]]]]:
+        r"""Each batch of records (``io_utils.batches``), with the line of each
+        that ``persist_corpus`` may write back as read, or None. A line is
+        kept only if it holds the object alone, from its "{" to its "}" and
+        then at most "\n" (for a line ``json_object`` decoded, exactly when
+        the C scanner took it whole, so never a line that needed
+        ``json.loads``), and ``check_stage_record`` took out no null text.
+        Lines are held for their batch only."""
+        lines: list[Optional[str]] = []
+        for batch in batches(self._records(lines)):
+            yield batch, lines.copy()
+            lines.clear()
+
+    def _records(self, lines: Optional[list[Optional[str]]]) -> Iterator[dict]:
+        path = self.path
+        for line_no, line in json_lines(path, "corpus "):
+            try:
+                record = json_object(line)
+                size = len(record)
+                check_stage_record(record)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise StorageError(f"corrupt corpus {path}:{line_no}: {exc}") from exc
+            if lines is not None:
+                alone = line[0] == "{" and line.endswith(("}\n", "}"))
+                lines.append(line if alone and len(record) == size else None)
+            yield record
+
+
+def load_corpus(path: str | Path) -> StageFile:
     """Read back a stage file one record at a time, through
     ``io_utils.json_lines``, yielding each decoded record as its line holds
-    it, keys in the line's order. The file is opened by the first ``next``.
+    it, keys in the line's order. The file is opened when iteration starts.
 
     An unreadable file raises StorageError, and so does a line that
     ``io_utils.json_object`` or ``check_stage_record`` refuses (another key,
     a missing one, a value of another type or outside its enumeration, an
     empty id or a record ingest would reject); the message names the path
     and the line. The first fault met in file order is the one reported.
+    ``persist_corpus`` reads a ``StageFile`` by its ``batches``, so that it
+    can write a line back as it was read.
     """
-    for line_no, line in json_lines(path, "corpus "):
-        try:
-            record = json_object(line)
-            check_stage_record(record)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StorageError(f"corrupt corpus {path}:{line_no}: {exc}") from exc
-        yield record
+    return StageFile(path)

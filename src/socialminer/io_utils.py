@@ -74,11 +74,15 @@ def check_utf8(line: str) -> None:
 
 def json_object(line: str) -> dict:
     r"""Decode one line into a JSON object, or raise ValueError with one of
-    ``not valid UTF-8`` (from ``check_utf8``), ``not valid JSON: …``, ``line
-    is not an object`` or ``<key> is not valid UTF-8: lone surrogate`` (a
-    top-level string that a ``\u`` escape made unwritable as UTF-8). The C
-    scanner decodes first; a line it does not take whole, as one object up to
-    the line's end or its final "\n", goes through ``json.loads`` as before."""
+    ``not valid UTF-8`` (from ``check_utf8``), ``not valid JSON`` (with
+    ``: nested too deeply`` or ``: a number has too many digits`` where the
+    decoder gave up on a deep array or object or on an integer longer than
+    ``sys.get_int_max_str_digits()``), ``line is not an object`` or ``<key>
+    is not valid UTF-8: lone surrogate`` (a top-level string that a ``\u``
+    escape made unwritable as UTF-8). Each text depends only on the line,
+    never on the interpreter's own message. The C scanner decodes first; a
+    line it does not take whole, as one object up to the line's end or its
+    final "\n", goes through ``json.loads``."""
     check_utf8(line)
     try:
         record, end = _scan_once(line, 0)
@@ -86,10 +90,13 @@ def json_object(line: str) -> dict:
         record = None
     if not isinstance(record, dict) or line[end:] not in ("", "\n"):
         try:
-            # Without its "\n", a line's JSON errors point into it.
-            record = json.loads(line.rstrip("\n"))
-        except (ValueError, RecursionError) as exc:  # too many digits, too deep nesting
-            raise ValueError(f"not valid JSON: {exc}") from exc
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError("not valid JSON") from exc
+        except ValueError as exc:  # an integer past the digit limit
+            raise ValueError("not valid JSON: a number has too many digits") from exc
+        except RecursionError as exc:
+            raise ValueError("not valid JSON: nested too deeply") from exc
         if not isinstance(record, dict):
             raise ValueError("line is not an object")
     if "\\" in line:

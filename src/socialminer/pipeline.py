@@ -185,7 +185,7 @@ def stage_classify(profiles: Iterable[dict], config: RunConfig, out_dir: Path) -
         if label is ClassLabel.UNCLASSIFIABLE:
             unclassifiable += 1
 
-    written = persist_corpus(profiles, out_dir / CLASSIFIED_FILE, classify_one)
+    written = persist_corpus(profiles, out_dir / CLASSIFIED_FILE, classify_one, ("about_me_class",))
     return {"accepted": written, "unclassifiable": unclassifiable}
 
 
@@ -204,7 +204,8 @@ def stage_bin(profiles: Iterable[dict], config: RunConfig, out_dir: Path) -> dic
         profile["activity_interest_class"] = bin_activities_interests(
             profile["activity_interest_count"], gap_policy)._value_
 
-    return {"accepted": persist_corpus(profiles, out_dir / BINNED_FILE, bin_one)}
+    added = ("age_range", "wall_count_class", "music_share_class", "activity_interest_class")
+    return {"accepted": persist_corpus(profiles, out_dir / BINNED_FILE, bin_one, added)}
 
 
 def stage_arff(profiles: Iterable[dict], config: RunConfig, out_dir: Path) -> dict:

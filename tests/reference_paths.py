@@ -155,14 +155,18 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def json_object_reference(line: str) -> dict:
-    """``io_utils.json_object`` through ``json.loads`` alone, with its four
+    """``io_utils.json_object`` through ``json.loads`` alone, with its
     messages."""
     if _SURROGATE.search(line):
         raise ValueError("not valid UTF-8")
     try:
-        record = json.loads(line.rstrip("\n"))
-    except (ValueError, RecursionError) as exc:
-        raise ValueError(f"not valid JSON: {exc}") from exc
+        record = json.loads(line)
+    except json.JSONDecodeError:
+        raise ValueError("not valid JSON")
+    except ValueError:
+        raise ValueError("not valid JSON: a number has too many digits")
+    except RecursionError:
+        raise ValueError("not valid JSON: nested too deeply")
     if not isinstance(record, dict):
         raise ValueError("line is not an object")
     if "\\" in line:

@@ -171,7 +171,7 @@ class TestLoadProfiles:
         assert [(i.line_no, i.message) for i in issues] == [
             (1, "not valid UTF-8"),
             (3, "not valid UTF-8"),
-            (6, f"not valid JSON: Extra data: line 1 column {len(u4) + 1} (char {len(u4)})"),
+            (6, "not valid JSON"),
         ]
 
     def test_escaped_lone_surrogate_is_parse_issue(self, tmp_path):

@@ -3,6 +3,7 @@ against the ``json.loads`` and ``JSONEncoder.encode`` references in
 ``reference_paths``, value for value and message for message."""
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -114,3 +115,72 @@ class TestJsonObject:
         assert json_object('{"id": "u1", "wall_count": 3}\n') == {"id": "u1", "wall_count": 3}
         with pytest.raises(AssertionError, match="json.loads called"):
             json_object(' {"id": "u1"}')
+
+    @pytest.mark.parametrize("end", ["", "\n"])
+    @pytest.mark.parametrize(
+        "line,refusal",
+        [
+            ('{"a": 1,}', "not valid JSON"),
+            ('\ufeff{"a": 1}', "not valid JSON"),
+            ('{"a": 1}{"b": 2}', "not valid JSON"),
+            ('{"a": "x\x01y"}', "not valid JSON"),
+            ("[" * 100_000, "not valid JSON: nested too deeply"),
+            pytest.param(
+                '{"a": ' + "7" * 5000 + "}", "not valid JSON: a number has too many digits",
+                marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                         reason="no integer digit limit"),
+            ),
+        ],
+        ids=["trailing comma", "bom", "two objects", "raw control character", "deep nesting",
+             "5000 digits"],
+    )
+    def test_refusal_text_depends_only_on_the_line(self, line, refusal, end):
+        with pytest.raises(ValueError) as caught:
+            json_object(line + end)
+        assert str(caught.value) == refusal
+
+
+def scanner_takes_whole(line: str) -> bool:
+    """Whether the C scanner decodes ``line`` as one object up to its end or
+    its final "\n", as ``json_object`` asks it to."""
+    try:
+        record, end = json.JSONDecoder().scan_once(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        return False
+    return isinstance(record, dict) and line[end:] in ("", "\n")
+
+
+class TestObjectAlone:
+    """``ingest.StageFile`` keeps a line to write back as read when it holds
+    the object alone, from "{" to "}" and at most "\n". For a line that
+    ``json_object`` decodes, that is exactly a line the C scanner took whole,
+    never one that needed ``json.loads``."""
+
+    @staticmethod
+    def alone(line):
+        return line[0] == "{" and line.endswith(("}\n", "}"))
+
+    @given(lines())
+    def test_alone_exactly_when_the_scanner_takes_the_line_whole(self, line):
+        try:
+            json_object(line)
+        except ValueError:
+            return
+        assert self.alone(line) == scanner_takes_whole(line)
+
+    @pytest.mark.parametrize(
+        "line,alone",
+        [
+            ('{"id": "u1"}', True),
+            ('{"id": "u1"}\n', True),
+            ('{"id":"u1","n":-0}\n', True),
+            (' {"id": "u1"}\n', False),
+            ('{"id": "u1"} \n', False),
+            ('{"id": "u1"}\t', False),
+            ('{"id": "u1"}\r\n', False),
+            ('{"id": "u1"}\n\n', False),
+        ],
+    )
+    def test_lines_a_stage_file_may_hold(self, line, alone):
+        assert json_object(line) == json.loads(line)
+        assert self.alone(line) == scanner_takes_whole(line) == alone
