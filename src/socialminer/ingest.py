@@ -351,7 +351,9 @@ class StageFile:
                 record = json_object(line)
                 size = len(record)
                 check_stage_record(record)
-            except (KeyError, TypeError, ValueError) as exc:
+            except KeyError as exc:  # check_stage_record raises it for a missing key only
+                raise StorageError(f"corrupt corpus {path}:{line_no}: missing key {exc}") from exc
+            except (TypeError, ValueError) as exc:
                 raise StorageError(f"corrupt corpus {path}:{line_no}: {exc}") from exc
             if lines is not None:
                 alone = line[0] == "{" and line.endswith(("}\n", "}"))

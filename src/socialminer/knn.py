@@ -18,10 +18,11 @@ keep distinct, equally ordered square roots; the index refuses targets that
 could reach it.
 
 ``classify_text`` calls ``CorpusIndex.vote``, which votes on the labels and
-square roots of those k positions directly. One voting rule, shared with
-``knn_classify``, decides both paths. The row views, ``CorpusIndex.nearest``
-over the same ranking and the dense ``distance_matrix`` (one row per sample)
-with ``knn_classify``, are kept as the reference paths that tests compare.
+square roots of those k positions directly: the one path every command takes.
+``CorpusIndex.nearest`` is the row view of the same ranking. No command calls
+the dense ``distance_matrix`` (one row per sample) or ``knn_classify``, which
+shares ``vote``'s voting rule; the tests compare the index against them.
+``load_sample_corpus`` is the one builder of sample documents.
 """
 
 from __future__ import annotations
@@ -77,16 +78,6 @@ class SampleDocument(NamedTuple):
     label: ClassLabel
     counts: dict[str, int]
 
-    @classmethod
-    def from_text(
-        cls,
-        doc_id: str,
-        text: str,
-        label: ClassLabel,
-        stopwords: frozenset[str] = DEFAULT_STOPWORDS,
-    ) -> "SampleDocument":
-        return cls(doc_id, label, term_counts(prepare(text, stopwords)))
-
 
 class DistanceRow(NamedTuple):
     doc_id: str
@@ -97,41 +88,25 @@ class DistanceRow(NamedTuple):
 DistanceMatrix = list[DistanceRow]
 
 
-def squared_diff_row(
-    target_vec: Sequence[int], sample_vec: Sequence[int]
-) -> list[float]:
-    """Componentwise squared differences between two equal-length vectors."""
-    if len(target_vec) != len(sample_vec):
-        raise DimensionError(
-            f"vector lengths differ: {len(target_vec)} vs {len(sample_vec)}"
-        )
-    return [float(t - s) ** 2 for t, s in zip(target_vec, sample_vec)]
-
-
-def euclidean_distance(a: Sequence[int], b: Sequence[int]) -> float:
-    """Length of the line segment between two count vectors: the square root
-    of the summed squared differences."""
-    if not a or not b:
-        raise DimensionError("vectors must have at least one component")
-    return math.sqrt(sum(squared_diff_row(a, b)))
-
-
 def distance_matrix(
     target_vec: Sequence[int],
     samples: Sequence[SampleDocument],
     features: Sequence[str],
 ) -> DistanceMatrix:
-    """One distance per sample document, in corpus order."""
+    """One row per sample document, in corpus order: its Euclidean distance
+    from ``target_vec`` over ``features``, the square root of the float sum of
+    float squared count differences."""
     if not samples:
         raise CorpusError("sample corpus is empty")
     if not features:
         raise DimensionError("feature set is empty")
+    if len(target_vec) != len(features):
+        raise DimensionError(f"vector lengths differ: {len(target_vec)} vs {len(features)}")
     rows = []
     for sample in samples:
         sample_vec = count_vector(features, sample.counts)
-        rows.append(
-            DistanceRow(sample.doc_id, sample.label, euclidean_distance(target_vec, sample_vec))
-        )
+        distance = math.sqrt(sum([float(t - s) ** 2 for t, s in zip(target_vec, sample_vec)]))
+        rows.append(DistanceRow(sample.doc_id, sample.label, distance))
     return rows
 
 
@@ -275,8 +250,8 @@ class CorpusIndex:
 def classify_text(
     text: str,
     index: CorpusIndex,
-    n_features: int = 50,
-    k: int = 5,
+    n_features: int,
+    k: int,
     stopwords: frozenset[str] = DEFAULT_STOPWORDS,
 ) -> ClassLabel:
     """Full classification of one raw text against an indexed sample corpus:

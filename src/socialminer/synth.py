@@ -10,8 +10,7 @@ import random
 from pathlib import Path
 
 from .io_utils import atomic_write_text
-from .knn import PERSONALITY_LABELS, ClassLabel, SampleDocument
-from .textprep import DEFAULT_STOPWORDS
+from .knn import PERSONALITY_LABELS, ClassLabel
 
 DEFAULT_CORPUS_SEED = 20240601
 DEFAULT_PROFILE_SEED = 20240602
@@ -102,15 +101,6 @@ def make_corpus_records(
                 }
             )
     return records
-
-
-def corpus_documents(
-    records: list[dict], stopwords: frozenset[str] = DEFAULT_STOPWORDS
-) -> list[SampleDocument]:
-    return [
-        SampleDocument.from_text(r["id"], r["text"], ClassLabel(r["label"]), stopwords)
-        for r in records
-    ]
 
 
 def _birthday(rng: random.Random) -> str | None:

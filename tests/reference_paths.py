@@ -13,6 +13,7 @@ from typing import Optional
 
 from socialminer.arff import NOMINAL, NUMERIC, ArffAttribute, ArffDataset, _attribute_line, _format_field
 from socialminer.errors import ArffEncodeError, CorpusError, DuplicateIdError, StorageError
+from socialminer.features import term_counts
 from socialminer.ingest import ParseIssue, _parse_record_line, check_stage_record
 from socialminer.io_utils import atomic_write_text
 from socialminer.knn import ClassLabel, DistanceRow, SampleDocument
@@ -123,9 +124,10 @@ def emit_arff(ds: ArffDataset) -> str:
 
 
 def _lines(path):
-    """The whole file read, decoded with ``surrogateescape`` and split at
-    "\r\n", "\r" or "\n", as numbered lines."""
-    text = Path(path).read_bytes().decode("utf-8", "surrogateescape")
+    """The whole file read, decoded with ``surrogateescape`` and without a
+    leading byte-order mark, and split at "\r\n", "\r" or "\n", as
+    numbered lines."""
+    text = Path(path).read_bytes().decode("utf-8-sig", "surrogateescape")
     return enumerate(re.split(r"\r\n|\r|\n", text), start=1)
 
 
@@ -200,7 +202,9 @@ def load_corpus(path):
         try:
             record = json_object_reference(line)
             check_stage_record(record)
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise StorageError(f"corrupt corpus {path}:{line_no}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
             raise StorageError(f"corrupt corpus {path}:{line_no}: {exc}") from exc
         profiles.append(record)
     return profiles
@@ -236,5 +240,5 @@ def load_sample_corpus(path, stopwords: frozenset[str] = DEFAULT_STOPWORDS):
             raise CorpusError(f"{path}:{line_no}: sample documents cannot be Unclassifiable")
         if not isinstance(text, str) or not text.strip():
             raise CorpusError(f"{path}:{line_no}: text must be non-empty")
-        samples.append(SampleDocument.from_text(doc_id, text, label, stopwords))
+        samples.append(SampleDocument(doc_id, label, term_counts(prepare(text, stopwords))))
     return samples

@@ -24,12 +24,10 @@ from socialminer.knn import (
     CorpusIndex,
     SampleDocument,
     classify_text,
-    distance_matrix,
-    euclidean_distance,
-    knn_classify,
+    load_sample_corpus,
 )
 from socialminer.pipeline import RunConfig, run_pipeline
-from socialminer.synth import CLASS_WORDS, corpus_documents, make_corpus_records, make_profile_records, write_jsonl
+from socialminer.synth import CLASS_WORDS, make_corpus_records, make_profile_records, write_jsonl
 
 from arff_oracle import parse_arff
 from reference_paths import stage_record
@@ -52,9 +50,17 @@ def test_tf_normalization():
     assert time.perf_counter() - start < 1.0
 
 
+def nearest_distances(index, target, features):
+    """The distance from ``target`` to every document of ``index``, by id, as
+    ``CorpusIndex.nearest`` ranks them."""
+    rows = index.nearest(target, features, len(index.docs))
+    return {row.doc_id: row.distance for row in rows}
+
+
 def test_metric_axioms():
-    """10,000 random vector pairs/triples (dim <= 8, values <= 100):
-    non-negativity, identity, symmetry, triangle inequality, homogeneity."""
+    """10,000 random vector pairs/triples (dim <= 8, values <= 100), with
+    distances from ``CorpusIndex.nearest``: non-negativity, identity,
+    symmetry, triangle inequality, homogeneity, and the oracle's value."""
     rng = random.Random(43)
     start = time.perf_counter()
     for _ in range(10_000):
@@ -64,19 +70,30 @@ def test_metric_axioms():
         z = [rng.randint(0, 100) for _ in range(dim)]
         c = rng.randint(0, 100)
 
-        d_xy = euclidean_distance(x, y)
+        features = [f"f{i}" for i in range(dim)]
+        vectors = {"x": x, "y": y, "z": z, "cy": [c * v for v in y]}
+        index = CorpusIndex.build(
+            [SampleDocument(name, ClassLabel.HONEST, dict(zip(features, vec)))
+             for name, vec in vectors.items()]
+        )
+        from_x = nearest_distances(index, x, features)
+        from_y = nearest_distances(index, y, features)
+        d_xy = from_x["y"]
         assert d_xy >= 0.0
-        assert euclidean_distance(x, x) == 0.0
-        assert euclidean_distance(y, x) == d_xy
-        assert euclidean_distance(x, z) <= d_xy + euclidean_distance(y, z) + 1e-9
-        scaled = euclidean_distance([c * v for v in x], [c * v for v in y])
+        assert d_xy == brute_distance(x, y)
+        assert from_x["x"] == 0.0
+        assert from_y["x"] == d_xy
+        assert from_x["z"] <= d_xy + from_y["z"] + 1e-9
+        scaled = nearest_distances(index, [c * v for v in x], features)["cy"]
         assert abs(scaled - c * d_xy) <= 1e-9
     assert time.perf_counter() - start < 2.0
 
 
 def test_knn_oracle_equivalence():
     """500 randomized instances (t <= 20 samples, <= 4 features, every
-    k <= t) agree 100% with the independent brute-force classifier."""
+    k <= t): ``CorpusIndex.nearest`` ranks the samples at the oracle's
+    distances, and ``CorpusIndex.vote`` agrees 100% with the independent
+    brute-force classifier."""
     rng = random.Random(44)
     start = time.perf_counter()
     for _ in range(500):
@@ -89,13 +106,16 @@ def test_knn_oracle_equivalence():
         for i in range(t):
             vec = [rng.randint(0, 5) for _ in range(dim)]
             label = rng.choice(PERSONALITY_LABELS)
-            text = " ".join(w for w, n in zip(features, vec) for _ in range(n))
-            samples.append(SampleDocument.from_text(f"d{i:02d}", text or "padding", label))
+            samples.append(SampleDocument(f"d{i:02d}", label, dict(zip(features, vec))))
             oracle_rows.append((f"d{i:02d}", label.value, brute_distance(target_vec, vec)))
 
-        dm = distance_matrix(target_vec, samples, features)
+        index = CorpusIndex.build(samples)
+        rows = index.nearest(target_vec, features, t)
+        assert [(r.doc_id, r.label.value, r.distance) for r in rows] == sorted(
+            oracle_rows, key=lambda row: (row[2], row[0])
+        )
         for k in range(1, t + 1):
-            label, _ = knn_classify(dm, k)
+            label = index.vote(target_vec, features, k)
             assert label.value == brute_classify(oracle_rows, k)
     assert time.perf_counter() - start < 5.0
 
@@ -336,7 +356,8 @@ def test_synthetic_end_to_end(tmp_path):
     for label_records in by_label.values():
         train.extend(label_records[:50])
         held_out.extend(label_records[50:])
-    index = CorpusIndex.build(corpus_documents(train))
+    write_jsonl(tmp_path / "train.jsonl", train)
+    index = CorpusIndex.build(load_sample_corpus(tmp_path / "train.jsonl"))
     assert len(held_out) == 100
     correct = sum(
         classify_text(r["text"], index, n_features=50, k=5).value == r["label"]

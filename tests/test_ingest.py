@@ -11,6 +11,7 @@ from socialminer.binning import AgeRange, ShareClass, WallCountClass
 from socialminer.errors import DuplicateIdError, StorageError
 from socialminer.ingest import (
     Gender,
+    ParseIssue,
     REASON_BAD_BIRTHDAY,
     REASON_MISSING_NUMERIC,
     REASON_MISSING_TEXT,
@@ -82,6 +83,12 @@ class TestLoadProfiles:
         text = "\n" + line(id="u1") + "\n\n"
         profiles, issues = load_file(tmp_path, text)
         assert len(profiles) == 1 and not issues
+
+    def test_byte_order_mark_dropped_only_at_the_start_of_the_file(self, tmp_path):
+        text = "\ufeff" + line(id="u1") + "\n\ufeff" + line(id="u2") + "\n" + line(id="u3")
+        profiles, issues = load_file(tmp_path, text)
+        assert [p["id"] for p in profiles] == ["u1", "u3"]
+        assert issues == [ParseIssue(2, "not valid JSON")]
 
     def test_duplicate_id_raises(self, tmp_path):
         text = line(id="u1") + "\n" + line(id="u1")
@@ -536,10 +543,12 @@ class TestLoadCorpusErrors:
 
     @pytest.mark.parametrize(
         "change,message",
-        [({"wall_count": None}, "'wall_count'"),
-         ({"gender": None}, "'gender'"),
+        [*(({key: None}, f"missing key {key!r}")
+           for key in ("id", "about_me", "wall_count", "music_count", "activity_interest_count",
+                       "gender")),
          ({"age_range": "Young"}, "'Young' is not a valid AgeRange")],
-        ids=["missing_wall_count", "missing_gender", "age_range_outside_enum"],
+        ids=["missing_id", "missing_about_me", "missing_wall_count", "missing_music_count",
+             "missing_activity_interest_count", "missing_gender", "age_range_outside_enum"],
     )
     def test_refusal_text(self, tmp_path, change, message):
         p = tmp_path / "binned.jsonl"

@@ -17,18 +17,14 @@ from socialminer.knn import (
     SampleDocument,
     classify_text,
     distance_matrix,
-    euclidean_distance,
     knn_classify,
     load_sample_corpus,
-    squared_diff_row,
 )
 from socialminer.synth import make_corpus_records, write_jsonl
 from socialminer.textprep import prepare
 
 import reference_paths
 from knn_oracle import brute_classify, brute_distance
-
-vectors = st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=8)
 
 
 def paired_vectors(count):
@@ -41,66 +37,13 @@ def paired_vectors(count):
     )
 
 
-class TestSquaredDiffRow:
-    def test_identical(self):
-        assert squared_diff_row([2, 0], [2, 0]) == [0, 0]
-
-    def test_hand_squares(self):
-        assert squared_diff_row([3, 0], [0, 4]) == [9, 16]
-
-    def test_empty(self):
-        assert squared_diff_row([], []) == []
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            squared_diff_row([1], [1, 2])
-
-
-class TestEuclideanDistance:
-    def test_three_four_five(self):
-        assert euclidean_distance([0, 0], [3, 4]) == 5.0
-
-    def test_identity(self):
-        assert euclidean_distance([7, 1, 9], [7, 1, 9]) == 0.0
-
-    def test_unit_diagonal(self):
-        assert euclidean_distance([1, 1, 1], [2, 2, 2]) == pytest.approx(
-            math.sqrt(3), abs=1e-12
-        )
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            euclidean_distance([1, 2], [1])
-
-    def test_zero_length(self):
-        with pytest.raises(DimensionError):
-            euclidean_distance([], [])
-
-    @given(paired_vectors(2))
-    def test_metric_basics(self, pair):
-        x, y = pair
-        d = euclidean_distance(x, y)
-        assert d >= 0.0
-        assert euclidean_distance(y, x) == d
-        assert euclidean_distance(x, x) == 0.0
-        assert d == pytest.approx(brute_distance(x, y), abs=1e-12)
-
-    @given(paired_vectors(3))
-    def test_triangle_inequality(self, triple):
-        x, y, z = triple
-        assert euclidean_distance(x, z) <= (
-            euclidean_distance(x, y) + euclidean_distance(y, z) + 1e-9
-        )
-
-    @given(paired_vectors(2), st.integers(min_value=0, max_value=50))
-    def test_homogeneity(self, pair, c):
-        x, y = pair
-        scaled = euclidean_distance([c * v for v in x], [c * v for v in y])
-        assert scaled == pytest.approx(c * euclidean_distance(x, y), abs=1e-9)
-
-
 def doc(doc_id, text, label=ClassLabel.HONEST):
-    return SampleDocument.from_text(doc_id, text, label)
+    return SampleDocument(doc_id, label, term_counts(prepare(text)))
+
+
+def vector_doc(doc_id, features, vec):
+    """A document whose counts over ``features`` are ``vec``."""
+    return SampleDocument(doc_id, ClassLabel.HONEST, dict(zip(features, vec)))
 
 
 class TestDistanceMatrix:
@@ -125,6 +68,16 @@ class TestDistanceMatrix:
         assert dm[0].distance == 0.0
         assert dm[1].distance == pytest.approx(math.sqrt(5), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "target_vec,sample_vec,distance",
+        [([0, 0], [3, 4], 5.0), ([3, 0], [0, 4], 5.0), ([7, 1, 9], [7, 1, 9], 0.0),
+         ([1, 1, 1], [2, 2, 2], math.sqrt(3))],
+    )
+    def test_hand_vectors(self, target_vec, sample_vec, distance):
+        features = [f"f{i}" for i in range(len(target_vec))]
+        dm = distance_matrix(target_vec, [vector_doc("s1", features, sample_vec)], features)
+        assert dm[0].distance == distance
+
     def test_empty_corpus(self):
         with pytest.raises(CorpusError):
             distance_matrix([1], [], ["honest"])
@@ -132,6 +85,27 @@ class TestDistanceMatrix:
     def test_empty_features(self):
         with pytest.raises(DimensionError):
             distance_matrix([], [doc("s1", "x")], [])
+
+    @pytest.mark.parametrize("target_vec", [[1], [1, 2, 3], []])
+    def test_length_mismatch(self, target_vec):
+        with pytest.raises(DimensionError, match="vector lengths differ"):
+            distance_matrix(target_vec, [doc("s1", "honest")], ["honest", "kind"])
+
+    @given(paired_vectors(3), st.integers(min_value=0, max_value=50))
+    def test_metric_axioms_and_brute_distance(self, triple, c):
+        x, y, z = triple
+        features = [f"f{i}" for i in range(len(x))]
+
+        def d(a, b):
+            return distance_matrix(a, [vector_doc("b", features, b)], features)[0].distance
+
+        d_xy = d(x, y)
+        assert d_xy >= 0.0
+        assert d_xy == pytest.approx(brute_distance(x, y), abs=1e-12)
+        assert d(y, x) == d_xy
+        assert d(x, x) == 0.0
+        assert d(x, z) <= d_xy + d(y, z) + 1e-9
+        assert d([c * v for v in x], [c * v for v in y]) == pytest.approx(c * d_xy, abs=1e-9)
 
 
 class TestKnnClassify:
@@ -227,7 +201,7 @@ def biased_records(rng, labels, docs_per_class=6):
 
 
 def biased_corpus(rng, labels, docs_per_class=6):
-    return [SampleDocument.from_text(*record) for record in biased_records(rng, labels, docs_per_class)]
+    return [doc(doc_id, text, label) for doc_id, text, label in biased_records(rng, labels, docs_per_class)]
 
 
 distance_rows = st.lists(
@@ -253,7 +227,7 @@ class TestClassifyText:
     def test_exact_corpus_document_wins_at_k1(self):
         rng = random.Random(7)
         records = biased_records(rng, [ClassLabel.HONEST, ClassLabel.LAZY])
-        index = CorpusIndex.build([SampleDocument.from_text(*record) for record in records])
+        index = CorpusIndex.build([doc(*record) for record in records])
         target = records[0][1]
         assert classify_text(target, index, n_features=50, k=1) is ClassLabel.HONEST
 
@@ -317,7 +291,7 @@ class TestCorpusIndex:
         # ids in an order unrelated to corpus order, so the doc-id tie-break shows
         ids = data.draw(st.permutations([f"d{i}" for i in range(n_docs)]))
         corpus = [
-            SampleDocument.from_text(
+            doc(
                 doc_id,
                 " ".join(data.draw(st.lists(st.sampled_from(TINY_VOCAB), min_size=1, max_size=5))),
                 data.draw(st.sampled_from(labels)),
@@ -403,7 +377,7 @@ class TestCorpusIndex:
         rng.shuffle(ids)
         # every doc holds "ant" once, so that group spans all 300 positions
         corpus = [
-            SampleDocument.from_text(
+            doc(
                 doc_id,
                 " ".join(["ant"] + rng.choices(["bee", "cat"], k=rng.randint(0, 3))),
                 rng.choice(labels),

@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import json
 import os
@@ -320,6 +321,61 @@ class TestCli:
             ) == 0
             binned = json.loads((out / "binned.jsonl").read_text().splitlines()[0])
             assert binned["music_share_class"] == expected
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark that starts an input file is dropped, so each
+    of the four inputs gives the same bytes with and without one. A mark
+    anywhere else stays in its line (``json_object``'s "bom" cases)."""
+
+    @staticmethod
+    def marked(path, mark, copy_dir):
+        """``path``, or a copy of it in ``copy_dir`` that starts with a mark."""
+        if not mark:
+            return str(path)
+        copy_dir.mkdir(exist_ok=True)
+        copy = copy_dir / path.name
+        copy.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        return str(copy)
+
+    def outputs(self, tmp_path, mark_on):
+        """The trees ``run`` and the five stage subcommands write, with a mark
+        starting the input file ``mark_on``; "stage files" marks each stage
+        file a subcommand reads back."""
+        inputs = tmp_path / mark_on
+        inputs.mkdir()
+        # u4's text is a stopword alone, so it is Unclassifiable only if the
+        # stopwords file's first entry is read as written
+        write_jsonl(inputs / "profiles.jsonl", [record(i) for i in range(4)] + [record(4, about_me="truthful")])
+        write_corpus(inputs / "corpus.jsonl")
+        (inputs / "stops.txt").write_text("truthful\nthe\n", encoding="utf-8")
+        marks = inputs / "marked"
+        profiles, corpus, stops = (
+            self.marked(inputs / name, name == mark_on, marks)
+            for name in ("profiles.jsonl", "corpus.jsonl", "stops.txt")
+        )
+        stage_mark = mark_on == "stage files"
+        common = ["--corpus", corpus, "--stopwords", stops]
+        full, staged = inputs / "full", inputs / "staged"
+        assert main(["run", "--input", profiles, *common, "--ref-date", "2015-06-01",
+                     "--out", str(full)]) == 0
+        assert main(["ingest", "--input", profiles, "--out", str(staged)]) == 0
+        for command, read, extra in (
+            ("classify", "accepted.jsonl", common),
+            ("bin", "classified.jsonl", ["--ref-date", "2015-06-01"]),
+            ("arff", "binned.jsonl", []),
+            ("report", "binned.jsonl", []),
+        ):
+            stage_file = self.marked(staged / read, stage_mark, marks)
+            assert main([command, "--input", stage_file, *extra, "--out", str(staged)]) == 0
+        return tree_bytes(full), tree_bytes(staged)
+
+    @pytest.mark.parametrize("mark_on", ["profiles.jsonl", "corpus.jsonl", "stops.txt", "stage files"])
+    def test_input_gives_the_same_bytes_with_a_mark(self, tmp_path, mark_on):
+        plain = self.outputs(tmp_path, "none")
+        assert self.outputs(tmp_path, mark_on) == plain
+        full, _ = plain
+        assert b'"about_me_class": "Unclassifiable"' in full["classified.jsonl"]
 
 
 def cli_child(*argv: str) -> subprocess.CompletedProcess:

@@ -3,7 +3,6 @@ from socialminer.knn import PERSONALITY_LABELS, load_sample_corpus
 from socialminer.synth import (
     CLASS_WORDS,
     SHARED_WORDS,
-    corpus_documents,
     make_corpus_records,
     make_profile_records,
     write_jsonl,
@@ -47,10 +46,6 @@ class TestCorpusRecords:
         docs = load_sample_corpus(tmp_path / "corpus.jsonl")
         assert len(docs) == 20
         assert all(d.counts for d in docs)
-
-    def test_corpus_documents_builder(self):
-        docs = corpus_documents(make_corpus_records(docs_per_class=1))
-        assert len(docs) == 10
 
 
 class TestProfileRecords:

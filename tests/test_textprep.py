@@ -143,6 +143,11 @@ class TestLoadStopwords:
         p.write_text("# comment line\nthe\nAND\n\n  of  \n", encoding="utf-8")
         assert load_stopwords(p) == frozenset({"the", "and", "of"})
 
+    def test_byte_order_mark_is_not_part_of_the_first_entry(self, tmp_path):
+        p = tmp_path / "stops.txt"
+        p.write_text("\ufeffkind\nhonest\n", encoding="utf-8")
+        assert load_stopwords(p) == frozenset({"kind", "honest"})
+
     def test_missing_file_is_storage_error(self, tmp_path):
         with pytest.raises(StorageError, match="nope.txt"):
             load_stopwords(tmp_path / "nope.txt")
