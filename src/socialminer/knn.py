@@ -2,20 +2,22 @@
 sample corpus.
 
 A target text is reduced to a count vector over its own highest-frequency
-terms; the same projection is applied to every sample document, and the
-majority label among the k samples at smallest Euclidean distance wins.
+terms (all of them, in first-occurrence order, when it has no more than the
+feature count); the same projection is applied to every sample document, and
+the majority label among the k samples at smallest Euclidean distance wins.
 
 Classification scores against a ``CorpusIndex``: an inverted index from each
 term to the documents containing it, grouped by the term's count s in them,
 built once per batch. Every document starts at d² = Σ t_f² over the target's
 features; for a feature f, each group adds s·(s − 2·t_f), computed once, to
 every document position in it, and a group with s = 2·t_f (which adds 0) is
-skipped. Only the k smallest (d², doc_id) are kept, and only those k get a
-square root. Counts are integers, so d² is exact, and its square root equals
-the dense path's float sum of float squares bit for bit. That holds while d²
-stays below 2**50, where integer d² values are exact floats and distinct ones
-keep distinct, equally ordered square roots; the index refuses targets that
-could reach it.
+skipped. Only the k smallest (d², doc_id) are kept: ``heapq.nsmallest``
+takes the k smallest d² values with no key function, and ``list.index`` finds
+their positions. Only those k get a square root. Counts are integers, so d²
+is exact, and its square root equals the dense path's float sum of float
+squares bit for bit. That holds while d² stays below 2**50, where integer d²
+values are exact floats and distinct ones keep distinct, equally ordered
+square roots; the index refuses targets that could reach it.
 
 ``classify_text`` calls ``CorpusIndex.vote``, which votes on the labels and
 square roots of those k positions directly: the one path every command takes.
@@ -244,7 +246,16 @@ class CorpusIndex:
                 if delta:
                     for position in positions:
                         d2[position] += delta
-        return heapq.nsmallest(k, range(len(d2)), key=d2.__getitem__), d2
+        # The k smallest values, then each one's position: the first
+        # position holding it, or for a repeat of the previous value the next
+        # one after the last taken. That is exactly (d², position) order.
+        top = []
+        position = previous = -1
+        for value in heapq.nsmallest(k, d2):
+            position = d2.index(value, position + 1 if value == previous else 0)
+            top.append(position)
+            previous = value
+        return top, d2
 
 
 def classify_text(
@@ -255,7 +266,8 @@ def classify_text(
     stopwords: frozenset[str] = DEFAULT_STOPWORDS,
 ) -> ClassLabel:
     """Full classification of one raw text against an indexed sample corpus:
-    prepare, select features, then ``CorpusIndex.vote`` on the k nearest
+    prepare, select features (every term when there are at most
+    ``n_features``), then ``CorpusIndex.vote`` on the k nearest
     positions. Build the ``CorpusIndex`` once and classify every text
     against it."""
     if n_features < 1:
@@ -264,9 +276,15 @@ def classify_text(
     if not tokens:
         return ClassLabel.UNCLASSIFIABLE
     target_counts = term_counts(tokens)
-    # Ranking the counts ranks the frequencies: they share one denominator.
-    features = select_features(target_counts, n_features)
-    target_vec = count_vector(features, target_counts)
+    if len(target_counts) <= n_features:
+        # Every term is a feature. d² is an exact integer sum over the
+        # features, so their order changes no distance and no label.
+        features = list(target_counts)
+        target_vec = list(target_counts.values())
+    else:
+        # Ranking the counts ranks the frequencies: they share one denominator.
+        features = select_features(target_counts, n_features)
+        target_vec = count_vector(features, target_counts)
     return index.vote(target_vec, features, k)
 
 

@@ -8,13 +8,14 @@ A token is a maximal run of alphanumeric characters (``str.isalnum``) of the
 lowercased text; every other character separates tokens. Both routes to the
 tokens run in C and yield the same tokens:
 
-- An ASCII text (checked after lowercasing: U+212A KELVIN SIGN lowercases to
-  ASCII ``k``) is translated with every ASCII character that is not
-  alphanumeric mapped to a space, then split on whitespace. No ASCII
-  alphanumeric character is whitespace, so the split keeps exactly the runs.
-- Any other text is searched with one precompiled regular expression: the
-  character class ``[^\\W_]`` matches exactly the characters for which
-  ``isalnum`` is true.
+- An ASCII text is encoded and its bytes translated through one 256-byte
+  table that lowercases A-Z, keeps a-z and 0-9 and maps every other byte to
+  a space, then decoded and split on whitespace. No ASCII alphanumeric
+  character is whitespace, so the split keeps exactly the runs.
+- Any other text is lowercased and searched with one precompiled regular
+  expression: the character class ``[^\\W_]`` matches exactly the
+  characters for which ``isalnum`` is true. That includes a text whose
+  lowercase form is ASCII, such as one holding U+212A KELVIN SIGN.
 """
 
 from __future__ import annotations
@@ -44,18 +45,19 @@ DEFAULT_STOPWORDS: frozenset[str] = frozenset(
 
 
 _TOKEN = re.compile(r"[^\W_]+")
-_ASCII_SEPARATORS = {c: " " for c in range(128) if not chr(c).isalnum()}
+_ASCII_TABLE = bytes(
+    ord(ch.lower()) if ch.isascii() and ch.isalnum() else ord(" ") for ch in map(chr, range(256))
+)
 
 
 def prepare(raw: str, stops: frozenset[str] = DEFAULT_STOPWORDS) -> list[str]:
     """The tokens of the lowercased ``raw`` that are not in ``stops``, in
     order, duplicates kept: every maximal run of alphanumeric characters is a
     token, and every other character separates tokens."""
-    lowered = raw.lower()
-    if lowered.isascii():
-        tokens = lowered.translate(_ASCII_SEPARATORS).split()
+    if raw.isascii():
+        tokens = raw.encode().translate(_ASCII_TABLE).decode().split()
     else:
-        tokens = _TOKEN.findall(lowered)
+        tokens = _TOKEN.findall(raw.lower())
     return list(filterfalse(stops.__contains__, tokens))
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from socialminer.errors import CorpusError, DimensionError, ParameterError
 from socialminer.features import count_vector, select_features, term_counts, term_frequency
+from socialminer import knn
 from socialminer.knn import (
     EXACT_LIMIT,
     ClassLabel,
@@ -393,6 +394,108 @@ class TestCorpusIndex:
             for k in (1, 5, 255, 256, 257, 300):
                 # checks index.vote against the dense vote and the oracle too
                 assert_nearest_matches_dense(index, corpus, target_vec, features, k)
+
+
+class TestTopKOnTiedDistances:
+    """``_rank`` takes the k smallest d² values with no key and then finds
+    their positions. Over two or three terms with counts up to 3, most d²
+    values repeat, so each taken value has many positions to choose from."""
+
+    @given(st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_matches_dense_order_and_oracle_for_every_k(self, data):
+        terms = TINY_VOCAB[: data.draw(st.integers(min_value=2, max_value=3))]
+        counts = st.lists(st.integers(min_value=0, max_value=3), min_size=3, max_size=3)
+        record = st.tuples(st.sampled_from(list(ClassLabel)[:3]), counts)
+        n_docs = data.draw(st.integers(min_value=20, max_value=200))
+        drawn = data.draw(st.lists(record, min_size=n_docs, max_size=n_docs))
+        # ids in an order unrelated to corpus order, so the doc-id tie-break shows
+        ids = data.draw(st.permutations([f"d{i}" for i in range(len(drawn))]))
+        corpus = [
+            SampleDocument(doc_id, label, {t: c for t, c in zip(terms, doc_counts) if c})
+            for doc_id, (label, doc_counts) in zip(ids, drawn)
+        ]
+        # "eel" never occurs in the corpus
+        features = data.draw(st.permutations(terms + ["eel"]))[: data.draw(st.integers(1, 4))]
+        target_vec = [data.draw(st.integers(min_value=1, max_value=3)) for _ in features]
+
+        index = CorpusIndex.build(corpus)
+        dense = distance_matrix(target_vec, corpus, features)
+        ordered = sorted(dense, key=lambda r: (r.distance, r.doc_id))
+        oracle_rows = [
+            (d.doc_id, d.label.value, brute_distance(target_vec, count_vector(features, d.counts)))
+            for d in corpus
+        ]
+        for k in range(1, len(corpus) + 1):
+            rows = index.nearest(target_vec, features, k)
+            assert [r.doc_id for r in rows] == [r.doc_id for r in ordered[:k]]
+            assert [r.distance.hex() for r in rows] == [r.distance.hex() for r in ordered[:k]]
+            assert index.vote(target_vec, features, k).value == brute_classify(oracle_rows, k)
+
+
+def ranked_projection(text, n_features):
+    """The target's features and vector as the ranked branch builds them,
+    from the reference selection (sort by count descending, then term)."""
+    counts = term_counts(prepare(text))
+    features = reference_paths.select_features(counts, n_features)
+    return features, count_vector(features, counts)
+
+
+class TestFeatureSelectionBranches:
+    """``classify_text`` ranks a target's terms only when it has more than
+    ``n_features`` distinct ones; otherwise every term is a feature, in
+    first-occurrence order. Either way the label is the oracle's on the
+    projection that ranking all terms and keeping the top ``n_features``
+    gives."""
+
+    VOCAB = [f"w{i}" for i in range(80)]
+
+    def corpus(self, rng):
+        labels = list(ClassLabel)[:4]
+        return [
+            SampleDocument(
+                f"d{i}",
+                rng.choice(labels),
+                term_counts(rng.choices(self.VOCAB, k=rng.randint(5, 60))),
+            )
+            for i in range(60)
+        ]
+
+    def target(self, rng, distinct):
+        """A text of ``distinct`` distinct terms, some repeated, so counts
+        tie and the ranking's term-order tie-break shows."""
+        terms = rng.sample(self.VOCAB + ["absent0", "absent1"], distinct)
+        tokens = terms + rng.choices(terms, k=distinct // 2)
+        rng.shuffle(tokens)
+        return " ".join(tokens)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "n_features, distinct", [(50, 60), (50, 51), (50, 50), (50, 49), (50, 10), (5, 30), (1, 2)]
+    )
+    def test_label_matches_oracle_on_ranked_projection(
+        self, monkeypatch, seed, n_features, distinct
+    ):
+        rng = random.Random(seed)
+        corpus = self.corpus(rng)
+        index = CorpusIndex.build(corpus)
+        text = self.target(rng, distinct)
+        features, target_vec = ranked_projection(text, n_features)
+        assert len(features) == min(distinct, n_features)
+        oracle_rows = [
+            (d.doc_id, d.label.value, brute_distance(target_vec, count_vector(features, d.counts)))
+            for d in corpus
+        ]
+        ranked = []
+
+        def counted_select_features(*args):
+            ranked.append(args)
+            return select_features(*args)
+
+        monkeypatch.setattr(knn, "select_features", counted_select_features)
+        for k in (1, 3, 7, len(corpus)):
+            assert classify_text(text, index, n_features, k).value == brute_classify(oracle_rows, k)
+        assert bool(ranked) == (distinct > n_features)
 
 
 def honest_doc(doc_id, count, label):

@@ -473,9 +473,9 @@ print(json.dumps({"codes": codes, "spans": spans, "counts": tracer.counts}, sort
 # `run` and the subcommands calls every stage once, `run` keeps its profiles
 # in memory, and the four later subcommands read their input back.
 TRACED_SPANS = {
-    "arff.build_dataset": 2, "arff.emit_arff": 2, "features.select_features": 24,
-    "features.term_counts": 84, "ingest.load_corpus": 4, "ingest.load_profiles": 2,
-    "ingest.persist_corpus": 6, "ingest.validate_and_filter": 2,
+    "arff.build_dataset": 2, "arff.emit_arff": 2, "features.term_counts": 84,
+    "ingest.load_corpus": 4, "ingest.load_profiles": 2, "ingest.persist_corpus": 6,
+    "ingest.validate_and_filter": 2,
     "io_utils.atomic_write_text": 89, "knn.classify_text": 24,
     "knn.load_sample_corpus": 2, "pipeline.run_pipeline": 1, "pipeline.stage_arff": 2,
     "pipeline.stage_bin": 2, "pipeline.stage_classify": 2, "pipeline.stage_ingest": 2,

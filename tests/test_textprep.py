@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 import reference_paths
 from socialminer.errors import StorageError
 from socialminer.textprep import (
-    _ASCII_SEPARATORS,
+    _ASCII_TABLE,
     _TOKEN,
     DEFAULT_STOPWORDS,
     load_stopwords,
@@ -20,7 +20,7 @@ from socialminer.textprep import (
 # U+212A KELVIN SIGN, which is not ASCII but lowercases to ASCII "k".
 TRICKY = "_-'’ \t\n\x1c\x85\xa0\u2028\u3000²½Ⅻ٣߀İẞßΣσςǅ\u0301\u0345\u200b\ufeff\u212aa1Z"
 tricky_text = st.text(alphabet=st.sampled_from(TRICKY), max_size=60)
-# Long ASCII-only texts take prepare's translate-and-split route; the other
+# Long ASCII-only texts take prepare's byte-table route; the other
 # strategies rarely draw them.
 ascii_text = st.text(st.characters(max_codepoint=127), max_size=400)
 any_text = st.one_of(st.text(max_size=200), tricky_text, ascii_text)
@@ -111,14 +111,15 @@ class TestTokenGrammar:
         every = "".join(map(chr, range(sys.maxunicode + 1)))
         assert "".join(_TOKEN.findall(every)) == "".join(ch for ch in every if ch.isalnum())
 
-    def test_ascii_separators_are_the_ascii_non_alphanumerics(self):
+    def test_ascii_table_lowercases_alphanumerics_and_spaces_the_rest(self):
         kept = string.ascii_letters + string.digits
         assert [chr(c) for c in range(128) if chr(c).isalnum()] == sorted(kept)
-        assert _ASCII_SEPARATORS == {c: " " for c in range(128) if chr(c) not in kept}
+        expected = [ord(chr(c).lower()) if chr(c) in kept else ord(" ") for c in range(256)]
+        assert list(_ASCII_TABLE) == expected
 
-    def test_kelvin_sign_lowercases_into_the_ascii_route(self):
-        # "\u212a" is not ASCII, but its lowercase "k" is, so the text takes
-        # the translate-and-split route and still yields the regex's tokens.
+    def test_kelvin_sign_takes_the_regex_route(self):
+        # "\u212a" is not ASCII, so the text is searched with the regular
+        # expression after lowercasing, which turns the sign into ASCII "k".
         assert prepare("\u212aelvin, 3\u212a!", NO_STOPS) == ["kelvin", "3k"]
 
     def test_no_alphanumeric_character_is_whitespace(self):
