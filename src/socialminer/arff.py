@@ -89,24 +89,29 @@ def _attribute_line(attr: ArffAttribute) -> str:
     return f"@attribute {_format_field(attr.name)} {kind}"
 
 
-def emit_arff(ds: ArffDataset) -> str:
+def emit_arff(ds: ArffDataset, first_row: int = 1) -> str:
     """Serialize a dataset; raises ArffEncodeError when invariants fail.
+
+    Rows are numbered from ``first_row``; only the text from row 1 starts
+    with the header, so a file can be emitted one batch of rows at a time.
 
     Each nominal domain value is formatted once per attribute; a text cell
     found in its attribute's table is emitted by lookup, and every other
     cell is checked and formatted by ``_format_value``.
     """
-    if not ds.relation:
-        raise ArffEncodeError("relation name must be non-empty")
-    lines = [f"@relation {_format_field(ds.relation)}"]
-    lines.extend(_attribute_line(attr) for attr in ds.attributes)
-    lines.append("@data")
+    lines = []
+    if first_row == 1:
+        if not ds.relation:
+            raise ArffEncodeError("relation name must be non-empty")
+        lines.append(f"@relation {_format_field(ds.relation)}")
+        lines.extend(_attribute_line(attr) for attr in ds.attributes)
+        lines.append("@data")
     columns = [
         (attr, {v: _format_field(v) for v in attr.domain} if attr.kind == NOMINAL else {})
         for attr in ds.attributes
     ]
     width = len(columns)
-    for row_no, row in enumerate(ds.rows, start=1):
+    for row_no, row in enumerate(ds.rows, start=first_row):
         if len(row) != width:
             raise ArffEncodeError(f"row {row_no}: {len(row)} values for {width} attributes")
         cells = []
@@ -114,7 +119,7 @@ def emit_arff(ds: ArffDataset) -> str:
             text = formatted.get(value) if type(value) is str else None
             cells.append(text if text is not None else _format_value(value, attr, row_no))
         lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 PROFILE_RELATION = "social_profiles"

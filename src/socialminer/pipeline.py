@@ -209,8 +209,19 @@ def stage_bin(profiles: Iterable[dict], config: RunConfig, out_dir: Path) -> dic
 
 
 def stage_arff(profiles: Iterable[dict], config: RunConfig, out_dir: Path) -> dict:
-    """Write the ARFF dataset; its text is built whole before it is written."""
-    atomic_write_text(out_dir / ARFF_FILE, emit_arff(build_dataset(profiles)))
+    """Write the ARFF dataset one batch of profiles at a time: the header
+    with the first batch's rows (alone when there are no profiles), then the
+    rows of each later batch, numbered from the start of the file."""
+
+    def text() -> Iterator[str]:
+        row_no = 1
+        for batch in batches(profiles):
+            yield emit_arff(build_dataset(batch), row_no)
+            row_no += len(batch)
+        if row_no == 1:
+            yield emit_arff(build_dataset(()))
+
+    atomic_write_text(out_dir / ARFF_FILE, text())
     return {}
 
 
@@ -282,12 +293,16 @@ def stage_report(profiles: Iterable[dict], config: RunConfig, out_dir: Path) -> 
 
 @contextmanager
 def failure_marker(out_dir: Path) -> Iterator[None]:
-    """Remove a stale failure marker from ``out_dir``; if the body raises,
-    write ``"<Type>: <message>"`` to a new marker and re-raise. Partial
-    outputs are kept. A lone surrogate in the message (a path that is not
-    UTF-8, as Python decodes it) is written as its ``\\udcXX`` escape."""
+    """Remove a stale failure marker from ``out_dir`` (StorageError if it
+    cannot be removed); if the body raises, write ``"<Type>: <message>"`` to
+    a new marker and re-raise. Partial outputs are kept. A lone surrogate in
+    the message (a path that is not UTF-8, as Python decodes it) is written
+    as its ``\\udcXX`` escape."""
     marker = out_dir / FAILURE_MARKER
-    marker.unlink(missing_ok=True)
+    try:
+        marker.unlink(missing_ok=True)
+    except OSError as exc:
+        raise StorageError(f"cannot remove {marker}: {exc}") from exc
     try:
         yield
     except Exception as exc:

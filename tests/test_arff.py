@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,9 +13,12 @@ from socialminer.arff import (
     emit_arff,
 )
 from socialminer.binning import AgeRange, ShareClass, WallCountClass
+from socialminer.cli import main
 from socialminer.errors import ArffEncodeError
 from socialminer.ingest import Gender
+from socialminer.io_utils import BATCH_SIZE
 from socialminer.knn import ClassLabel
+from socialminer.pipeline import RunConfig, stage_arff
 
 import reference_paths
 from arff_oracle import ArffParseError, parse_arff
@@ -299,10 +304,17 @@ def loose_dataset_strategy(draw):
 
 
 class TestEmitEquivalence:
-    @given(loose_dataset_strategy())
+    @given(loose_dataset_strategy(), st.integers(min_value=1, max_value=7))
     @settings(max_examples=300)
-    def test_matches_per_cell_emitter(self, ds):
-        assert emitted_or_error(emit_arff, ds) == emitted_or_error(reference_paths.emit_arff, ds)
+    def test_matches_per_cell_emitter(self, ds, split):
+        """Also when the rows are emitted in two parts, the second numbered
+        from row ``split + 1`` (empty when ``split`` passes the last row)."""
+        expected = emitted_or_error(reference_paths.emit_arff, ds)
+        assert emitted_or_error(emit_arff, ds) == expected
+        head = ArffDataset(ds.relation, ds.attributes, ds.rows[:split])
+        tail = ArffDataset(ds.relation, ds.attributes, ds.rows[split:])
+        parts = emitted_or_error(lambda _: emit_arff(head) + emit_arff(tail, split + 1), ds)
+        assert parts == expected
 
     def test_out_of_domain_message_unchanged(self):
         attr = ArffAttribute("c", NOMINAL, ("a b", "x"))
@@ -321,3 +333,39 @@ class TestEmitEquivalence:
         ]
         ds = build_dataset(profiles)
         assert emit_arff(ds) == reference_paths.emit_arff(ds)
+
+
+def varied_profile(i):
+    """A binned profile whose row differs from its neighbours'."""
+    return enriched_profile(
+        i, gender=list(Gender)[i % 3], about_me_class=list(ClassLabel)[i % len(ClassLabel)],
+        wall_count=i, music_count=i % 7, age_range=list(AgeRange)[i % 5],
+    )
+
+
+class TestStreamedFile:
+    """stage_arff writes the file one batch of rows at a time."""
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, BATCH_SIZE - 1, BATCH_SIZE, BATCH_SIZE + 1, 2 * BATCH_SIZE + 1]
+    )
+    def test_arff_subcommand_writes_the_whole_dataset_text(self, tmp_path, n):
+        profiles = [varied_profile(i) for i in range(n)]
+        binned = tmp_path / "binned.jsonl"
+        binned.write_text("".join(json.dumps(p) + "\n" for p in profiles), encoding="utf-8")
+        assert main(["arff", "--input", str(binned), "--out", str(tmp_path / "out")]) == 0
+        text = (tmp_path / "out" / "dataset.arff").read_text(encoding="utf-8")
+        assert text == emit_arff(build_dataset(profiles))
+        assert text.startswith(GOLDEN_HEADER) and text.count("@relation") == 1
+        if n == 0:
+            assert text == GOLDEN_HEADER
+
+    def test_cell_error_in_a_later_batch_names_its_file_row(self, tmp_path):
+        profiles = [varied_profile(i) for i in range(2 * BATCH_SIZE + 1)]
+        profiles[BATCH_SIZE + 43]["wall_count"] = "many"
+        config = RunConfig(tmp_path / "binned.jsonl", tmp_path)
+        with pytest.raises(ArffEncodeError) as got:
+            stage_arff(profiles, config, tmp_path)
+        row = BATCH_SIZE + 44
+        assert str(got.value) == f"row {row}, column 'wall_count': numeric value expected, got 'many'"
+        assert not (tmp_path / "dataset.arff").exists()

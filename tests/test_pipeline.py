@@ -845,6 +845,17 @@ class TestBadInputEndsCleanly:
             marker = (out / "FAILED").read_text(encoding="utf-8")
             assert marker.startswith(f"StorageError: cannot read {tmp_path}/missing-\\udcff.jsonl: ")
 
+    def test_failure_marker_that_is_a_directory(self, tmp_path):
+        profiles, out = tmp_path / "profiles.jsonl", tmp_path / "out"
+        write_jsonl(profiles, [record(i) for i in range(3)])
+        (out / "FAILED").mkdir(parents=True)
+        result = cli_child("ingest", "--input", str(profiles), "--out", str(out))
+        assert "Traceback" not in result.stderr
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"error: cannot remove {out / 'FAILED'}: ")
+        assert result.stderr.count("\n") == 1
+        assert not (out / "accepted.jsonl").exists()
+
     @pytest.mark.parametrize("line,refusal", HOSTILE_LINES)
     def test_hostile_json_profile_line_is_malformed(self, tmp_path, line, refusal):
         profiles = tmp_path / "profiles.jsonl"

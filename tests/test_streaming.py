@@ -314,12 +314,11 @@ def stage_peaks(tmp_path, n):
 def test_stage_memory_does_not_grow_with_the_input(tmp_path):
     """Each streamed stage holds one batch of records, not the file: 3,000
     more records cost less than 128 bytes each, where holding them would
-    cost about 1,000. What grows is the id set ingest checks duplicates
-    against (about 85 bytes a record) and the report's tally, which has one
-    key per combination of classes met. The ARFF text is built whole, so
-    arff is left out."""
+    cost about 1,000. What grows is the dict of ids ingest checks duplicates
+    against (about 72 bytes a record at this size) and the report's tally,
+    which has one key per combination of classes met."""
     small, large = stage_peaks(tmp_path, 1000), stage_peaks(tmp_path, 4000)
-    for command in ("ingest", "classify", "bin", "report"):
+    for command in ("ingest", "classify", "bin", "arff", "report"):
         assert large[command] - small[command] < 3000 * 128, (command, small[command], large[command])
 
 
