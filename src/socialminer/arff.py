@@ -123,8 +123,8 @@ def emit_arff(ds: ArffDataset, first_row: int = 1) -> str:
 
 
 PROFILE_RELATION = "social_profiles"
-# The columns of the profile dataset, in order; a field of
-# ``ingest.FIELD_ENUMS`` is nominal over its enumeration's values.
+# The columns of the profile dataset, in order; one whose kind in
+# ``ingest.STAGE_RECORD`` is an enumeration is nominal over its values.
 PROFILE_COLUMNS = (
     "age_range", "gender", "about_me_class", "wall_count", "wall_count_class", "music_count",
     "music_share_class", "activity_interest_count", "activity_interest_class",

@@ -6,10 +6,9 @@ political, music_count. Absent keys (or JSON null) mean the attribute is
 missing.
 
 An accepted profile is a stage-file record: the ``dict`` that one line of
-a stage file holds, in the key order ``validate_and_filter`` builds, to
-which classify and bin add the class keys as enumeration values. The stages
-write it as it is, atomically, and read it back through
-``check_stage_record``; README ("Input formats") lists its keys.
+a stage file holds. ``STAGE_RECORD`` alone declares its keys, their order
+and their kinds. The stages write it as it is, atomically, and read it back
+through ``check_stage_record``; README ("Input formats") lists its keys.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from enum import Enum
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Collection, Iterable, Iterator, Optional
 
 from .binning import AgeRange, ShareClass, WallCountClass
 from .errors import DuplicateIdError, StorageError
@@ -44,21 +43,25 @@ _TEXT_KEYS = ("birthday", "about_me", "activities", "gender", "interests", "poli
 _INT_KEYS = ("wall_count", "music_count")
 _INPUT_KEY_SET = frozenset(("id", *_TEXT_KEYS, *_INT_KEYS))
 
-# Every field that takes an enumeration's value: gender, then the five class
-# keys that classify and bin add, in stage-file order. ``arff`` and
-# ``report`` read their enums and domains from it, and the stage-file check
-# its value sets.
-FIELD_ENUMS = {"gender": Gender, "about_me_class": ClassLabel, "age_range": AgeRange,
-               "wall_count_class": WallCountClass, "music_share_class": ShareClass,
-               "activity_interest_class": ShareClass}
+# The stage-file record: the keys each stage adds, in stage-file order, with
+# their kinds: "text", "text?" (optional), "count" or the enumeration of the
+# values (``FIELD_ENUMS``, which ``arff`` and ``report`` read too).
+STAGE_RECORD = {
+    "ingest": {"id": "text", "birthday": "text?", "about_me": "text", "activities": "text?",
+               "gender": Gender, "interests": "text?", "wall_count": "count",
+               "political": "text?", "music_count": "count", "activity_interest_count": "count"},
+    "classify": {"about_me_class": ClassLabel},
+    "bin": {"age_range": AgeRange, "wall_count_class": WallCountClass,
+            "music_share_class": ShareClass, "activity_interest_class": ShareClass},
+}
+_KINDS = {key: kind for keys in STAGE_RECORD.values() for key, kind in keys.items()}
+_STAGE_KEYS = frozenset(_KINDS)
+_COUNT_KEYS = tuple(key for key, kind in _KINDS.items() if kind == "count")
+_OPTIONAL_TEXT_KEYS = tuple(key for key, kind in _KINDS.items() if kind == "text?")
+FIELD_ENUMS = {key: kind for key, kind in _KINDS.items() if isinstance(kind, type)}
+_CLASS_KEYS = tuple(key for key in FIELD_ENUMS if key not in STAGE_RECORD["ingest"])
 # Each value maps to itself: the one string of it that records share.
-_FIELD_VALUES = {key: {member.value: member.value for member in enum_type}
-                 for key, enum_type in FIELD_ENUMS.items()}
-_CLASS_KEYS = tuple(FIELD_ENUMS)[1:]
-# The keys of a stage-file record beside id, about_me, gender and the classes.
-_COUNT_KEYS = ("wall_count", "music_count", "activity_interest_count")
-_OPTIONAL_TEXT_KEYS = ("birthday", "activities", "interests", "political")
-_STAGE_KEYS = frozenset(("id", "about_me", *_COUNT_KEYS, *_OPTIONAL_TEXT_KEYS, *FIELD_ENUMS))
+_FIELD_VALUES = {key: {m.value: m.value for m in kind} for key, kind in FIELD_ENUMS.items()}
 
 
 @dataclass(frozen=True)
@@ -181,9 +184,9 @@ def rejection_reason(record: dict) -> Optional[str]:
 
 def validate_and_filter(records: list[dict]) -> tuple[list[dict], RejectionReport]:
     """Filter out the records ``rejection_reason`` gives a reason for; total
-    over its input. Each accepted record becomes a stage-file record: its
-    keys in stage-file order, absent ones left out, gender normalized
-    (``_normalize_gender``) and activity_interest_count added."""
+    over its input. Each accepted record becomes a stage-file record: the
+    keys of ``STAGE_RECORD["ingest"]`` in order, absent ones left out, gender
+    normalized (``_normalize_gender``) and activity_interest_count added."""
     accepted: list[dict] = []
     report = RejectionReport()
     for record in records:
@@ -191,14 +194,10 @@ def validate_and_filter(records: list[dict]) -> tuple[list[dict], RejectionRepor
         if reason is not None:
             report.rejected.append((record["id"], reason))
             continue
-        get = record.get
-        activities, interests = get("activities"), get("interests")
-        profile = {"id": record["id"], "birthday": get("birthday"), "about_me": record["about_me"],
-                   "activities": activities, "gender": _normalize_gender(get("gender")),
-                   "interests": interests, "wall_count": record["wall_count"],
-                   "political": get("political"), "music_count": record["music_count"],
-                   "activity_interest_count": count_items(activities) + count_items(interests)}
-        accepted.append({key: value for key, value in profile.items() if value is not None})
+        get = {**record, "gender": _normalize_gender(record.get("gender")),
+               "activity_interest_count": count_items(record.get("activities"))
+               + count_items(record.get("interests"))}.get
+        accepted.append({k: v for k in STAGE_RECORD["ingest"] if (v := get(k)) is not None})
     return accepted, report
 
 
@@ -218,7 +217,7 @@ def persist_corpus(
     profiles: Iterable[dict],
     path: str | Path,
     prepare: Optional[Callable[[dict], None]] = None,
-    adds: tuple[str, ...] = (),
+    adds: Collection[str] = (),
 ) -> int:
     r"""Write the stage-file records as JSON lines, each as it is, atomically,
     one batch of records (``io_utils.batches``) at a time as ``profiles``
@@ -309,8 +308,7 @@ def check_stage_record(record: dict) -> None:
 
 def _member_value(key: str, value) -> str:
     """The value of ``FIELD_ENUMS[key]`` equal to ``value``, as the one string
-    every record shares; any other value (an unknown, null or unhashable
-    one) goes to the enumeration for its error."""
+    records share; any other value goes to the enumeration for its error."""
     try:
         return _FIELD_VALUES[key][value]
     except (KeyError, TypeError):

@@ -22,7 +22,8 @@ from .binning import (
     bin_wall_count,
 )
 from .errors import ParameterError, StorageError
-from .ingest import FIELD_ENUMS, load_profiles, parse_birthday, persist_corpus, validate_and_filter
+from .ingest import (FIELD_ENUMS, STAGE_RECORD, load_profiles, parse_birthday, persist_corpus,
+                     validate_and_filter)
 from .io_utils import atomic_write_text, batches, make_output_dir
 from .knn import ClassLabel, CorpusIndex, classify_text, load_sample_corpus
 from .report import REPORT_TABLES, aggregate, emit_chart, emit_comparison_chart, emit_table, tally
@@ -185,7 +186,8 @@ def stage_classify(profiles: Iterable[dict], config: RunConfig, out_dir: Path) -
         if label is ClassLabel.UNCLASSIFIABLE:
             unclassifiable += 1
 
-    written = persist_corpus(profiles, out_dir / CLASSIFIED_FILE, classify_one, ("about_me_class",))
+    written = persist_corpus(profiles, out_dir / CLASSIFIED_FILE, classify_one,
+                             STAGE_RECORD["classify"])
     return {"accepted": written, "unclassifiable": unclassifiable}
 
 
@@ -204,8 +206,8 @@ def stage_bin(profiles: Iterable[dict], config: RunConfig, out_dir: Path) -> dic
         profile["activity_interest_class"] = bin_activities_interests(
             profile["activity_interest_count"], gap_policy)._value_
 
-    added = ("age_range", "wall_count_class", "music_share_class", "activity_interest_class")
-    return {"accepted": persist_corpus(profiles, out_dir / BINNED_FILE, bin_one, added)}
+    written = persist_corpus(profiles, out_dir / BINNED_FILE, bin_one, STAGE_RECORD["bin"])
+    return {"accepted": written}
 
 
 def stage_arff(profiles: Iterable[dict], config: RunConfig, out_dir: Path) -> dict:

@@ -13,8 +13,8 @@ from typing import Iterable, Sequence
 from .errors import ChartError, ReportError
 from .ingest import FIELD_ENUMS
 
-# The fields a report groups by and those it measures, each one of
-# ``ingest.FIELD_ENUMS``, whose enumeration gives its values in order.
+# The fields a report groups by and those it measures: keys whose kind in
+# ``ingest.STAGE_RECORD`` is an enumeration, which gives their values in order.
 GROUP_FIELDS = ("age_range", "gender")
 MEASURE_FIELDS = ("about_me_class", "wall_count_class", "music_share_class",
                   "activity_interest_class")

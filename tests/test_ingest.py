@@ -509,6 +509,27 @@ class TestStageRecordCheck:
         with pytest.raises(ValueError, match=r"^unknown keys: \['bogus'\]$"):
             check_stage_record(record)
 
+    @pytest.mark.parametrize(
+        "change,expected",
+        [({"wall_count": "1", "birthday": None},
+          TypeError("wall_count must be an integer, got '1'")),
+         ({"about_me": " ", "age_range": "Young"},
+          ValueError("ingest would reject it: MISSING_TEXT")),
+         ({"bogus": 1, "id": ...}, ValueError("unknown keys: ['bogus']")),
+         ({"gender": ..., "about_me_class": "Nope"}, KeyError("gender"))],
+        ids=["count_before_optional_text", "rule_before_enum", "unknown_key_before_missing",
+             "missing_gender_before_class"],
+    )
+    def test_first_fault_is_reported(self, change, expected):
+        # A line with two faults: the check's order, not the table's, picks
+        # the one reported (``...`` deletes the key).
+        record = make_profile(1, about_me_class=ClassLabel.HONEST)
+        record.update(change)
+        record = {key: value for key, value in record.items() if value is not ...}
+        with pytest.raises(Exception) as got:
+            check_stage_record(record)
+        assert (type(got.value), got.value.args) == (type(expected), expected.args)
+
     @pytest.mark.parametrize("key", ["birthday", "activities", "interests", "political"])
     def test_null_optional_text_is_refused(self, tmp_path, key):
         # No stage writes a null: an absent text is an absent key.

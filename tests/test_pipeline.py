@@ -2,6 +2,7 @@ import codecs
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -16,8 +17,9 @@ import socialminer
 from socialminer.cli import main
 from socialminer import knn
 from socialminer.errors import DomainError, ParameterError, StorageError
+from socialminer.ingest import STAGE_RECORD, validate_and_filter
 from socialminer.knn import load_sample_corpus
-from socialminer.pipeline import RunConfig, run_pipeline, stage_classify, stage_ingest
+from socialminer.pipeline import RunConfig, run_pipeline, stage_bin, stage_classify, stage_ingest
 from socialminer.synth import make_corpus_records, make_profile_records, write_jsonl
 
 import reference_paths
@@ -1120,6 +1122,24 @@ class TestStageRecordKeyOrder:
                            if key not in optional or raw.get(key) is not None]
                 assert list(line) == present + list(classes), (name, line)
 
+    def test_the_table_gives_every_key_in_order(self):
+        assert list(STAGE_RECORD) == ["ingest", "classify", "bin"]
+        keys = [key for added in STAGE_RECORD.values() for key in added]
+        assert keys == list(reference_paths.STAGE_KEY_ORDER)
+
+    def test_classify_and_bin_add_the_keys_of_their_row(self, tmp_path):
+        # A key a stage sets but the table lacks would fail no run:
+        # persist_corpus would encode each record whole instead.
+        write_corpus(tmp_path / "corpus.jsonl")
+        config = config_for(tmp_path)
+        config.output_dir.mkdir()
+        profiles, _ = validate_and_filter([record(1, political="none")])
+        assert list(profiles[0]) == list(STAGE_RECORD["ingest"])
+        for name, stage in (("classify", stage_classify), ("bin", stage_bin)):
+            before = list(profiles[0])
+            stage(profiles, config, config.output_dir)
+            assert list(profiles[0]) == before + list(STAGE_RECORD[name]), name
+
     def test_hand_edited_key_order_is_kept(self, tmp_path):
         write_jsonl(tmp_path / "profiles.jsonl", [record(i) for i in range(4)])
         write_corpus(tmp_path / "corpus.jsonl")
@@ -1281,6 +1301,42 @@ class TestFilesAfterFailure:
         (out / "classified.jsonl").write_bytes(b"".join(lines))
         assert self.stage(tmp_path, out, "bin") == 1
         assert sorted(tree_bytes(out)) == ["FAILED", "classified.jsonl"]
+
+
+class TestFileMode:
+    """Every file `run` and the stage subcommands write, the FAILED marker
+    included, has mode 0600 whatever the umask: ``io_utils.atomic_write_text``
+    creates it with ``tempfile.mkstemp``."""
+
+    def test_every_output_file_is_0600(self, tmp_path):
+        profiles, corpus = tmp_path / "profiles.jsonl", tmp_path / "corpus.jsonl"
+        write_jsonl(profiles, [record(i) for i in range(5)])
+        write_corpus(corpus)
+        run, staged, failed = tmp_path / "run", tmp_path / "staged", tmp_path / "failed"
+        commands = [
+            ["run", "--input", str(profiles), "--corpus", str(corpus), "--ref-date", "2015-06-01",
+             "--out", str(run)],
+            ["ingest", "--input", str(profiles)],
+            ["classify", "--input", str(staged / "accepted.jsonl"), "--corpus", str(corpus)],
+            ["bin", "--input", str(staged / "classified.jsonl"), "--ref-date", "2015-06-01"],
+            ["arff", "--input", str(staged / "binned.jsonl")],
+            ["report", "--input", str(staged / "binned.jsonl")],
+        ]
+        umask = os.umask(0)
+        try:
+            for argv in commands:
+                out = [] if argv[0] == "run" else ["--out", str(staged)]
+                assert main([*argv, *out]) == 0, argv[0]
+            # raw profiles are no stage file: bin fails and writes FAILED
+            assert main(["bin", "--input", str(profiles), "--ref-date", "2015-06-01",
+                         "--out", str(failed)]) == 1
+        finally:
+            os.umask(umask)
+        files = [path for out in (run, staged, failed) for path in out.rglob("*") if path.is_file()]
+        assert failed / "FAILED" in files and run / "summary.json" in files
+        modes = {path.relative_to(tmp_path).as_posix(): oct(stat.S_IMODE(path.stat().st_mode))
+                 for path in files}
+        assert modes == dict.fromkeys(modes, "0o600")
 
 
 
