@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
-from itertools import islice
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator, Optional
@@ -221,51 +221,44 @@ def persist_corpus(
 ) -> int:
     r"""Write the stage-file records as JSON lines, each as it is, atomically,
     one batch of records (``io_utils.batches``) at a time as ``profiles``
-    yields them: a batch is read, then ``prepare`` (a stage's work on one
-    record, when given, which sets each key of ``adds``) runs on each of its
-    records, then the batch is encoded and written. Returns the number of
+    yields them: for each record of a batch, ``prepare`` (a stage's work on
+    one record, when given, which sets each key of ``adds``) runs and the
+    record is encoded; then the batch is written. Returns the number of
     records written.
 
     Given a ``StageFile`` and ``adds`` (as ``classify`` and ``bin`` are), a
-    record that held none of ``adds`` before ``prepare`` is written as its
-    line up to its closing "}", then ", ", the added keys encoded by
-    ``_encode_record``, "}" and "\n"; a record that held one is encoded
-    whole. For a line ``_encode_record`` wrote, both give the same bytes; a
-    hand-edited line keeps its own spacing, escapes, ``-0`` and repeated
-    keys."""
+    record whose line held none of ``adds`` is written as that line up to
+    its closing "}", then ", ", the added keys encoded by ``_encode_record``,
+    "}" and "\n"; a record that held one is encoded whole. For a line
+    ``_encode_record`` wrote, both give the same bytes; a hand-edited line
+    keeps its own spacing, escapes, ``-0`` and repeated keys."""
     written = 0
+    suffixes: dict = {}
     if adds and isinstance(profiles, StageFile):
-        pairs = profiles.batches()
-        values_of = itemgetter(*adds)
-        suffixes: dict = {}
+        pairs, values_of = profiles.lines(), itemgetter(*adds)
     else:
-        pairs = ((batch, None) for batch in batches(profiles))
+        pairs = zip(profiles, repeat(None))
 
     def chunks() -> Iterator[str]:
         nonlocal written
-        for batch, lines in pairs:
-            if lines is not None:
-                sizes = list(map(len, batch))
-            if prepare is not None:
-                for profile in batch:
-                    prepare(profile)
-            written += len(batch)
-            if lines is None:
-                yield "".join([_encode_record(profile) + "\n" for profile in batch])
-                continue
+        for batch in batches(pairs):
             text = []
-            for profile, line, size in zip(batch, lines, sizes):
-                # prepare set every key of adds: it grew by all of them only
-                # if it held none of them.
-                if len(profile) - size != len(adds):
+            for profile, line in batch:
+                size = len(profile)
+                if prepare is not None:
+                    prepare(profile)
+                # prepare set every key of adds: the record grew by all of
+                # them only if its line held none of them.
+                if line is None or len(profile) - size != len(adds):
                     text.append(_encode_record(profile) + "\n")
                     continue
                 values = values_of(profile)
                 suffix = suffixes.get(values)
                 if suffix is None:
-                    added = dict(islice(profile.items(), size, None))
+                    added = {key: profile[key] for key in adds}
                     suffix = suffixes[values] = ", " + _encode_record(added)[1:] + "\n"
                 text.append(line[:line.rindex("}")] + suffix)
+            written += len(batch)
             yield "".join(text)
 
     atomic_write_text(path, chunks())
@@ -323,17 +316,10 @@ class StageFile:
         self.path = path
 
     def __iter__(self) -> Iterator[dict]:
-        return self._records(None)
+        return map(itemgetter(0), self.lines())
 
-    def batches(self) -> Iterator[tuple[list[dict], list[str]]]:
-        """Each batch of records (``io_utils.batches``), with the line each
-        was read from. Lines are held for their batch only."""
-        lines: list[str] = []
-        for batch in batches(self._records(lines)):
-            yield batch, lines.copy()
-            lines.clear()
-
-    def _records(self, lines: Optional[list[str]]) -> Iterator[dict]:
+    def lines(self) -> Iterator[tuple[dict, str]]:
+        """Each checked record, paired with the line it was read from."""
         path = self.path
         for line_no, line in json_lines(path, "corpus "):
             try:
@@ -345,9 +331,7 @@ class StageFile:
                 raise StorageError(f"corrupt corpus {path}:{line_no}: missing key {exc}") from exc
             except (TypeError, ValueError) as exc:
                 raise StorageError(f"corrupt corpus {path}:{line_no}: {exc}") from exc
-            if lines is not None:
-                lines.append(line)
-            yield record
+            yield record, line
 
 
 def load_corpus(path: str | Path) -> StageFile:
@@ -361,7 +345,7 @@ def load_corpus(path: str | Path) -> StageFile:
     empty id or a record ingest would reject), or that holds a blank before
     the object's "{" or after its "}" (checked last); the message names the
     path and the line. The first fault met in file order is the one reported.
-    ``persist_corpus`` reads a ``StageFile`` by its ``batches``, so that it
+    ``persist_corpus`` reads a ``StageFile`` by its ``lines``, so that it
     can write a line back as it was read.
     """
     return StageFile(path)

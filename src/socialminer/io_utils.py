@@ -50,17 +50,20 @@ def batches(items: Iterable[T]) -> Iterator[list[T]]:
 
 def json_lines(path: str | Path, what: str = "") -> Iterator[tuple[int, str]]:
     r"""Yield ``(line_no, line)`` for every non-blank line of a JSON-lines
-    file, numbered from 1. The file is read as UTF-8 with universal newlines,
-    so lines end at "\n", "\r\n" or "\r" only and a raw U+2028, U+2029 or
-    U+0085 stays inside its text. A byte-order mark that starts the file is
-    dropped; one anywhere else stays in its line. Bytes that are not UTF-8
-    become lone surrogates (``surrogateescape``), which fail only their own
-    line in ``json_object``. An unreadable file raises
+    file, numbered from 1. A blank line holds nothing but spaces, tabs and
+    its line break (JSON's whitespace), so a line holding another blank, such
+    as U+00A0 or a form feed, is yielded for its reader to refuse. The file
+    is read as UTF-8 with universal newlines, so lines end at "\n", "\r\n"
+    or "\r" only and a raw U+2028, U+2029 or U+0085 stays inside its text. A
+    byte-order mark that starts the file is dropped; one anywhere else stays
+    in its line. Bytes that are not UTF-8 become lone surrogates
+    (``surrogateescape``), which fail only their own line in
+    ``json_object``. An unreadable file raises
     ``StorageError("cannot read {what}{path}: …")``."""
     try:
         with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
             for line_no, line in enumerate(handle, start=1):
-                if line.strip():
+                if line.strip(" \t\r\n"):
                     yield line_no, line
     except OSError as exc:
         raise StorageError(f"cannot read {what}{path}: {exc}") from exc

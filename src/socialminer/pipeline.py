@@ -140,8 +140,8 @@ STAGES = (
 def stage_ingest(profiles: Optional[list[dict]], config: RunConfig, out_dir: Path) -> dict:
     """Load and validate the raw profiles, persist the accepted ones one
     batch at a time, then write the rejection report of the whole file.
-    Ingest reads no profiles: given a list (as ``run`` does), it also
-    collects the accepted profiles in it for the stages after it."""
+    Ingest reads no profiles: given a list (as ``run`` does), it also adds
+    the accepted profiles to it for the stages after it."""
     records, issues = load_profiles(config.input_path)
     rejected: list[tuple[str, str]] = []
 
@@ -149,10 +149,11 @@ def stage_ingest(profiles: Optional[list[dict]], config: RunConfig, out_dir: Pat
         for batch in batches(records):
             batch_profiles, report = validate_and_filter(batch)
             rejected.extend(report.rejected)
+            if profiles is not None:
+                profiles.extend(batch_profiles)
             yield from batch_profiles
 
-    collect = None if profiles is None else profiles.append
-    written = persist_corpus(accepted(), out_dir / ACCEPTED_FILE, collect)
+    written = persist_corpus(accepted(), out_dir / ACCEPTED_FILE)
     record = {
         "accepted_count": written,
         "rejected_count": len(rejected),

@@ -62,7 +62,7 @@ def prepare(raw: str, stops: frozenset[str] = DEFAULT_STOPWORDS) -> list[str]:
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    r"""Read a stopword file: UTF-8, one word per line, '#' lines ignored.
+    r"""Read a stopword file: UTF-8, one word per line, blank and '#' lines ignored.
 
     Lines are read by ``io_utils.json_lines``, so they end only at "\n",
     "\r\n" or "\r". Entries are lowercased so the list invariant holds
@@ -76,6 +76,6 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
         except ValueError as exc:
             raise StorageError(f"cannot read stopwords {path}: line {line_no} is {exc}") from exc
         word = line.strip()
-        if not word.startswith("#"):
+        if word and not word.startswith("#"):
             words.add(word.lower())
     return frozenset(words)

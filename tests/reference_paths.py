@@ -139,7 +139,7 @@ def load_profiles(path):
         raise StorageError(f"cannot read {path}: {exc}") from exc
     profiles, issues, seen = [], [], set()
     for line_no, line in lines:
-        if not line.strip():
+        if not line.strip(" \t"):
             continue
         try:
             raw = _parse_record_line(line)
@@ -198,7 +198,7 @@ def load_corpus(path):
         raise StorageError(f"cannot read corpus {path}: {exc}") from exc
     profiles = []
     for line_no, line in lines:
-        if not line.strip():
+        if not line.strip(" \t"):
             continue
         try:
             record = json_object_reference(line)
@@ -221,7 +221,7 @@ def load_sample_corpus(path, stopwords: frozenset[str] = DEFAULT_STOPWORDS):
         raise StorageError(f"cannot read sample corpus {path}: {exc}") from exc
     samples, seen = [], set()
     for line_no, line in lines:
-        if not line.strip():
+        if not line.strip(" \t"):
             continue
         try:
             record = json_object_reference(line)

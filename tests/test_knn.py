@@ -1,8 +1,11 @@
+import heapq
 import json
 import math
 import random
 import re
 import tracemalloc
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -398,12 +401,24 @@ class TestCorpusIndex:
 
 class TestTopKOnTiedDistances:
     """``_rank`` takes the k smallest d² values with no key and then finds
-    their positions. Over two or three terms with counts up to 3, most d²
-    values repeat, so each taken value has many positions to choose from."""
+    their positions, or above ``knn.SORT_ABOVE_K`` sorts the positions by
+    d². Over two or three terms with counts up to 3, most d² values repeat,
+    so each taken value has many positions to choose from. Corpora of 20 to
+    200 documents put k on both sides of the default crossover; moved to 0
+    or to the corpus size, it sends every k down one path."""
 
     @given(st.data())
     @settings(max_examples=12, deadline=None)
     def test_matches_dense_order_and_oracle_for_every_k(self, data):
+        self.check_every_k(data, lambda corpus: knn.SORT_ABOVE_K)
+
+    @pytest.mark.parametrize("crossover", [lambda corpus: 0, len], ids=["sort", "search"])
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_each_path_alone_matches_for_every_k(self, crossover, data):
+        self.check_every_k(data, crossover)
+
+    def check_every_k(self, data, crossover):
         terms = TINY_VOCAB[: data.draw(st.integers(min_value=2, max_value=3))]
         counts = st.lists(st.integers(min_value=0, max_value=3), min_size=3, max_size=3)
         record = st.tuples(st.sampled_from(list(ClassLabel)[:3]), counts)
@@ -426,11 +441,32 @@ class TestTopKOnTiedDistances:
             (d.doc_id, d.label.value, brute_distance(target_vec, count_vector(features, d.counts)))
             for d in corpus
         ]
-        for k in range(1, len(corpus) + 1):
-            rows = index.nearest(target_vec, features, k)
-            assert [r.doc_id for r in rows] == [r.doc_id for r in ordered[:k]]
-            assert [r.distance.hex() for r in rows] == [r.distance.hex() for r in ordered[:k]]
-            assert index.vote(target_vec, features, k).value == brute_classify(oracle_rows, k)
+        with mock.patch.object(knn, "SORT_ABOVE_K", crossover(corpus)):
+            for k in range(1, len(corpus) + 1):
+                rows = index.nearest(target_vec, features, k)
+                assert [r.doc_id for r in rows] == [r.doc_id for r in ordered[:k]]
+                assert [r.distance.hex() for r in rows] == [r.distance.hex() for r in ordered[:k]]
+                assert index.vote(target_vec, features, k).value == brute_classify(oracle_rows, k)
+
+    def test_search_serves_k_up_to_the_crossover_and_sort_above_it(self, monkeypatch):
+        searched = []
+
+        def nsmallest(k, d2):
+            searched.append(k)
+            return heapq.nsmallest(k, d2)
+
+        monkeypatch.setattr(knn, "heapq", SimpleNamespace(nsmallest=nsmallest))
+        rng = random.Random(7)
+        n = knn.SORT_ABOVE_K + 10
+        corpus = [SampleDocument(f"d{i}", rng.choice(list(ClassLabel)[:3]),
+                                 {"ant": rng.randint(0, 9)}) for i in range(n)]
+        index = CorpusIndex.build(corpus)
+        oracle_rows = [(d.doc_id, d.label.value, brute_distance([2], [d.counts.get("ant", 0)]))
+                       for d in corpus]
+        for k in (1, 5, knn.SORT_ABOVE_K, knn.SORT_ABOVE_K + 1, n):
+            searched.clear()
+            assert index.vote([2], ["ant"], k).value == brute_classify(oracle_rows, k)
+            assert searched == ([k] if k <= knn.SORT_ABOVE_K else [])
 
 
 def ranked_projection(text, n_features):

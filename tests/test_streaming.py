@@ -18,15 +18,16 @@ from hypothesis import given, settings, strategies as st
 import reference_paths
 from socialminer.binning import AgeRange, ShareClass, WallCountClass
 from socialminer.cli import main
-from socialminer.errors import StorageError
+from socialminer.errors import CorpusError, StorageError
 from socialminer import ingest
 from socialminer.ingest import (
     Gender, _encode_record, load_corpus, load_profiles, persist_corpus, rejection_reason,
 )
-from socialminer.io_utils import BATCH_SIZE, atomic_write_text, batches
+from socialminer.io_utils import BATCH_SIZE, atomic_write_text, batches, json_lines
 from socialminer.knn import ClassLabel, load_sample_corpus
 from socialminer.pipeline import RunConfig, stage_bin, stage_classify
 from socialminer.synth import make_corpus_records, make_profile_records, write_jsonl
+from socialminer.textprep import load_stopwords
 
 # Every break str.splitlines knows (of which only "\n", "\r\n" and "\r" end
 # a line), and bytes that are not UTF-8: lone continuation and invalid start
@@ -113,6 +114,9 @@ def outcome(func, path):
         return ("ok", func(path))
     except Exception as exc:
         return ("error", type(exc), str(exc))
+
+
+DATA = Path(__file__).parent.parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +212,60 @@ class TestStreamedReaders:
             reader(path)
         assert type(caught.value.__cause__) is cause
         assert str(caught.value) == f"cannot read {what}{path}: {caught.value.__cause__}"
+
+
+class TestStageFileLines:
+    def test_each_record_comes_with_the_line_it_was_read_from(self, tmp_path):
+        lines = [canonical_line(i, about_me_class="Honest") for i in range(4)]
+        # line 2 ends in "\r\n", blank lines come before line 3, and the
+        # last line has no newline
+        data = lines[0] + lines[1][:-1] + "\r\n" + "\n \t\n" + lines[2] + lines[3][:-1]
+        path = tmp_path / "classified.jsonl"
+        path.write_bytes(data.encode("utf-8"))
+        stage_file = load_corpus(path)
+        records, read = zip(*stage_file.lines())
+        assert list(read) == [lines[0], lines[1], lines[2], lines[3][:-1]]
+        assert list(records) == list(stage_file) == [json.loads(line) for line in lines]
+
+
+class TestBlankLines:
+    """A line is blank, and skipped, only when it holds nothing but spaces,
+    tabs and its line break. A line holding another blank (U+00A0, a form
+    feed) is not JSON, and each reader refuses it as such."""
+
+    def test_only_spaces_and_tabs_make_a_blank_line(self, tmp_path):
+        path = tmp_path / "file.jsonl"
+        path.write_bytes("a\n \t\n\r\n\xa0\n\x0c\n\x0b \nb".encode("utf-8"))
+        assert list(json_lines(path)) == [
+            (1, "a\n"), (4, "\xa0\n"), (5, "\x0c\n"), (6, "\x0b \n"), (7, "b")
+        ]
+
+    def test_profiles_line_is_malformed(self, tmp_path, capsys):
+        records = DATA.joinpath("profiles.jsonl").read_text(encoding="utf-8").splitlines(True)
+        path = tmp_path / "profiles.jsonl"
+        path.write_text("".join(records[:2]) + "\xa0\n\x0c\n" + records[2], encoding="utf-8")
+        assert main(["ingest", "--input", str(path), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == "accepted: 3\nrejected: 0\nmalformed: 2\n"
+        report = json.loads((tmp_path / "rejections.json").read_text(encoding="utf-8"))
+        assert report["malformed_lines"] == [
+            {"line_no": 3, "message": "not valid JSON"},
+            {"line_no": 4, "message": "not valid JSON"},
+        ]
+
+    @pytest.mark.parametrize("blank", ["\xa0", "\x0c"])
+    def test_stage_file_and_sample_corpus_line_is_refused(self, tmp_path, blank):
+        path = tmp_path / "file.jsonl"
+        path.write_text(canonical_line(0) + blank + "\n", encoding="utf-8")
+        assert outcome(read_corpus, path) == (
+            "error", StorageError, f"corrupt corpus {path}:2: not valid JSON")
+        sample = DATA.joinpath("sample_corpus.jsonl").read_text(encoding="utf-8")
+        path.write_text(sample.splitlines(True)[0] + blank + "\n", encoding="utf-8")
+        assert outcome(load_sample_corpus, path) == ("error", CorpusError, f"{path}:2: not valid JSON")
+
+    def test_stopwords_file_line_adds_no_word(self, tmp_path):
+        path = tmp_path / "stopwords.txt"
+        path.write_text("the\n\xa0\n\x0c\n#note\nAnd\n", encoding="utf-8")
+        assert load_stopwords(path) == frozenset(["the", "and"])
 
 
 class TestStreamedWriter:
