@@ -10,7 +10,7 @@ quotes and backslashes escaped. Lines end with LF.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import itemgetter
 
 from .errors import ArffEncodeError
@@ -23,20 +23,20 @@ STRING = "string"
 _QUOTE_TRIGGERS = set(",' \t{}%")
 
 
-@dataclass(frozen=True)
-class ArffAttribute:
-    """One typed column. ``domain`` applies to nominal attributes only."""
-
-    name: str
-    kind: str
-    domain: tuple[str, ...] = ()
+# One typed column. ``domain`` applies to nominal attributes only.
+ArffAttribute = namedtuple("ArffAttribute", "name kind domain", defaults=((),))
 
 
-@dataclass
 class ArffDataset:
-    relation: str
-    attributes: list[ArffAttribute]
-    rows: list[tuple] = field(default_factory=list)
+    """A relation, its columns and its rows (a new empty list if not given)."""
+
+    def __init__(self, relation: str, attributes: list[ArffAttribute],
+                 rows: list[tuple] | None = None) -> None:
+        self.relation, self.attributes = relation, attributes
+        self.rows = [] if rows is None else rows
+
+    def __eq__(self, other) -> bool:
+        return vars(self) == vars(other) if type(other) is ArffDataset else NotImplemented
 
 
 def _needs_quoting(value: str) -> bool:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from datetime import date
 from enum import Enum
-from typing import Optional
 
 from .errors import DomainError
 
@@ -77,7 +76,7 @@ def bin_activities_interests(
     return bin_music_share(n, policy)
 
 
-def age_from_birthday(birthday: Optional[date], reference: date) -> Optional[int]:
+def age_from_birthday(birthday: date | None, reference: date) -> int | None:
     """Completed years between birthday and reference; None stays None."""
     if birthday is None:
         return None
@@ -89,7 +88,7 @@ def age_from_birthday(birthday: Optional[date], reference: date) -> Optional[int
     return completed
 
 
-def age_range(age: Optional[int]) -> AgeRange:
+def age_range(age: int | None) -> AgeRange:
     """<=19, 20-32, 33-45, >45, or Hidden when the age is unknown."""
     if age is None:
         return AgeRange.HIDDEN

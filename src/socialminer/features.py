@@ -15,7 +15,7 @@ the frequencies.
 from __future__ import annotations
 
 from collections import _count_elements
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import EmptyDocumentError
 

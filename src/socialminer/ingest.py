@@ -14,13 +14,13 @@ through ``check_stage_record``; README ("Input formats") lists its keys.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Callable, Collection, Iterable, Iterator
 from datetime import date
 from enum import Enum
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Iterator, Optional
 
 from .binning import AgeRange, ShareClass, WallCountClass
 from .errors import DuplicateIdError, StorageError
@@ -64,20 +64,16 @@ _CLASS_KEYS = tuple(key for key in FIELD_ENUMS if key not in STAGE_RECORD["inges
 _FIELD_VALUES = {key: {m.value: m.value for m in kind} for key, kind in FIELD_ENUMS.items()}
 
 
-@dataclass(frozen=True)
-class ParseIssue:
-    """One malformed input line, kept for reporting instead of being dropped."""
-
-    line_no: int
-    message: str
+# One malformed input line, kept for reporting instead of being dropped.
+ParseIssue = namedtuple("ParseIssue", "line_no message")
 
 
-@dataclass
 class RejectionReport:
     """The (id, reason) of each record ``validate_and_filter`` filtered out.
     Totality: with the profiles it accepted, they are all of its input."""
 
-    rejected: list[tuple[str, str]] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.rejected: list[tuple[str, str]] = []
 
 
 def _parse_record_line(line: str) -> dict:
@@ -133,7 +129,7 @@ def _parse_lines(path: str | Path, issues: list[ParseIssue]) -> Iterator[dict]:
         yield record
 
 
-def parse_birthday(text: str) -> Optional[date]:
+def parse_birthday(text: str) -> date | None:
     """ISO-8601 calendar date (YYYY-MM-DD), or None when the text is not one."""
     # Enough to leave only YYYY-MM-DD: none of the other forms fromisoformat
     # takes (20150101, 2015-W01-1, ...) is 10 characters long with "-" at
@@ -146,7 +142,7 @@ def parse_birthday(text: str) -> Optional[date]:
         return None
 
 
-def count_items(text: Optional[str]) -> int:
+def count_items(text: str | None) -> int:
     """Number of comma-separated non-empty items."""
     if not text:
         return 0
@@ -156,12 +152,12 @@ def count_items(text: Optional[str]) -> int:
 _GENDERS = {"male": Gender.MALE.value, "female": Gender.FEMALE.value}
 
 
-def _normalize_gender(text: Optional[str]) -> str:
+def _normalize_gender(text: str | None) -> str:
     """Male or Female for those words in any case, else Unspecified."""
     return _GENDERS.get((text or "").strip().lower(), Gender.UNSPECIFIED.value)
 
 
-def rejection_reason(record: dict) -> Optional[str]:
+def rejection_reason(record: dict) -> str | None:
     """The record rule, shared by the profiles and the stage-file reader:
     the ``rejections.json`` reason of a decoded, type-checked record, or
     None. A record needs a non-blank about_me, both counts, no negative
@@ -216,7 +212,7 @@ else:
 def persist_corpus(
     profiles: Iterable[dict],
     path: str | Path,
-    prepare: Optional[Callable[[dict], None]] = None,
+    prepare: Callable[[dict], None] | None = None,
     adds: Collection[str] = (),
 ) -> int:
     r"""Write the stage-file records as JSON lines, each as it is, atomically,

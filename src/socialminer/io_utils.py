@@ -7,10 +7,9 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
+from collections.abc import Iterable, Iterator
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, TypeVar, Union
 
 from .errors import StorageError
 
@@ -26,17 +25,20 @@ _scan_once = json.JSONDecoder().scan_once
 # faster than 256 and holds four times the records.
 BATCH_SIZE = 256
 
-T = TypeVar("T")
+# The temp file names atomic_write_text tries, each random, before it gives
+# up; a name that exists, even as a symlink, fails O_EXCL and is passed over.
+TEMP_NAME_TRIES = 100
+_TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC
 
 
-def batches(items: Iterable[T]) -> Iterator[list[T]]:
+def batches(items: Iterable) -> Iterator[list]:
     """Consecutive lists of ``BATCH_SIZE`` items (the last one shorter).
     When ``items`` raises, the items read before it come first as a shorter
     batch, so a consumer that works on each batch meets every fault, its own
     or the reader's, in the order of the items."""
     items = iter(items)
     while True:
-        batch: list[T] = []
+        batch: list = []
         try:
             batch.extend(islice(items, BATCH_SIZE))
         except Exception:
@@ -119,21 +121,26 @@ def make_output_dir(path: str | Path) -> None:
         raise StorageError(f"cannot create output directory {path}: {exc}") from exc
 
 
-def atomic_write_text(path: str | Path, text: Union[str, Iterable[str]]) -> None:
+def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
     """Write a file atomically: temp file in the same directory, then rename.
 
     ``text`` is one string or an iterable of string chunks, written in order
     as they come, so a caller can stream a file it never holds whole.
-    Readers never observe a half-written artifact.
+    Readers never observe a half-written artifact. The temp file, named
+    ``<name>.<8 random hex digits>.tmp``, is created anew with mode 0600
+    (``_open_temp``), so the file written has that mode too.
     """
     target = Path(path)
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=target.name + ".", suffix=".tmp", dir=target.parent
-        )
+        fd, tmp_name = _open_temp(target)
         try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+            try:
+                handle = os.fdopen(fd, "w", encoding="utf-8", newline="\n")
+            except BaseException:
+                os.close(fd)
+                raise
+            with handle:
                 if isinstance(text, str):
                     handle.write(text)
                 else:
@@ -147,3 +154,15 @@ def atomic_write_text(path: str | Path, text: Union[str, Iterable[str]]) -> None
             raise
     except OSError as exc:
         raise StorageError(f"cannot write {target}: {exc}") from exc
+
+
+def _open_temp(target: Path) -> tuple[int, str]:
+    """Create a new temp file beside ``target`` and open it for writing:
+    ``(fd, name)``. FileExistsError once ``TEMP_NAME_TRIES`` names exist."""
+    for _ in range(TEMP_NAME_TRIES):
+        name = f"{target}.{os.urandom(4).hex()}.tmp"
+        try:
+            return os.open(name, _TEMP_FLAGS, 0o600), name
+        except FileExistsError:
+            pass
+    raise FileExistsError(f"no free temp file name in {TEMP_NAME_TRIES} tries")

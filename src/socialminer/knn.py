@@ -33,10 +33,11 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
+from collections import namedtuple
+from collections.abc import Sequence
 from enum import Enum
 from operator import itemgetter, mul
 from pathlib import Path
-from typing import NamedTuple, Sequence
 
 from .errors import CorpusError, DimensionError, ParameterError
 from .features import (  # noqa: F401 (perfbench/tracer.py wraps knn.term_frequency)
@@ -71,22 +72,12 @@ PERSONALITY_LABELS: tuple[ClassLabel, ...] = tuple(
 )
 
 
-class SampleDocument(NamedTuple):
-    """A pre-classified sample: its id, its label and the term counts of its
-    prepared text. Classification reads nothing else, so the text and its
-    tokens are not kept. The documents of one ``load_sample_corpus`` call
-    share one string object per distinct term in their counts."""
-
-    doc_id: str
-    label: ClassLabel
-    counts: dict[str, int]
-
-
-class DistanceRow(NamedTuple):
-    doc_id: str
-    label: ClassLabel
-    distance: float
-
+# A pre-classified sample: its id, its label and the term counts of its
+# prepared text. Classification reads nothing else, so the text and its tokens
+# are not kept. The documents of one ``load_sample_corpus`` call share one
+# string object per distinct term in their counts.
+SampleDocument = namedtuple("SampleDocument", "doc_id label counts")
+DistanceRow = namedtuple("DistanceRow", "doc_id label distance")
 
 DistanceMatrix = list[DistanceRow]
 

@@ -6,11 +6,11 @@ identical inputs and configuration produce byte-identical output trees."""
 from __future__ import annotations
 
 import json
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .arff import build_dataset, emit_arff
 from .binning import (
@@ -40,26 +40,24 @@ FAILURE_MARKER = "FAILED"
 _ARTIFACT_KINDS = {".csv": "table", ".svg": "chart", ".json": "manifest"}
 
 
-@dataclass
 class RunConfig:
     """The options of one command. ``run`` takes them all; a stage
     subcommand takes those of its row in ``STAGES``, and the others keep
-    their defaults. ``output_dir=Path("")`` is ``Path(".")``, so the run
-    writes into the working directory; only the CLI, which refuses an empty
-    path, can tell the two apart."""
+    their defaults, which are also class attributes (the CLI's help shows
+    them). ``output_dir=Path("")`` is ``Path(".")``, so the run writes into
+    the working directory; only the CLI, which refuses an empty path, can
+    tell the two apart."""
 
-    input_path: Path
-    output_dir: Path
-    corpus_path: Optional[Path] = None
-    reference_date: Optional[date] = None
-    stopword_path: Optional[Path] = None
-    n_features: int = 50
-    k: int = 5
-    gap_policy: GapPolicy = GapPolicy.FIVE_IS_LOW
-    run_id: str = "run"
+    n_features, k, gap_policy, run_id = 50, 5, GapPolicy.FIVE_IS_LOW, "run"
 
-    def __post_init__(self) -> None:
-        self.gap_policy = GapPolicy(self.gap_policy)
+    def __init__(self, input_path: Path, output_dir: Path, corpus_path: Path | None = None,
+                 reference_date: date | None = None, stopword_path: Path | None = None,
+                 n_features: int = n_features, k: int = k, gap_policy: GapPolicy = gap_policy,
+                 run_id: str = run_id) -> None:
+        self.input_path, self.output_dir, self.corpus_path = input_path, output_dir, corpus_path
+        self.reference_date, self.stopword_path = reference_date, stopword_path
+        self.n_features, self.k, self.run_id = n_features, k, run_id
+        self.gap_policy = GapPolicy(gap_policy)
 
     def validate(self) -> None:
         """What ``run`` checks before it makes the output directory."""
@@ -71,16 +69,13 @@ class RunConfig:
         check_run_id(self.run_id)
 
 
-@dataclass
 class RunSummary:
     """The counts the stages run so far returned, and the files they wrote.
     Every stage counts the accepted profiles it handled."""
 
-    accepted: int = 0
-    rejected: int = 0
-    malformed: int = 0
-    unclassifiable: int = 0
-    artifacts: list[str] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.accepted = self.rejected = self.malformed = self.unclassifiable = 0
+        self.artifacts: list[str] = []
 
     @property
     def ingested(self) -> int:
@@ -104,23 +99,14 @@ class RunSummary:
         }
 
 
-@dataclass(frozen=True)
-class Stage:
-    """One step of the chain. ``run_stages`` calls ``stage_<name>`` of this
-    module, looked up when it is called. ``reads`` is the stage file its
-    subcommand reads (None: the raw profiles), ``writes`` the files it
-    always writes, ``options`` the ``RunConfig`` fields it takes beside the
-    input and output paths, and ``prints`` its subcommand's stdout, filled
-    from the ``RunSummary``'s counts, ``artifacts`` (how many files were
-    written), ``files`` (their paths) and ``out``."""
-
-    name: str
-    help: str
-    reads: Optional[str]
-    writes: tuple[str, ...]
-    options: tuple[str, ...]
-    prints: str
-
+# One step of the chain. ``run_stages`` calls ``stage_<name>`` of this module,
+# looked up when it is called. ``reads`` is the stage file its subcommand reads
+# (None: the raw profiles), ``writes`` the files it always writes, ``options``
+# the ``RunConfig`` fields it takes beside the input and output paths, and
+# ``prints`` its subcommand's stdout, filled from the ``RunSummary``'s counts,
+# ``artifacts`` (how many files were written), ``files`` (their paths) and
+# ``out``.
+Stage = namedtuple("Stage", "name help reads writes options prints")
 
 STAGES = (
     Stage("ingest", "load, validate and persist profiles", None,
@@ -137,7 +123,7 @@ STAGES = (
 )
 
 
-def stage_ingest(profiles: Optional[list[dict]], config: RunConfig, out_dir: Path) -> dict:
+def stage_ingest(profiles: list[dict] | None, config: RunConfig, out_dir: Path) -> dict:
     """Load and validate the raw profiles, persist the accepted ones one
     batch at a time, then write the rejection report of the whole file.
     Ingest reads no profiles: given a list (as ``run`` does), it also adds
@@ -251,7 +237,7 @@ def stage_report(profiles: Iterable[dict], config: RunConfig, out_dir: Path) -> 
     counts = tally(profiles)
 
     def write(
-        name: str, text: str, population: str, measure: str, chart_type: Optional[str] = None
+        name: str, text: str, population: str, measure: str, chart_type: str | None = None
     ) -> None:
         path = base / name
         atomic_write_text(path, text)
@@ -317,7 +303,7 @@ def failure_marker(out_dir: Path) -> Iterator[None]:
 def run_stages(
     config: RunConfig,
     stages: Sequence[Stage] = STAGES,
-    read: Optional[Callable[[Path], Iterable[dict]]] = None,
+    read: Callable[[Path], Iterable[dict]] | None = None,
 ) -> RunSummary:
     """Make the output directory, then run ``stages`` in table order under
     one failure marker. A stage subcommand passes ``read``, through which

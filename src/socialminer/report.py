@@ -5,10 +5,9 @@ and male/female comparison charts)."""
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Sequence
 from operator import itemgetter
-from typing import Iterable, Sequence
 
 from .errors import ChartError, ReportError
 from .ingest import FIELD_ENUMS
@@ -34,13 +33,10 @@ _PALETTE = (
 )
 
 
-@dataclass
-class Distribution:
+class Distribution(namedtuple("Distribution", "dimension population bucket_counts")):
     """Counts per bucket for one measure over one filtered population."""
 
-    dimension: str
-    population: str
-    bucket_counts: dict[str, int]
+    __slots__ = ()
 
     @property
     def total(self) -> int:

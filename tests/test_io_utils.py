@@ -3,6 +3,8 @@ against the ``json.loads`` and ``JSONEncoder.encode`` references in
 ``reference_paths``, value for value and message for message."""
 
 import json
+import os
+import re
 import sys
 
 import pytest
@@ -11,7 +13,8 @@ from hypothesis import given, strategies as st
 from reference_paths import encode_record_reference, json_object_reference
 from socialminer.errors import StorageError
 from socialminer.ingest import _encode_record, check_stage_record, load_corpus
-from socialminer.io_utils import json_object
+from socialminer import io_utils
+from socialminer.io_utils import atomic_write_text, json_object
 
 STAGE_KEYS = (
     "id", "birthday", "about_me", "activities", "gender", "interests", "wall_count",
@@ -208,3 +211,58 @@ class TestObjectAlone:
         assert json_object(line) == json.loads(line)
         assert scanner_takes_whole(line) == alone
         assert (stage_outcome(stage_file, line)[0] == "value") == alone
+
+
+def draw_names(monkeypatch, *draws: bytes) -> list:
+    """Make ``atomic_write_text`` draw ``draws`` in turn as the random part
+    of its temp file names, the last one from then on; returns the list of
+    draws it took."""
+    taken = []
+
+    def urandom(n):
+        taken.append(draws[min(len(taken), len(draws) - 1)])
+        return taken[-1]
+
+    monkeypatch.setattr(io_utils.os, "urandom", urandom)
+    return taken
+
+
+class TestAtomicWriteTempFile:
+    """``atomic_write_text`` creates its temp file with O_EXCL under a new
+    random name, ``<name>.<8 hex digits>.tmp`` (``TestFileMode`` in
+    ``test_pipeline.py`` checks its mode)."""
+
+    FIRST = "out.txt.00000000.tmp"
+
+    @pytest.mark.parametrize("taken_by", ["file", "symlink", "dangling symlink"])
+    def test_an_existing_name_is_neither_overwritten_nor_followed(
+        self, tmp_path, monkeypatch, taken_by
+    ):
+        first = tmp_path / self.FIRST
+        if taken_by == "file":
+            first.write_text("keep", encoding="utf-8")
+        else:
+            first.symlink_to(tmp_path / "victim.txt")
+            if taken_by == "symlink":
+                (tmp_path / "victim.txt").write_text("keep", encoding="utf-8")
+
+        def tree():
+            return {path.name: os.readlink(path) if path.is_symlink()
+                    else path.read_text(encoding="utf-8") for path in tmp_path.iterdir()}
+
+        before = tree()
+        taken = draw_names(monkeypatch, b"\0" * 4, b"\1" * 4)
+        atomic_write_text(tmp_path / "out.txt", "new")
+        assert taken == [b"\0" * 4, b"\1" * 4]
+        assert tree() == {**before, "out.txt": "new"}
+
+    def test_running_out_of_names_is_a_storage_error(self, tmp_path, monkeypatch):
+        (tmp_path / self.FIRST).write_text("keep", encoding="utf-8")
+        monkeypatch.setattr(io_utils, "TEMP_NAME_TRIES", 3)
+        taken = draw_names(monkeypatch, b"\0" * 4)
+        target = tmp_path / "out.txt"
+        message = f"^cannot write {re.escape(str(target))}: no free temp file name in 3 tries$"
+        with pytest.raises(StorageError, match=message):
+            atomic_write_text(target, "new")
+        assert len(taken) == 3
+        assert [p.name for p in tmp_path.iterdir()] == [self.FIRST]

@@ -14,12 +14,16 @@ from hypothesis import given, settings, strategies as st
 
 import socialminer
 
+from socialminer.arff import ArffAttribute, ArffDataset
+from socialminer.binning import GapPolicy
 from socialminer.cli import main
 from socialminer import knn
 from socialminer.errors import DomainError, ParameterError, StorageError
-from socialminer.ingest import STAGE_RECORD, validate_and_filter
+from socialminer.ingest import STAGE_RECORD, ParseIssue, RejectionReport, validate_and_filter
 from socialminer.knn import load_sample_corpus
-from socialminer.pipeline import RunConfig, run_pipeline, stage_bin, stage_classify, stage_ingest
+from socialminer.pipeline import (STAGES, RunConfig, RunSummary, run_pipeline, stage_bin,
+                                  stage_classify, stage_ingest)
+from socialminer.report import Distribution
 from socialminer.synth import make_corpus_records, make_profile_records, write_jsonl
 
 import reference_paths
@@ -389,6 +393,103 @@ def cli_child(*argv: str) -> subprocess.CompletedProcess:
         [sys.executable, "-m", "socialminer", *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+# Modules that start-up and a run need not load: dataclasses (which pulls in
+# inspect, ast, dis and tokenize), tempfile (which pulls in random) and typing.
+HEAVY_MODULES = ("dataclasses", "inspect", "tempfile", "random", "typing")
+LEAN_IMPORTS_CHILD = """
+import json, sys
+heavy = sys.argv[1].split(",")
+import socialminer.cli
+after_import = [name for name in heavy if name in sys.modules]
+code = socialminer.cli.main(sys.argv[2:])
+print(json.dumps([after_import, code, [name for name in heavy if name in sys.modules]]))
+"""
+
+
+def test_startup_and_a_run_load_no_heavy_module(tmp_path):
+    """In an interpreter without ``site`` (whose ``.pth`` files may import
+    anything), importing the CLI and running it on a few ``data/`` records
+    loads none of ``HEAVY_MODULES``."""
+    profiles = tmp_path / "profiles.jsonl"
+    with open(REPO / "data" / "profiles.jsonl", encoding="utf-8") as handle:
+        profiles.write_text("".join(next(handle) for _ in range(5)), encoding="utf-8")
+    argv = ["run", "--input", str(profiles), "--corpus", str(REPO / "data" / "sample_corpus.jsonl"),
+            "--ref-date", "2015-06-01", "--out", str(tmp_path / "out")]
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", LEAN_IMPORTS_CHILD, ",".join(HEAVY_MODULES), *argv],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(socialminer.__file__).parent.parent)},
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert json.loads(result.stdout.splitlines()[-1]) == [[], 0, []]
+    assert "accepted: 5" in result.stdout
+
+
+class TestRecordClasses:
+    """The plain classes and named tuples that carry a run's values."""
+
+    def test_run_config_defaults(self, tmp_path):
+        config = RunConfig(tmp_path / "in.jsonl", tmp_path)
+        assert (config.input_path, config.output_dir) == (tmp_path / "in.jsonl", tmp_path)
+        assert (config.corpus_path, config.reference_date, config.stopword_path) == (None,) * 3
+        assert (config.n_features, config.k, config.run_id) == (50, 5, "run")
+        assert config.gap_policy is GapPolicy.FIVE_IS_LOW
+        # the CLI's --help reads the defaults from the class
+        assert (RunConfig.n_features, RunConfig.k, RunConfig.run_id) == (50, 5, "run")
+        assert RunConfig.gap_policy is GapPolicy.FIVE_IS_LOW
+
+    def test_run_config_takes_every_option_in_order(self, tmp_path):
+        config = RunConfig(tmp_path / "in", tmp_path / "out", tmp_path / "corpus", REF,
+                           tmp_path / "stops", 7, 3, GapPolicy.FIVE_IS_MEDIUM, "r1")
+        assert vars(config) == {
+            "input_path": tmp_path / "in", "output_dir": tmp_path / "out",
+            "corpus_path": tmp_path / "corpus", "reference_date": REF,
+            "stopword_path": tmp_path / "stops", "n_features": 7, "k": 3,
+            "gap_policy": GapPolicy.FIVE_IS_MEDIUM, "run_id": "r1",
+        }
+
+    def test_run_config_coerces_the_gap_policy(self, tmp_path):
+        config = RunConfig(tmp_path, tmp_path, gap_policy=GapPolicy.FIVE_IS_MEDIUM.value)
+        assert config.gap_policy is GapPolicy.FIVE_IS_MEDIUM
+        with pytest.raises(ValueError, match="^'bogus' is not a valid GapPolicy$"):
+            RunConfig(tmp_path, tmp_path, gap_policy="bogus")
+
+    def test_mutable_defaults_are_new_per_instance(self):
+        first, second = RunSummary(), RunSummary()
+        assert first.to_record() == {"counts": dict.fromkeys(
+            ("ingested", "accepted", "rejected", "malformed", "classified", "unclassifiable"), 0),
+            "artifacts": []}
+        first.artifacts.append("x")
+        assert second.artifacts == []
+        reports = RejectionReport(), RejectionReport()
+        reports[0].rejected.append(("u1", "MISSING_TEXT"))
+        assert reports[1].rejected == []
+        datasets = ArffDataset("r", []), ArffDataset("r", [])
+        datasets[0].rows.append(())
+        assert datasets[1].rows == []
+
+    def test_values_compare_by_their_fields(self):
+        assert ParseIssue(2, "not valid JSON") == ParseIssue(2, "not valid JSON")
+        assert ParseIssue(2, "x") != ParseIssue(3, "x")
+        attribute = ArffAttribute("c", "nominal", ("a",))
+        assert ArffAttribute("n", "numeric").domain == ()
+        assert ArffDataset("r", [attribute], [("a",)]) == ArffDataset("r", [attribute], [("a",)])
+        assert ArffDataset("r", [attribute]) != ArffDataset("r", [attribute], [("a",)])
+        assert Distribution("m", "p", {"a": 1}) == Distribution("m", "p", {"a": 1})
+        assert Distribution("m", "p", {"a": 1, "b": 2}).total == 3
+
+    @pytest.mark.parametrize("value,field", [
+        (ParseIssue(1, "x"), "message"),
+        (STAGES[0], "name"),
+        (ArffAttribute("n", "numeric"), "kind"),
+    ])
+    def test_immutable_values_refuse_assignment(self, value, field):
+        with pytest.raises(AttributeError):
+            setattr(value, field, "other")
+        with pytest.raises(AttributeError):
+            value.extra = 1
 
 
 class TestStdout:
@@ -1306,9 +1407,15 @@ class TestFilesAfterFailure:
 class TestFileMode:
     """Every file `run` and the stage subcommands write, the FAILED marker
     included, has mode 0600 whatever the umask: ``io_utils.atomic_write_text``
-    creates it with ``tempfile.mkstemp``."""
+    creates it with ``os.open(..., 0o600)``, which a umask can only narrow."""
 
     def test_every_output_file_is_0600(self, tmp_path):
+        self.check_every_output_file(tmp_path, 0)
+
+    def test_every_output_file_is_0600_under_umask_077(self, tmp_path):
+        self.check_every_output_file(tmp_path, 0o077)
+
+    def check_every_output_file(self, tmp_path, umask):
         profiles, corpus = tmp_path / "profiles.jsonl", tmp_path / "corpus.jsonl"
         write_jsonl(profiles, [record(i) for i in range(5)])
         write_corpus(corpus)
@@ -1322,7 +1429,7 @@ class TestFileMode:
             ["arff", "--input", str(staged / "binned.jsonl")],
             ["report", "--input", str(staged / "binned.jsonl")],
         ]
-        umask = os.umask(0)
+        umask = os.umask(umask)
         try:
             for argv in commands:
                 out = [] if argv[0] == "run" else ["--out", str(staged)]
