@@ -25,7 +25,12 @@ square roots of those k positions directly: the one path every command takes.
 ``CorpusIndex.nearest`` is the row view of the same ranking. No command calls
 the dense ``distance_matrix`` (one row per sample) or ``knn_classify``, which
 shares ``vote``'s voting rule; the tests compare the index against them.
-``load_sample_corpus`` is the one builder of sample documents.
+
+``load_sample_corpus`` is the one reader of sample documents. It returns a
+``SampleCorpus``: the ids, the labels and one flat run of terms and counts,
+with no dict per document, so little is held while ``CorpusIndex.build``
+reads it, and nothing once the index exists. ``SampleDocument`` is the view
+of one document that the dense path and the tests take.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import heapq
 import math
 from array import array
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from enum import Enum
 from operator import itemgetter, mul
 from pathlib import Path
@@ -74,12 +79,60 @@ PERSONALITY_LABELS: tuple[ClassLabel, ...] = tuple(
 
 # A pre-classified sample: its id, its label and the term counts of its
 # prepared text. Classification reads nothing else, so the text and its tokens
-# are not kept. The documents of one ``load_sample_corpus`` call share one
-# string object per distinct term in their counts.
+# are not kept. ``SampleCorpus`` builds this view of a document on demand.
 SampleDocument = namedtuple("SampleDocument", "doc_id label counts")
 DistanceRow = namedtuple("DistanceRow", "doc_id label distance")
 
 DistanceMatrix = list[DistanceRow]
+
+
+class SampleCorpus:
+    """Sample documents kept flat, with no dict per document: their ids and
+    labels, and one run of (term, count) pairs per document, in one list of
+    terms, one ``array('I')`` of counts and one ``array('I')`` of the offset
+    where each document's run ends. ``corpus[i]`` and iteration (through
+    ``__getitem__``) give ``SampleDocument`` views, built on demand."""
+
+    __slots__ = ("doc_ids", "labels", "terms", "counts", "ends")
+
+    def __init__(
+        self, doc_ids: list[str], labels: list[ClassLabel], terms: list[str], counts: array,
+        ends: array,
+    ) -> None:
+        self.doc_ids, self.labels, self.terms, self.counts, self.ends = (
+            doc_ids, labels, terms, counts, ends
+        )
+
+    @classmethod
+    def of(cls, documents: Iterable[SampleDocument]) -> "SampleCorpus":
+        """The corpus of ``documents``, in their order. A count outside
+        ``[0, 2**32)`` is a DimensionError."""
+        doc_ids, labels, terms, counts, ends = [], [], [], array("I"), array("I")
+        for doc_id, label, doc_counts in documents:
+            try:
+                counts.extend(doc_counts.values())
+            except OverflowError:
+                raise _count_outside_array(doc_id, doc_counts) from None
+            doc_ids.append(doc_id)
+            labels.append(label)
+            terms.extend(doc_counts)
+            ends.append(len(terms))
+        return cls(doc_ids, labels, terms, counts, ends)
+
+    def __len__(self) -> int:
+        return len(self.doc_ids)
+
+    def __getitem__(self, i: int) -> SampleDocument:
+        i = range(len(self.doc_ids))[i]  # a negative or out-of-range i, as a list takes it
+        start, end = self.ends[i - 1] if i else 0, self.ends[i]
+        counts = dict(zip(self.terms[start:end], self.counts[start:end]))
+        return SampleDocument(self.doc_ids[i], self.labels[i], counts)
+
+
+def _count_outside_array(doc_id: str, counts: dict[str, int]) -> DimensionError:
+    """The error for a document whose counts an ``array('I')`` refused."""
+    term, count = next((t, c) for t, c in counts.items() if not 0 <= c < 2**32)
+    return DimensionError(f"{doc_id}: count {count} of {term!r} outside [0, 2**32)")
 
 
 def distance_matrix(
@@ -156,38 +209,45 @@ k = 6,000 the sort takes 3.1 ms where the search took 174 ms."""
 
 
 class CorpusIndex:
-    """The sample documents (id, label and counts) plus
+    """The sample documents' ids and labels plus
     ``term -> ((count s, doc positions), ...)`` postings, one group per
     distinct count, ordered by s. ``build`` refuses an empty corpus.
 
     Documents are held in a stable doc-id order, so position order breaks
-    distance ties the same way (distance, doc_id) does.
+    distance ties the same way (distance, doc_id) does. The index keeps no
+    per-document counts: once built, the corpus it was built from can go.
     """
 
     def __init__(
         self,
-        docs: list[SampleDocument],
+        doc_ids: list[str],
+        labels: list[ClassLabel],
         postings: dict[str, tuple[tuple[int, array], ...]],
         max_norm: int,
     ):
-        self.docs = docs
+        self.doc_ids = doc_ids
+        self.labels = labels
         self.postings = postings
         self.max_norm = max_norm
 
     @classmethod
     def build(cls, corpus: Sequence[SampleDocument]) -> "CorpusIndex":
+        """Index a ``SampleCorpus``; any other sequence of documents is
+        made one first, which refuses a count outside ``[0, 2**32)``."""
+        if not isinstance(corpus, SampleCorpus):
+            corpus = SampleCorpus.of(corpus)
         if not corpus:
             raise CorpusError("sample corpus is empty")
-        docs = sorted(corpus, key=lambda doc: doc.doc_id)
+        doc_ids, labels, terms, counts, ends = (
+            corpus.doc_ids, corpus.labels, corpus.terms, corpus.counts, corpus.ends
+        )
+        order = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
         groups: dict[str, dict[int, array]] = {}
         max_norm = 0
-        for position, doc in enumerate(docs):
+        for position, i in enumerate(order):
+            start, end = ends[i - 1] if i else 0, ends[i]
             norm = 0
-            for term, count in doc.counts.items():
-                if not 0 <= count < 2**32:
-                    raise DimensionError(
-                        f"{doc.doc_id}: count {count} of {term!r} outside [0, 2**32)"
-                    )
+            for term, count in zip(terms[start:end], counts[start:end]):
                 by_count = groups.get(term)
                 if by_count is None:
                     by_count = groups[term] = {}
@@ -198,11 +258,11 @@ class CorpusIndex:
                 norm += count * count
             max_norm = max(max_norm, norm)
         postings = {term: tuple(sorted(by_count.items())) for term, by_count in groups.items()}
-        return cls(docs, postings, max_norm)
+        return cls([doc_ids[i] for i in order], [labels[i] for i in order], postings, max_norm)
 
     def check_k(self, k: int) -> None:
-        if k < 1 or k > len(self.docs):
-            raise ParameterError(f"k={k} outside [1, {len(self.docs)}]")
+        if k < 1 or k > len(self.doc_ids):
+            raise ParameterError(f"k={k} outside [1, {len(self.doc_ids)}]")
 
     def nearest(
         self, target_vec: Sequence[int], features: Sequence[str], k: int
@@ -211,15 +271,15 @@ class CorpusIndex:
         smallest (distance, doc_id), in that order: the row view of the
         ranking that ``vote`` classifies on."""
         top, d2 = self._rank(target_vec, features, k)
-        docs = self.docs
-        return [DistanceRow(docs[i].doc_id, docs[i].label, math.sqrt(d2[i])) for i in top]
+        doc_ids, labels = self.doc_ids, self.labels
+        return [DistanceRow(doc_ids[i], labels[i], math.sqrt(d2[i])) for i in top]
 
     def vote(self, target_vec: Sequence[int], features: Sequence[str], k: int) -> ClassLabel:
         """``knn_classify(self.nearest(target_vec, features, k), k)[0]``,
         with no row built and no second sort."""
         top, d2 = self._rank(target_vec, features, k)
-        docs = self.docs
-        return _majority([docs[i].label for i in top], [math.sqrt(d2[i]) for i in top])
+        labels = self.labels
+        return _majority([labels[i] for i in top], [math.sqrt(d2[i]) for i in top])
 
     def _rank(
         self, target_vec: Sequence[int], features: Sequence[str], k: int
@@ -234,7 +294,7 @@ class CorpusIndex:
             raise DimensionError(
                 f"squared distances may reach 2**50 (target {base}, corpus {self.max_norm})"
             )
-        d2 = [base] * len(self.docs)
+        d2 = [base] * len(self.doc_ids)
         postings = self.postings
         for term, t in zip(features, target_vec):
             groups = postings.get(term)
@@ -292,7 +352,7 @@ def classify_text(
 
 def load_sample_corpus(
     path: str | Path, stopwords: frozenset[str] = DEFAULT_STOPWORDS
-) -> list[SampleDocument]:
+) -> SampleCorpus:
     """Read a sample corpus file: JSON lines with id, label and text, read
     through ``io_utils.json_lines`` and decoded by ``io_utils.json_object``.
 
@@ -301,14 +361,21 @@ def load_sample_corpus(
     time, so the first fault met in file order is the one reported, as a
     CorpusError naming ``path:line``; an unreadable file is a StorageError.
 
-    ``prepare`` returns a new string per token, so each document would hold
-    its own copy of every term. Instead every token is mapped to the first
-    copy of its term met in this call, kept in a vocabulary that is dropped
-    when the call returns, and all count dicts share that one string.
+    Each document's terms and counts are appended to the flat arrays of a
+    ``SampleCorpus``, and its count dict is dropped at once. ``prepare``
+    returns a new string per token, so each document would hold its own copy
+    of every term. Instead each term is stored as the first copy of it met
+    in this call, kept in a vocabulary that is dropped when the call
+    returns. The loop fills the arrays itself, not through
+    ``SampleCorpus.of``: a Python call per document made a 6,000-document
+    load about 2% slower.
     """
-    samples: list[SampleDocument] = []
-    seen: set[str] = set()
+    label_by_id: dict[str, ClassLabel] = {}  # in file order; also the duplicate check
+    terms: list[str] = []
+    counts, ends = array("I"), array("I")
+    add_terms, add_counts, add_end = terms.extend, counts.extend, ends.append
     vocabulary: dict[str, str] = {}
+    share = vocabulary.setdefault
     for line_no, line in json_lines(path, "sample corpus "):
         try:
             record = json_object(line)
@@ -317,9 +384,8 @@ def load_sample_corpus(
             doc_id, label_text, text = record["id"], record["label"], record["text"]
             if not isinstance(doc_id, str) or not doc_id:
                 raise ValueError("id must be a non-empty string")
-            if doc_id in seen:
+            if doc_id in label_by_id:
                 raise ValueError(f"duplicate document id {doc_id!r}")
-            seen.add(doc_id)
             try:
                 label = _LABELS[label_text]
             except (KeyError, TypeError):  # TypeError: an unhashable label
@@ -330,11 +396,15 @@ def load_sample_corpus(
                 raise ValueError("text must be non-empty")
         except ValueError as exc:
             raise CorpusError(f"{path}:{line_no}: {exc}") from exc
-        tokens = prepare(text, stopwords)
-        samples.append(
-            SampleDocument(doc_id, label, term_counts(map(vocabulary.setdefault, tokens, tokens)))
-        )
-    return samples
+        doc_counts = term_counts(prepare(text, stopwords))
+        try:
+            add_counts(doc_counts.values())
+        except OverflowError:  # a term met 2**32 times in one text
+            raise _count_outside_array(doc_id, doc_counts) from None
+        add_terms(map(share, doc_counts, doc_counts))
+        add_end(len(terms))
+        label_by_id[doc_id] = label
+    return SampleCorpus(list(label_by_id), list(label_by_id.values()), terms, counts, ends)
 
 
 _RECORD_KEYS = frozenset(("id", "label", "text"))

@@ -53,7 +53,7 @@ def test_tf_normalization():
 def nearest_distances(index, target, features):
     """The distance from ``target`` to every document of ``index``, by id, as
     ``CorpusIndex.nearest`` ranks them."""
-    rows = index.nearest(target, features, len(index.docs))
+    rows = index.nearest(target, features, len(index.doc_ids))
     return {row.doc_id: row.distance for row in rows}
 
 

@@ -34,7 +34,7 @@ class TestTermCounts:
 
     @given(st.lists(st.text(alphabet="abcdefg", max_size=3), max_size=40))
     def test_equals_counter_in_first_occurrence_order(self, tokens):
-        # load_sample_corpus passes a map iterator, not a list
+        # any iterable of tokens, a list or an iterator
         for source in (tokens, map(str, tokens)):
             counts = term_counts(source)
             assert type(counts) is dict

@@ -15,6 +15,7 @@ from socialminer.features import count_vector, select_features, term_counts, ter
 from socialminer import knn
 from socialminer.knn import (
     EXACT_LIMIT,
+    PERSONALITY_LABELS,
     ClassLabel,
     CorpusIndex,
     DistanceRow,
@@ -246,7 +247,7 @@ class TestClassifyText:
         p = tmp_path / "corpus.jsonl"
         p.write_text("\n  \n", encoding="utf-8")
         corpus = load_sample_corpus(p)
-        assert corpus == []
+        assert list(corpus) == []
         with pytest.raises(CorpusError):
             CorpusIndex.build(corpus)
 
@@ -329,7 +330,7 @@ class TestCorpusIndex:
 
     def test_k_checked_against_corpus(self):
         index = CorpusIndex.build([doc("s1", "honest"), doc("s2", "kind")])
-        assert len(index.docs) == 2
+        assert len(index.doc_ids) == 2
         for k in (0, 3):
             with pytest.raises(ParameterError):
                 index.nearest([1], ["honest"], k)
@@ -351,7 +352,7 @@ class TestCorpusIndex:
 
     def test_postings_hold_positions_and_counts(self):
         index = CorpusIndex.build([doc("s2", "kind kind honest"), doc("s1", "kind")])
-        assert [d.doc_id for d in index.docs] == ["s1", "s2"]
+        assert index.doc_ids == ["s1", "s2"]
         groups = [(s, list(positions)) for s, positions in index.postings["kind"]]
         assert groups == [(1, [0]), (2, [1])]
         assert index.max_norm == 5
@@ -594,9 +595,70 @@ class TestExactnessGuard:
         with pytest.raises(DimensionError):
             classify_text("honest", index, 50, 1)
 
-    def test_count_outside_index_range(self):
-        with pytest.raises(DimensionError):
-            CorpusIndex.build([huge_doc(2**32)])
+    @pytest.mark.parametrize("count", [2**32, -1])
+    def test_count_outside_index_range(self, count):
+        message = f"big: count {count} of 'honest' outside [0, 2**32)"
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            CorpusIndex.build([huge_doc(count)])
+
+    def test_loaded_count_outside_index_range(self, tmp_path, monkeypatch):
+        # No test can write a text holding a term 2**32 times, so the
+        # loader's count dict is replaced by one that holds such a count.
+        p = tmp_path / "corpus.jsonl"
+        p.write_text('{"id": "s1", "label": "Honest", "text": "honest"}\n', encoding="utf-8")
+        monkeypatch.setattr(knn, "term_counts", lambda tokens: {"honest": 2**32})
+        with pytest.raises(DimensionError, match=r"^s1: count 4294967296 of 'honest' outside"):
+            load_sample_corpus(p)
+
+
+# Words for generated corpus texts: stopwords, which a text may hold alone,
+# and non-ASCII words, which prepare tokenizes by its regex route.
+CORPUS_WORDS = ["ant", "bee", "cat", "the", "and", "of", "café", "naïve", "ΣΟΦΟΣ", "日本"]
+
+
+@pytest.fixture(scope="module")
+def corpus_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("compact") / "corpus.jsonl"
+
+
+class TestCompactCorpusOracle:
+    """``load_sample_corpus`` keeps a flat ``SampleCorpus``. Its document
+    views equal the whole-file reference loader's documents, and the index
+    built from it ranks and votes as the brute-force oracle does, on both
+    sides of ``SORT_ABOVE_K``."""
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_views_and_index_match_reference_and_oracle(self, corpus_file, data):
+        n_docs = data.draw(st.integers(min_value=knn.SORT_ABOVE_K + 1, max_value=60))
+        # ids in shuffled file order, so that file order is not doc-id order
+        ids = data.draw(st.permutations([f"d{i}" for i in range(n_docs)]))
+        words = st.lists(st.sampled_from(CORPUS_WORDS), min_size=1, max_size=8)
+        records = [
+            {"id": doc_id,
+             "label": data.draw(st.sampled_from(PERSONALITY_LABELS)).value,
+             "text": data.draw(st.sampled_from([" ", ", ", "\t"])).join(data.draw(words))}
+            for doc_id in ids
+        ]
+        corpus_file.write_text(
+            "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records),
+            encoding="utf-8",
+        )
+        corpus = load_sample_corpus(corpus_file)
+        assert list(corpus) == reference_paths.load_sample_corpus(corpus_file)
+
+        target = data.draw(st.lists(st.sampled_from(["ant", "bee", "café", "eel"]), min_size=1))
+        target_vec, features = target_projection(" ".join(target), 50)
+        oracle_rows = [
+            (d.doc_id, d.label.value, brute_distance(target_vec, count_vector(features, d.counts)))
+            for d in corpus
+        ]
+        ordered = sorted(oracle_rows, key=lambda row: (row[2], row[0]))
+        index = CorpusIndex.build(corpus)
+        for k in (1, 5, knn.SORT_ABOVE_K + 1):
+            rows = index.nearest(target_vec, features, k)
+            assert [(r.doc_id, r.label.value, r.distance) for r in rows] == ordered[:k]
+            assert index.vote(target_vec, features, k).value == brute_classify(oracle_rows, k)
 
 
 class TestLoadSampleCorpus:
@@ -673,10 +735,11 @@ class TestLoadSampleCorpus:
         assert corpus[0].counts == {"honest": 1, "kind": 1, "calm": 1, "fair": 1}
 
     def test_loaded_corpus_keeps_only_what_classification_reads(self, tmp_path):
-        # Each document keeps its id, label and counts, not its text and
-        # tokens, and its counts share one string per term with every other
-        # document: about 2.4x the file's bytes. A string per term and
-        # document took 6.0x, and keeping texts and tokens as well 10.8x.
+        # Each document keeps its id, label and its terms and counts in the
+        # corpus's flat arrays, not its text, tokens or a count dict, and
+        # every term is one string shared by all documents: about 1.1-1.3x
+        # the file's bytes. A count dict per document took 2.4x, a string
+        # per term and document 6.0x, and keeping texts and tokens 10.8x.
         path = tmp_path / "corpus.jsonl"
         write_jsonl(path, make_corpus_records(docs_per_class=60))
         tracemalloc.start()
@@ -688,7 +751,25 @@ class TestLoadSampleCorpus:
             tracemalloc.stop()
         size = path.stat().st_size
         assert len(corpus) == 600
-        assert kept < 4 * size, (kept, size)
+        assert kept < 2 * size, (kept, size)
+
+    def test_index_build_peak_holds_no_count_dict_per_document(self, tmp_path):
+        # Loading and indexing 6,000 documents, as classification does,
+        # peaks at about 1.7x the file's bytes (Python 3.10-3.13): the flat
+        # corpus and the index it is built into. With a count dict per
+        # document alive during the build it peaked at 2.7-3.5x.
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, make_corpus_records(docs_per_class=600))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            index = CorpusIndex.build(load_sample_corpus(path))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert peak < 2 * size, (peak, size)
+        assert len(index.doc_ids) == 6000
 
     def test_one_string_object_per_term_within_a_load(self, tmp_path):
         path = tmp_path / "corpus.jsonl"

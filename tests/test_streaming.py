@@ -109,6 +109,11 @@ def read_corpus(path):
     return list(load_corpus(path))
 
 
+def read_sample_corpus(path):
+    """``load_sample_corpus`` as its ``SampleDocument`` views."""
+    return list(load_sample_corpus(path))
+
+
 def outcome(func, path):
     try:
         return ("ok", func(path))
@@ -141,7 +146,7 @@ class TestStreamedReaders:
     @given(data=byte_files(sample_lines))
     def test_load_sample_corpus_matches_whole_file_reference(self, scratch, data):
         scratch.write_bytes(data)
-        assert outcome(load_sample_corpus, scratch) == outcome(
+        assert outcome(read_sample_corpus, scratch) == outcome(
             reference_paths.load_sample_corpus, scratch
         )
 
@@ -175,7 +180,7 @@ class TestStreamedReaders:
               for p in profiles]),
             (read_corpus, reference_paths.load_corpus,
              [_encode_record(p) for p in profiles]),
-            (load_sample_corpus, reference_paths.load_sample_corpus,
+            (read_sample_corpus, reference_paths.load_sample_corpus,
              [json.dumps({"id": f"s{i}", "label": "Honest", "text": text}, ensure_ascii=False)
               for i, text in enumerate(texts)]),
         )
