@@ -6,6 +6,7 @@ The commands, their options and what they print come from
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from datetime import date
 from pathlib import Path
@@ -63,17 +64,40 @@ _OPTIONS = {
 }
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's formatter, with the width it would take from
+    ``shutil.get_terminal_size`` found without importing ``shutil`` (and,
+    through it, zlib, bz2 and lzma): a positive COLUMNS, else the width of
+    the terminal on stdout, else 80, less 2."""
+
+    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
+        if width is None:
+            try:
+                width = int(os.environ["COLUMNS"])
+            except (KeyError, ValueError):
+                width = 0
+            if width <= 0:
+                try:
+                    width = os.get_terminal_size(sys.__stdout__.fileno()).columns
+                except (AttributeError, ValueError, OSError):
+                    width = 0
+                width = width or 80
+            width -= 2
+        super().__init__(prog, indent_increment, max_help_position, width)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="socialminer",
         description="Classify profile texts, bin numeric attributes, emit ARFF and reports.",
+        formatter_class=_HelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     made_by = {name: stage.name for stage in STAGES for name in stage.writes}
     for name, help_text, stages in [("run", "run the full pipeline", STAGES)] + [
         (stage.name, stage.help, (stage,)) for stage in STAGES
     ]:
-        command = sub.add_parser(name, help=help_text)
+        command = sub.add_parser(name, help=help_text, formatter_class=_HelpFormatter)
         reads = stages[0].reads
         helps = {"input_path": f"{reads} from {made_by[reads]}" if reads else "raw profiles JSONL",
                  "output_dir": "output directory" if name == "run" else None}

@@ -65,7 +65,7 @@ def json_lines(path: str | Path, what: str = "") -> Iterator[tuple[int, str]]:
     try:
         with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
             for line_no, line in enumerate(handle, start=1):
-                if line.strip(" \t\r\n"):
+                if line.lstrip(" \t\r\n"):
                     yield line_no, line
     except OSError as exc:
         raise StorageError(f"cannot read {what}{path}: {exc}") from exc

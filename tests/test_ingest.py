@@ -1,13 +1,16 @@
+import contextlib
 import json
 import tempfile
 from datetime import date
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_paths
 from socialminer.binning import AgeRange, ShareClass, WallCountClass
+from socialminer import ingest
 from socialminer.errors import DuplicateIdError, StorageError
 from socialminer.ingest import (
     Gender,
@@ -16,6 +19,7 @@ from socialminer.ingest import (
     REASON_MISSING_NUMERIC,
     REASON_MISSING_TEXT,
     REASON_NEGATIVE_NUMERIC,
+    _id_set,
     check_stage_record,
     count_items,
     load_corpus,
@@ -191,6 +195,70 @@ class TestLoadProfiles:
         assert [p["id"] for p in profiles] == ["u2"]
         assert profiles[0]["about_me"] == "pair \U0001F600"
         assert [(i.line_no, i.message.split(" ")[0]) for i in issues] == [(1, "about_me"), (3, "id")]
+
+
+# Empty, NUL, non-ASCII, astral and a lone surrogate, in short strings that
+# repeat and are prefixes and suffixes of each other, beside any other text.
+id_draws = st.lists(
+    st.text(st.sampled_from("a\x00\xe9\U0001f600\ud800"), max_size=3) | st.text(), max_size=80
+)
+
+
+def added(keys):
+    """What ``_id_set``'s add returns for each key in turn."""
+    add = _id_set()
+    return [add(key) for key in keys]
+
+
+def added_to_a_set(keys):
+    """The same answers from a Python ``set``: whether each key was new."""
+    seen = set()
+    return [key not in seen and not seen.add(key) for key in keys]
+
+
+def colliding():
+    """Every string hashes alike in ``ingest``, so each add walks the whole
+    probe chain and tells strings apart by their bytes alone."""
+    return mock.patch.object(ingest, "hash", lambda key: 7, create=True)
+
+
+class TestIdSet:
+    """``_id_set``, ingest's set of the ids seen, answers as a ``set`` does,
+    whatever the strings and whatever their hashes."""
+
+    @given(id_draws)
+    @example(["", "\x00", "\x00\x00", "a\x00", "\x00a", "\ud800", "\U0001f600", "\ud83d\ude00"])
+    def test_matches_a_set(self, keys):
+        keys += keys[::3]
+        assert added(keys) == added_to_a_set(keys)
+        with colliding():
+            assert added(keys) == added_to_a_set(keys)
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_sizes_across_each_growth(self, forced):
+        # 16 slots to start, doubled once half full: at 8, 16, 32, ... strings.
+        # Colliding adds take quadratic time, so those stop past 512.
+        growths = [8 << i for i in range(7 if forced else 11)]
+        with colliding() if forced else contextlib.nullcontext():
+            for size in (n + step for n in growths for step in (-1, 0, 1)):
+                keys = [f"k{i}" for i in range(size)]
+                add = _id_set()
+                assert all(map(add, keys)) and not any(map(add, keys)), size
+                assert add("k") and not add("k"), size
+
+    def test_duplicate_found_under_colliding_hashes(self, tmp_path):
+        text = "\n".join(line(id=f"u{i}") for i in [1, 2, 3, 2])
+        with colliding(), pytest.raises(DuplicateIdError) as caught:
+            load_file(tmp_path, text)
+        assert str(caught.value) == "duplicate record id 'u2' at line 4"
+        with colliding():
+            profiles, issues = load_file(tmp_path, "\n".join(line(id=f"u{i}") for i in range(40)))
+        assert [p["id"] for p in profiles] == [f"u{i}" for i in range(40)] and not issues
+
+    def test_an_id_on_a_malformed_line_is_not_seen(self, tmp_path):
+        profiles, issues = load_file(tmp_path, line(id="u1", surprise=1) + "\n" + line(id="u1"))
+        assert [p["id"] for p in profiles] == ["u1"]
+        assert [i.line_no for i in issues] == [1]
 
 
 class TestValidateAndFilter:

@@ -397,7 +397,7 @@ def cli_child(*argv: str) -> subprocess.CompletedProcess:
 
 # Modules that start-up and a run need not load: dataclasses (which pulls in
 # inspect, ast, dis and tokenize), tempfile (which pulls in random) and typing.
-HEAVY_MODULES = ("dataclasses", "inspect", "tempfile", "random", "typing")
+HEAVY_MODULES = ("dataclasses", "inspect", "tempfile", "random", "typing", "shutil", "zlib", "bz2", "lzma")
 LEAN_IMPORTS_CHILD = """
 import json, sys
 heavy = sys.argv[1].split(",")
