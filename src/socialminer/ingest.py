@@ -108,15 +108,30 @@ def load_profiles(path: str | Path) -> tuple[Iterator[dict], list[ParseIssue]]:
     line number. The file is opened by the first ``next``; there an
     unreadable path raises StorageError. A duplicate id anywhere in the file
     raises DuplicateIdError when its line is reached. The ids of the parsed
-    lines are what grows with the file: ``_id_set`` keeps them in about 35
-    bytes each, and no ``str`` of them.
+    lines are what grows with the file: ``_parse_lines`` keeps them in a set
+    that holds no ``str`` of them (its comment gives the bytes per id).
     """
     issues: list[ParseIssue] = []
     return _parse_lines(path, issues), issues
 
 
 def _parse_lines(path: str | Path, issues: list[ParseIssue]) -> Iterator[dict]:
-    add_id = _id_set()
+    # The ids seen, an exact set that keeps no ``str``: each id's UTF-8 bytes
+    # ("surrogatepass", so every id has them) go into ``data``, their end
+    # offset and ``hash`` into ``ends`` and ``hashes`` at the id's 1-based
+    # ordinal, and the ordinal into a linearly probed ``table`` (0 is empty)
+    # that ``_grown`` makes 4 times larger once half full. An equal hash is
+    # confirmed by comparing bytes, so a hash collision leaves the answer
+    # exact. A 6-letter id costs 30 to 32 bytes at 1,000 to 20,000 ids, where
+    # the keys of a dict took 76 to 81 (CPython 3.11). The probe is inline
+    # because a call per id would add to the time of every read.
+    data = bytearray()
+    ends = array("Q", [0])  # the bytes of ordinal n are data[ends[n - 1]:ends[n]]
+    hashes = array("q", [0])  # the hash of ordinal n is hashes[n]
+    add_end, add_hash = ends.append, hashes.append
+    table = _grown(hashes, 15)
+    mask = 15
+    count = 0
     for line_no, line in json_lines(path):
         try:
             record = _parse_record_line(line)
@@ -124,54 +139,35 @@ def _parse_lines(path: str | Path, issues: list[ParseIssue]) -> Iterator[dict]:
             issues.append(ParseIssue(line_no, str(exc)))
             continue
         record_id = record["id"]
-        if not add_id(record_id):
-            raise DuplicateIdError(f"duplicate record id {record_id!r} at line {line_no}")
+        id_hash = hash(record_id)
+        raw = record_id.encode("utf-8", "surrogatepass")
+        slot = id_hash & mask
+        while ordinal := table[slot]:
+            if hashes[ordinal] == id_hash and data[ends[ordinal - 1]:ends[ordinal]] == raw:
+                raise DuplicateIdError(f"duplicate record id {record_id!r} at line {line_no}")
+            slot = (slot + 1) & mask
+        data += raw
+        add_end(len(data))
+        add_hash(id_hash)
+        count += 1
+        table[slot] = count
+        if 2 * count > mask:
+            mask = 4 * mask + 3
+            table = _grown(hashes, mask)
         yield record
 
 
-def _id_set() -> Callable[[str], bool]:
-    """An exact set of strings that keeps no ``str``, as its ``add``: a
-    function that adds a string and returns whether it was new.
-
-    Each string's UTF-8 bytes ("surrogatepass", so any string has them) go
-    into one bytearray, their end offset and ``hash`` into two arrays, and
-    its 1-based ordinal into a linearly probed table (0 is empty) that
-    doubles once half full. A string whose hash meets an equal one is compared
-    by its bytes, so any hash collision leaves the answer exact. That is 30
-    to 38 bytes a 6-letter string (37 at 20,000), where the keys of a dict
-    took 76 (CPython 3.11).
-    """
-    data = bytearray()
-    ends = array("Q", [0])  # the bytes of ordinal n are data[ends[n - 1]:ends[n]]
-    hashes = array("q")  # the hash of ordinal n is hashes[n - 1]
-    table = array("I", [0]) * 16
-    mask = 15
-
-    def add(key: str) -> bool:
-        nonlocal table, mask
-        key_hash = hash(key)
-        raw = key.encode("utf-8", "surrogatepass")
-        slot = key_hash & mask
-        while ordinal := table[slot]:
-            if hashes[ordinal - 1] == key_hash and data[ends[ordinal - 1]:ends[ordinal]] == raw:
-                return False
+def _grown(hashes: array, mask: int) -> array:
+    """The probe table of ``mask + 1`` slots for ordinals 1 on of ``hashes``."""
+    # It is grown before an ordinal passes (mask + 1) / 2: the narrowest type
+    # that holds that ordinal.
+    table = array("H" if mask < 2**16 else "I" if mask < 2**32 else "Q", [0]) * (mask + 1)
+    for ordinal in range(1, len(hashes)):
+        slot = hashes[ordinal] & mask
+        while table[slot]:
             slot = (slot + 1) & mask
-        data.extend(raw)
-        ends.append(len(data))
-        hashes.append(key_hash)
-        table[slot] = count = len(hashes)
-        if 2 * count > mask:
-            mask = 2 * mask + 1
-            # No ordinal passes (mask + 1) / 2, so "I" holds them up to 2**32 slots.
-            table = array("I" if mask < 2**32 else "Q", [0]) * (mask + 1)
-            for ordinal, old_hash in enumerate(hashes, 1):
-                slot = old_hash & mask
-                while table[slot]:
-                    slot = (slot + 1) & mask
-                table[slot] = ordinal
-        return True
-
-    return add
+        table[slot] = ordinal
+    return table
 
 
 def parse_birthday(text: str) -> date | None:

@@ -19,7 +19,6 @@ from socialminer.ingest import (
     REASON_MISSING_NUMERIC,
     REASON_MISSING_TEXT,
     REASON_NEGATIVE_NUMERIC,
-    _id_set,
     check_stage_record,
     count_items,
     load_corpus,
@@ -204,47 +203,60 @@ id_draws = st.lists(
 )
 
 
-def added(keys):
-    """What ``_id_set``'s add returns for each key in turn."""
-    add = _id_set()
-    return [add(key) for key in keys]
+def seen_ids(keys):
+    """What ``_parse_lines`` makes of lines whose ids are ``keys`` in turn: the
+    ids it yields, or its DuplicateIdError's text. Each line is its id, so
+    any string reaches the set of ids seen, even one no parsed line holds."""
+    lines = list(enumerate(keys, 1))
+    with mock.patch.object(ingest, "json_lines", lambda path: iter(lines)), \
+            mock.patch.object(ingest, "_parse_record_line", lambda key: {"id": key}):
+        try:
+            return [record["id"] for record in ingest._parse_lines("lines", [])]
+        except DuplicateIdError as exc:
+            return str(exc)
 
 
-def added_to_a_set(keys):
-    """The same answers from a Python ``set``: whether each key was new."""
+def seen_by_a_set(keys):
+    """The same answer from a Python ``set``."""
     seen = set()
-    return [key not in seen and not seen.add(key) for key in keys]
+    for line_no, key in enumerate(keys, 1):
+        if key in seen:
+            return f"duplicate record id {key!r} at line {line_no}"
+        seen.add(key)
+    return keys
 
 
 def colliding():
-    """Every string hashes alike in ``ingest``, so each add walks the whole
-    probe chain and tells strings apart by their bytes alone."""
+    """Every string hashes alike in ``ingest``, so each id walks the whole
+    probe chain and is told apart by its bytes alone."""
     return mock.patch.object(ingest, "hash", lambda key: 7, create=True)
 
 
 class TestIdSet:
-    """``_id_set``, ingest's set of the ids seen, answers as a ``set`` does,
-    whatever the strings and whatever their hashes."""
+    """The ids ``_parse_lines`` has seen answer as a ``set`` does, whatever
+    the strings and whatever their hashes."""
 
     @given(id_draws)
     @example(["", "\x00", "\x00\x00", "a\x00", "\x00a", "\ud800", "\U0001f600", "\ud83d\ude00"])
     def test_matches_a_set(self, keys):
-        keys += keys[::3]
-        assert added(keys) == added_to_a_set(keys)
-        with colliding():
-            assert added(keys) == added_to_a_set(keys)
+        for keys in (keys, keys + keys[::3]):
+            assert seen_ids(keys) == seen_by_a_set(keys)
+            with colliding():
+                assert seen_ids(keys) == seen_by_a_set(keys)
 
     @pytest.mark.parametrize("forced", [False, True])
     def test_sizes_across_each_growth(self, forced):
-        # 16 slots to start, doubled once half full: at 8, 16, 32, ... strings.
-        # Colliding adds take quadratic time, so those stop past 512.
-        growths = [8 << i for i in range(7 if forced else 11)]
+        # 16 slots to start, 4 times as many once half full: at 8, 32, 128, ...
+        # ids. Past 32,768 a slot takes 4 bytes, not 2, which 65,536 ids need.
+        # Colliding ids take quadratic time, so those stop past 512.
+        growths = [8 * 4**i for i in range(4 if forced else 7)]
+        sizes = [n + step for n in growths for step in (-1, 0, 1)] + ([] if forced else [2**16 + 1])
         with colliding() if forced else contextlib.nullcontext():
-            for size in (n + step for n in growths for step in (-1, 0, 1)):
+            for size in sizes:
                 keys = [f"k{i}" for i in range(size)]
-                add = _id_set()
-                assert all(map(add, keys)) and not any(map(add, keys)), size
-                assert add("k") and not add("k"), size
+                assert seen_ids(keys + ["k"]) == keys + ["k"], size
+                for i in (0, size // 2, size - 1):
+                    assert seen_ids(keys + [keys[i]]) == f"duplicate record id 'k{i}' at line {size + 1}"
 
     def test_duplicate_found_under_colliding_hashes(self, tmp_path):
         text = "\n".join(line(id=f"u{i}") for i in [1, 2, 3, 2])

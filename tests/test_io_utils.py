@@ -14,7 +14,7 @@ from reference_paths import encode_record_reference, json_object_reference
 from socialminer.errors import StorageError
 from socialminer.ingest import _encode_record, check_stage_record, load_corpus
 from socialminer import io_utils
-from socialminer.io_utils import atomic_write_text, json_lines, json_object
+from socialminer.io_utils import atomic_write_text, json_object
 
 STAGE_KEYS = (
     "id", "birthday", "about_me", "activities", "gender", "interests", "wall_count",
@@ -266,15 +266,3 @@ class TestAtomicWriteTempFile:
             atomic_write_text(target, "new")
         assert len(taken) == 3
         assert [p.name for p in tmp_path.iterdir()] == [self.FIRST]
-
-
-@given(st.lists(st.text(st.sampled_from(" \t\xa0\x0c\x0b\u3000{}x"), max_size=4), max_size=8))
-def test_json_lines_skips_only_space_and_tab_lines(tmp_path_factory, texts):
-    """A line is skipped only when nothing but spaces, tabs and its line break
-    remain of it; one holding U+00A0, a form feed or any other blank, alone
-    or after spaces, is yielded as it is, for its reader to refuse."""
-    path = tmp_path_factory.mktemp("lines") / "file.jsonl"
-    path.write_text("".join(text + "\n" for text in texts), encoding="utf-8")
-    assert list(json_lines(path)) == [
-        (n, text + "\n") for n, text in enumerate(texts, 1) if text.strip(" \t")
-    ]

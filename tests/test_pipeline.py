@@ -396,7 +396,9 @@ def cli_child(*argv: str) -> subprocess.CompletedProcess:
 
 
 # Modules that start-up and a run need not load: dataclasses (which pulls in
-# inspect, ast, dis and tokenize), tempfile (which pulls in random) and typing.
+# inspect, ast, dis and tokenize), tempfile (which pulls in random), typing,
+# and shutil (which pulls in the compressors zlib, bz2 and lzma), which
+# argparse's help formatter imports unless it is given a width.
 HEAVY_MODULES = ("dataclasses", "inspect", "tempfile", "random", "typing", "shutil", "zlib", "bz2", "lzma")
 LEAN_IMPORTS_CHILD = """
 import json, sys

@@ -236,13 +236,13 @@ class TestStageFileLines:
 class TestBlankLines:
     """A line is blank, and skipped, only when it holds nothing but spaces,
     tabs and its line break. A line holding another blank (U+00A0, a form
-    feed) is not JSON, and each reader refuses it as such."""
+    feed, U+3000) is not JSON, and each reader refuses it as such."""
 
     def test_only_spaces_and_tabs_make_a_blank_line(self, tmp_path):
         path = tmp_path / "file.jsonl"
-        path.write_bytes("a\n \t\n\r\n\xa0\n\x0c\n\x0b \nb".encode("utf-8"))
+        path.write_bytes("a\n \t\n\r\n\xa0\n\x0c\n\x0b \n \t\u3000\nb".encode("utf-8"))
         assert list(json_lines(path)) == [
-            (1, "a\n"), (4, "\xa0\n"), (5, "\x0c\n"), (6, "\x0b \n"), (7, "b")
+            (1, "a\n"), (4, "\xa0\n"), (5, "\x0c\n"), (6, "\x0b \n"), (7, " \t\u3000\n"), (8, "b")
         ]
 
     def test_profiles_line_is_malformed(self, tmp_path, capsys):
@@ -378,18 +378,13 @@ def test_stage_memory_does_not_grow_with_the_input(tmp_path):
     """Each streamed stage holds one batch of records, not the file: 3,000
     more records cost less than 128 bytes each, where holding them would
     cost about 1,000. What grows is the set of ids ingest checks duplicates
-    against (about 30 bytes a record at this size) and the report's tally,
-    which has one key per combination of classes met."""
+    against and the report's tally, which has one key per combination of
+    classes met. That set keeps no ``str`` per id (``ingest._parse_lines``):
+    it costs ingest under 40 bytes a record, where a dict of the ids took
+    about 71."""
     small, large = stage_peaks(tmp_path, 1000), stage_peaks(tmp_path, 4000)
     for command in ("ingest", "classify", "bin", "arff", "report"):
         assert large[command] - small[command] < 3000 * 128, (command, small[command], large[command])
-
-
-def test_ingest_keeps_no_string_per_id(tmp_path):
-    """ingest's ids seen (``ingest._id_set``) keep each id's UTF-8 bytes,
-    offset, hash and table slot, not a ``str``: 3,000 more records cost it
-    under 40 bytes each, where a dict of the id strings took about 71."""
-    small, large = stage_peaks(tmp_path, 1000), stage_peaks(tmp_path, 4000)
     assert large["ingest"] - small["ingest"] < 3000 * 40, (small["ingest"], large["ingest"])
 
 
