@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from array import array
 from collections import namedtuple
-from collections.abc import Callable, Collection, Iterable, Iterator
+from collections.abc import Callable, Collection, Generator, Iterable, Iterator
 from datetime import date
 from enum import Enum
 from itertools import repeat
@@ -25,7 +25,8 @@ from pathlib import Path
 
 from .binning import AgeRange, ShareClass, WallCountClass
 from .errors import DuplicateIdError, StorageError
-from .io_utils import atomic_write_text, batches, json_lines, json_object
+from .io_utils import atomic_writer, batches, json_lines, json_object
+from .io_utils import atomic_write_text  # noqa: F401 (perfbench/tracer.py wraps it here)
 from .knn import ClassLabel
 
 
@@ -256,49 +257,63 @@ def persist_corpus(
     prepare: Callable[[dict], None] | None = None,
     adds: Collection[str] = (),
 ) -> int:
-    r"""Write the stage-file records as JSON lines, each as it is, atomically,
-    one batch of records (``io_utils.batches``) at a time as ``profiles``
-    yields them: for each record of a batch, ``prepare`` (a stage's work on
-    one record, when given, which sets each key of ``adds``) runs and the
-    record is encoded; then the batch is written. Returns the number of
-    records written.
+    """Write the stage-file records as JSON lines through
+    ``persist_batches``, in batches of ``io_utils.batches``; returns the
+    number of records written. Only a ``StageFile`` given with ``adds`` is
+    written back by its lines; other records are encoded whole."""
+    if adds and isinstance(profiles, StageFile):
+        pairs = profiles.lines()
+    else:
+        pairs = zip(profiles, repeat(None))
+    return sum(map(len, persist_batches(batches(pairs), path, prepare, adds)))
 
-    Given a ``StageFile`` and ``adds`` (as ``classify`` and ``bin`` are), a
-    record whose line held none of ``adds`` is written as that line up to
-    its closing "}", then ", ", the added keys encoded by ``_encode_record``,
-    "}" and "\n"; a record that held one is encoded whole. For a line
+
+def persist_batches(
+    pair_batches: Iterable[list[tuple[dict, str | None]]],
+    path: str | Path,
+    prepare: Callable[[dict], None] | None = None,
+    adds: Collection[str] = (),
+) -> Generator[list[tuple[dict, str]], None, int]:
+    r"""Write the stage-file records of each batch of ``(record, line)``
+    pairs as JSON lines, atomically, one batch at a time as ``pair_batches``
+    yields them. For each record, ``prepare`` (a stage's work on one record,
+    when given, which sets each key of ``adds``) runs and the record is
+    encoded, and its pair in the batch becomes the record and the line
+    written, so the line it came with is freed; then the batch is written
+    and yielded. The file is renamed into place when ``pair_batches`` ends,
+    and the generator returns the number of records written.
+
+    A record given with its line, whose line held none of ``adds``, is
+    written as that line up to its closing "}", then ", ", the added keys
+    encoded by ``_encode_record``, "}" and "\n"; a record given with None,
+    or whose line held one of ``adds``, is encoded whole. For a line
     ``_encode_record`` wrote, both give the same bytes; a hand-edited line
     keeps its own spacing, escapes, ``-0`` and repeated keys."""
     written = 0
     suffixes: dict = {}
-    if adds and isinstance(profiles, StageFile):
-        pairs, values_of = profiles.lines(), itemgetter(*adds)
-    else:
-        pairs = zip(profiles, repeat(None))
-
-    def chunks() -> Iterator[str]:
-        nonlocal written
-        for batch in batches(pairs):
-            text = []
-            for profile, line in batch:
+    values_of = itemgetter(*adds) if adds else None
+    with atomic_writer(path) as write:
+        for batch in pair_batches:
+            for at, (profile, line) in enumerate(batch):
                 size = len(profile)
                 if prepare is not None:
                     prepare(profile)
                 # prepare set every key of adds: the record grew by all of
                 # them only if its line held none of them.
                 if line is None or len(profile) - size != len(adds):
-                    text.append(_encode_record(profile) + "\n")
-                    continue
-                values = values_of(profile)
-                suffix = suffixes.get(values)
-                if suffix is None:
-                    added = {key: profile[key] for key in adds}
-                    suffix = suffixes[values] = ", " + _encode_record(added)[1:] + "\n"
-                text.append(line[:line.rindex("}")] + suffix)
+                    line = _encode_record(profile) + "\n"
+                else:
+                    values = values_of(profile)
+                    suffix = suffixes.get(values)
+                    if suffix is None:
+                        added = {key: profile[key] for key in adds}
+                        suffix = suffixes[values] = ", " + _encode_record(added)[1:] + "\n"
+                    line = line[:line.rindex("}")] + suffix
+                batch[at] = profile, line
+            write("".join([line for _, line in batch]))
             written += len(batch)
-            yield "".join(text)
-
-    atomic_write_text(path, chunks())
+            yield batch
+            del batch  # not kept while the stages before make the next batch
     return written
 
 
@@ -382,7 +397,7 @@ def load_corpus(path: str | Path) -> StageFile:
     empty id or a record ingest would reject), or that holds a blank before
     the object's "{" or after its "}" (checked last); the message names the
     path and the line. The first fault met in file order is the one reported.
-    ``persist_corpus`` reads a ``StageFile`` by its ``lines``, so that it
-    can write a line back as it was read.
+    A stage reads a ``StageFile`` by its ``lines``, so that
+    ``persist_batches`` can write a line back as it was read.
     """
     return StageFile(path)

@@ -6,7 +6,7 @@ identical inputs and configuration produce byte-identical output trees."""
 from __future__ import annotations
 
 import json
-from collections import namedtuple
+from collections import Counter, deque, namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from datetime import date
@@ -22,9 +22,10 @@ from .binning import (
     bin_wall_count,
 )
 from .errors import ParameterError, StorageError
-from .ingest import (FIELD_ENUMS, STAGE_RECORD, load_profiles, parse_birthday, persist_corpus,
-                     validate_and_filter)
-from .io_utils import atomic_write_text, batches, make_output_dir
+from .ingest import (FIELD_ENUMS, STAGE_RECORD, StageFile, load_profiles, parse_birthday,
+                     persist_batches, validate_and_filter)
+from .ingest import persist_corpus  # noqa: F401 (perfbench/tracer.py wraps it here)
+from .io_utils import atomic_write_text, atomic_writer, batches, make_output_dir
 from .knn import ClassLabel, CorpusIndex, classify_text, load_sample_corpus
 from .report import REPORT_TABLES, aggregate, emit_chart, emit_comparison_chart, emit_table, tally
 from .textprep import DEFAULT_STOPWORDS, load_stopwords
@@ -100,12 +101,18 @@ class RunSummary:
 
 
 # One step of the chain. ``run_stages`` calls ``stage_<name>`` of this module,
-# looked up when it is called. ``reads`` is the stage file its subcommand reads
-# (None: the raw profiles), ``writes`` the files it always writes, ``options``
-# the ``RunConfig`` fields it takes beside the input and output paths, and
-# ``prints`` its subcommand's stdout, filled from the ``RunSummary``'s counts,
-# ``artifacts`` (how many files were written), ``files`` (their paths) and
-# ``out``.
+# looked up when it is called, on the batches the stage before it yields: lists
+# of (profile, line) pairs, where the line is the one the profile was read from
+# or written as, or None (encode the profile whole). Every stage but report is
+# a generator that yields each batch once it has written it and returns its
+# counts; report counts every batch and returns its manifest. A stage drops a
+# batch once it has passed it on (``del batch``), so that while the stages
+# before it make the next one, no stage keeps the last. ``reads`` is the
+# stage file its subcommand reads (None: the raw profiles), ``writes`` the
+# files it always writes, ``options`` the ``RunConfig`` fields it takes beside
+# the input and output paths, and ``prints`` its subcommand's stdout, filled
+# from the ``RunSummary``'s counts, ``artifacts`` (how many files were
+# written), ``files`` (their paths) and ``out``.
 Stage = namedtuple("Stage", "name help reads writes options prints")
 
 STAGES = (
@@ -123,23 +130,23 @@ STAGES = (
 )
 
 
-def stage_ingest(profiles: list[dict] | None, config: RunConfig, out_dir: Path) -> dict:
-    """Load and validate the raw profiles, persist the accepted ones one
-    batch at a time, then write the rejection report of the whole file.
-    Ingest reads no profiles: given a list (as ``run`` does), it also adds
-    the accepted profiles to it for the stages after it."""
+def stage_ingest(_: None, config: RunConfig, out_dir: Path) -> Iterator[list]:
+    """Load and validate the raw profiles and persist the accepted ones, one
+    batch at a time, yielding each batch of accepted profiles once written;
+    then write the rejection report of the whole file and return the
+    counts. Ingest reads the raw profiles itself: it is fed no batches."""
     records, issues = load_profiles(config.input_path)
     rejected: list[tuple[str, str]] = []
 
-    def accepted() -> Iterator[dict]:
+    def accepted() -> Iterator[list]:
         for batch in batches(records):
-            batch_profiles, report = validate_and_filter(batch)
+            batch, report = validate_and_filter(batch)
             rejected.extend(report.rejected)
-            if profiles is not None:
-                profiles.extend(batch_profiles)
-            yield from batch_profiles
+            if batch:  # arff starts its file with the first batch it gets
+                yield [(profile, None) for profile in batch]
+            del batch
 
-    written = persist_corpus(accepted(), out_dir / ACCEPTED_FILE)
+    written = yield from persist_batches(accepted(), out_dir / ACCEPTED_FILE)
     record = {
         "accepted_count": written,
         "rejected_count": len(rejected),
@@ -152,11 +159,12 @@ def stage_ingest(profiles: list[dict] | None, config: RunConfig, out_dir: Path) 
     return {"accepted": written, "rejected": len(rejected), "malformed": len(issues)}
 
 
-def stage_classify(profiles: Iterable[dict], config: RunConfig, out_dir: Path) -> dict:
+def stage_classify(stream: Iterable[list], config: RunConfig, out_dir: Path) -> Iterator[list]:
     """Label every profile's about_me text and persist it, one batch at a
-    time (``persist_corpus``). The stopwords and the sample corpus are
-    loaded and indexed once, and k and n_features are checked before any
-    profile is read, so a bad value fails even when there are no profiles."""
+    time (``ingest.persist_batches``), yielding each batch once written. The
+    stopwords and the sample corpus are loaded and indexed once, and k and
+    n_features are checked, when the stage starts and before it reads a
+    batch, so a bad value fails even when there are no profiles."""
     path = config.stopword_path
     stopwords = DEFAULT_STOPWORDS if path is None else load_stopwords(path)
     index = CorpusIndex.build(load_sample_corpus(config.corpus_path, stopwords))
@@ -173,15 +181,16 @@ def stage_classify(profiles: Iterable[dict], config: RunConfig, out_dir: Path) -
         if label is ClassLabel.UNCLASSIFIABLE:
             unclassifiable += 1
 
-    written = persist_corpus(profiles, out_dir / CLASSIFIED_FILE, classify_one,
-                             STAGE_RECORD["classify"])
+    written = yield from persist_batches(stream, out_dir / CLASSIFIED_FILE, classify_one,
+                                         STAGE_RECORD["classify"])
     return {"accepted": written, "unclassifiable": unclassifiable}
 
 
-def stage_bin(profiles: Iterable[dict], config: RunConfig, out_dir: Path) -> dict:
+def stage_bin(stream: Iterable[list], config: RunConfig, out_dir: Path) -> Iterator[list]:
     """Derive age ranges and group classes for every profile and persist
-    it, one batch at a time (``persist_corpus``). Every profile has passed
-    ``ingest.rejection_reason``, so a birthday, if given, is a date."""
+    it, one batch at a time (``ingest.persist_batches``), yielding each batch
+    once written. Every profile has passed ``ingest.rejection_reason``, so a
+    birthday, if given, is a date."""
     reference_date, gap_policy = config.reference_date, config.gap_policy
 
     def bin_one(profile: dict) -> None:
@@ -193,24 +202,25 @@ def stage_bin(profiles: Iterable[dict], config: RunConfig, out_dir: Path) -> dic
         profile["activity_interest_class"] = bin_activities_interests(
             profile["activity_interest_count"], gap_policy)._value_
 
-    written = persist_corpus(profiles, out_dir / BINNED_FILE, bin_one, STAGE_RECORD["bin"])
+    written = yield from persist_batches(stream, out_dir / BINNED_FILE, bin_one,
+                                         STAGE_RECORD["bin"])
     return {"accepted": written}
 
 
-def stage_arff(profiles: Iterable[dict], config: RunConfig, out_dir: Path) -> dict:
-    """Write the ARFF dataset one batch of profiles at a time: the header
-    with the first batch's rows (alone when there are no profiles), then the
-    rows of each later batch, numbered from the start of the file."""
-
-    def text() -> Iterator[str]:
-        row_no = 1
-        for batch in batches(profiles):
-            yield emit_arff(build_dataset(batch), row_no)
+def stage_arff(stream: Iterable[list], config: RunConfig, out_dir: Path) -> Iterator[list]:
+    """Write the ARFF dataset one batch of profiles at a time, yielding each
+    batch once written: the header with the first batch's rows (alone when
+    there are no profiles), then the rows of each later batch, numbered from
+    the start of the file."""
+    row_no = 1
+    with atomic_writer(out_dir / ARFF_FILE) as write:
+        for batch in stream:
+            write(emit_arff(build_dataset(profile for profile, _ in batch), row_no))
             row_no += len(batch)
+            yield batch
+            del batch
         if row_no == 1:
-            yield emit_arff(build_dataset(()))
-
-    atomic_write_text(out_dir / ARFF_FILE, text())
+            write(emit_arff(build_dataset(())))
     return {}
 
 
@@ -221,20 +231,24 @@ def check_run_id(run_id: str) -> None:
         raise ParameterError(f"bad run id {run_id!r}: it must name one directory")
 
 
-def stage_report(profiles: Iterable[dict], config: RunConfig, out_dir: Path) -> list[dict]:
+def stage_report(stream: Iterable[list], config: RunConfig, out_dir: Path) -> list[dict]:
     """Write a table per group of each of ``report.REPORT_TABLES``, in order,
     named after its measure without ``_class``, its group field's first word
     and the group's value in lower case. By age range, each non-empty group
     also gets a pie chart, and an empty one's pie from an earlier run into
     ``out_dir`` is removed; by gender, Male and Female get a line chart each,
-    then their comparison table and chart. The profiles are counted in one
-    pass before any file is written. Returns the manifest: one entry per
-    file written."""
+    then their comparison table and chart. The profiles of every batch it is
+    fed are counted before any file is written, so in a chain the report
+    runs the stages before it. Returns the manifest: one entry per file
+    written."""
     run_id = config.run_id
     check_run_id(run_id)
     base = out_dir / "reports" / run_id
     artifacts: list[dict] = []
-    counts = tally(profiles)
+    counts: Counter = Counter()
+    for batch in stream:
+        counts.update(tally(profile for profile, _ in batch))
+        del batch
 
     def write(
         name: str, text: str, population: str, measure: str, chart_type: str | None = None
@@ -303,23 +317,49 @@ def failure_marker(out_dir: Path) -> Iterator[None]:
 def run_stages(
     config: RunConfig,
     stages: Sequence[Stage] = STAGES,
-    read: Callable[[Path], Iterable[dict]] | None = None,
+    read: Callable[[Path], StageFile] | None = None,
 ) -> RunSummary:
-    """Make the output directory, then run ``stages`` in table order under
-    one failure marker. A stage subcommand passes ``read``, through which
-    its stage reads the ``--input`` file. Without it, the profiles ingest
-    accepts stay in memory from stage to stage, and ``summary.json`` is
-    written last. A stage returns a dict of counts, or (report) the list of
-    the files it wrote."""
+    """Make the output directory, then run ``stages`` as one chain under one
+    failure marker: each stage is fed the batches the one before it yields,
+    so a batch passes through every stage before the next is read. The
+    first stage reads ``--input``: ingest the raw profiles, any other stage
+    the lines of the stage file that ``read`` (passed by a subcommand)
+    returns. ``summary.json`` is written last when ``read`` is not given.
+    When a stage fails, the stages before it are first drained to their
+    end, and a fault one of them meets replaces the later one: a failure
+    leaves the files, and raises the fault, of running the stages one after
+    another."""
     out_dir = Path(config.output_dir)
     make_output_dir(out_dir)
     with failure_marker(out_dir):
+        results: list = []  # what each stage returned, in table order
+        links: list[Iterator[list]] = []  # the batches each stage but report yields
+        stream = None
+        if read is not None and stages[0].reads is not None:
+            stream = batches(read(config.input_path).lines())
+        fault = None
+        try:
+            for stage in stages:
+                step = globals()[f"stage_{stage.name}"](stream, config, out_dir)
+                if isinstance(step, list):  # report's manifest: the chain has run
+                    results.append(step)
+                else:
+                    stream = _returning(step, results)
+                    links.append(stream)
+        except Exception as exc:
+            fault = exc
+        # Run the chain to its end, then drain each stage a fault stopped, the
+        # last first. A stage meets only its own faults and those of the
+        # stages before it, so the last fault met is the earliest stage's.
+        for link in reversed(links):
+            try:
+                deque(link, maxlen=0)
+            except Exception as exc:
+                fault = exc
+        if fault is not None:
+            raise fault
         summary = RunSummary()
-        profiles = None if read else []
-        for stage in stages:
-            if read is not None and stage.reads is not None:
-                profiles = read(config.input_path)
-            result = globals()[f"stage_{stage.name}"](profiles, config, out_dir)
+        for stage, result in zip(stages, results):
             summary.artifacts += stage.writes
             if isinstance(result, dict):
                 vars(summary).update(result)
@@ -330,6 +370,11 @@ def run_stages(
                 out_dir / SUMMARY_FILE, json.dumps(summary.to_record(), indent=2) + "\n"
             )
         return summary
+
+
+def _returning(step: Iterator[list], results: list) -> Iterator[list]:
+    """The batches ``step`` yields; what it returns is appended to ``results``."""
+    results.append((yield from step))
 
 
 def run_pipeline(config: RunConfig) -> RunSummary:

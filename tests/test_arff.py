@@ -1,4 +1,5 @@
 import json
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from socialminer.binning import AgeRange, ShareClass, WallCountClass
 from socialminer.cli import main
 from socialminer.errors import ArffEncodeError
 from socialminer.ingest import Gender
-from socialminer.io_utils import BATCH_SIZE
+from socialminer.io_utils import BATCH_SIZE, batches
 from socialminer.knn import ClassLabel
 from socialminer.pipeline import RunConfig, stage_arff
 
@@ -365,7 +366,8 @@ class TestStreamedFile:
         profiles[BATCH_SIZE + 43]["wall_count"] = "many"
         config = RunConfig(tmp_path / "binned.jsonl", tmp_path)
         with pytest.raises(ArffEncodeError) as got:
-            stage_arff(profiles, config, tmp_path)
+            for _ in stage_arff(batches(zip(profiles, repeat(None))), config, tmp_path):
+                pass
         row = BATCH_SIZE + 44
         assert str(got.value) == f"row {row}, column 'wall_count': numeric value expected, got 'many'"
         assert not (tmp_path / "dataset.arff").exists()

@@ -19,10 +19,11 @@ from socialminer.binning import GapPolicy
 from socialminer.cli import main
 from socialminer import knn
 from socialminer.errors import DomainError, ParameterError, StorageError
-from socialminer.ingest import STAGE_RECORD, ParseIssue, RejectionReport, validate_and_filter
+from socialminer.ingest import (STAGE_RECORD, ParseIssue, RejectionReport, load_corpus,
+                                validate_and_filter)
 from socialminer.knn import load_sample_corpus
-from socialminer.pipeline import (STAGES, RunConfig, RunSummary, run_pipeline, stage_bin,
-                                  stage_classify, stage_ingest)
+from socialminer.pipeline import (STAGES, RunConfig, RunSummary, run_pipeline, run_stages,
+                                  stage_bin, stage_classify, stage_ingest)
 from socialminer.report import Distribution
 from socialminer.synth import make_corpus_records, make_profile_records, write_jsonl
 
@@ -167,8 +168,7 @@ class TestStageClassify:
         write_jsonl(tmp_path / "profiles.jsonl", [record(i) for i in range(7)])
         write_corpus(tmp_path / "corpus.jsonl")
         config = config_for(tmp_path)
-        profiles = []
-        stage_ingest(profiles, config, tmp_path)
+        run_stages(config, STAGES[:1], read=load_corpus)
         corpus = load_sample_corpus(tmp_path / "corpus.jsonl")
         builds = []
         build = knn.CorpusIndex.build
@@ -178,17 +178,19 @@ class TestStageClassify:
             return build(corpus)
 
         monkeypatch.setattr(knn.CorpusIndex, "build", counting_build)
-        assert stage_classify(profiles, config, tmp_path) == {"accepted": 7, "unclassifiable": 0}
+        accepted = config_for(tmp_path, input_path=config.output_dir / "accepted.jsonl")
+        summary = run_stages(accepted, STAGES[1:2], read=load_corpus)
+        assert (summary.accepted, summary.unclassifiable) == (7, 0)
         assert builds == [len(corpus)]
 
     def test_k_checked_before_any_text(self, tmp_path):
         write_jsonl(tmp_path / "profiles.jsonl", [record(0, about_me="i am the and of to")])
         write_corpus(tmp_path / "corpus.jsonl")
-        profiles = []
-        stage_ingest(profiles, config_for(tmp_path), tmp_path)
+        accepted = list(stage_ingest(None, config_for(tmp_path), tmp_path))
         corpus = load_sample_corpus(tmp_path / "corpus.jsonl")
+        classify = stage_classify(iter(accepted), config_for(tmp_path, k=len(corpus) + 1), tmp_path)
         with pytest.raises(ParameterError):
-            stage_classify(profiles, config_for(tmp_path, k=len(corpus) + 1), tmp_path)
+            next(classify)
         assert not (tmp_path / "classified.jsonl").exists()
 
     def test_k_above_corpus_fails_run_on_stopword_texts(self, tmp_path, capsys):
@@ -575,21 +577,23 @@ print(json.dumps({"codes": codes, "spans": spans, "counts": tracer.counts}, sort
 """
 
 # What the benchmark's spans and counters read for TRACED_COMMANDS: each of
-# `run` and the subcommands calls every stage once, `run` keeps its profiles
-# in memory, and the four later subcommands read their input back.
+# `run` and the subcommands calls every stage once, and the four later
+# subcommands read their input back. `run` streams each batch through every
+# stage; the stages write their stage files and dataset.arff through one
+# `io_utils.atomic_writer` each, so no `persist_corpus` span and no
+# `atomic_write_text` span covers those files.
 TRACED_SPANS = {
     "arff.build_dataset": 2, "arff.emit_arff": 2, "features.term_counts": 84,
-    "ingest.load_corpus": 4, "ingest.load_profiles": 2, "ingest.persist_corpus": 6,
-    "ingest.validate_and_filter": 2,
-    "io_utils.atomic_write_text": 89, "knn.classify_text": 24,
+    "ingest.load_corpus": 4, "ingest.load_profiles": 2, "ingest.validate_and_filter": 2,
+    "io_utils.atomic_write_text": 81, "knn.classify_text": 24,
     "knn.load_sample_corpus": 2, "pipeline.run_pipeline": 1, "pipeline.stage_arff": 2,
     "pipeline.stage_bin": 2, "pipeline.stage_classify": 2, "pipeline.stage_ingest": 2,
     "pipeline.stage_report": 2, "report.aggregate": 10, "report.render": 76,
     "textprep.prepare": 84,
 }
 TRACED_COUNTS = {
-    "arff.bytes": 2398, "ingest.load_corpus.bytes": 26844, "ingest.persist_corpus.bytes": 38626,
-    "ingest.rejected": 2, "io_utils.atomic_write_text.bytes": 169569, "knn.corpus_docs": 60,
+    "arff.bytes": 2398, "ingest.load_corpus.bytes": 26844, "ingest.rejected": 2,
+    "io_utils.atomic_write_text.bytes": 128545, "knn.corpus_docs": 60,
     "knn.unclassifiable": 0, "report.artifacts": 78,
 }
 
@@ -1232,7 +1236,7 @@ class TestStageRecordKeyOrder:
 
     def test_classify_and_bin_add_the_keys_of_their_row(self, tmp_path):
         # A key a stage sets but the table lacks would fail no run:
-        # persist_corpus would encode each record whole instead.
+        # persist_batches would encode each record whole instead.
         write_corpus(tmp_path / "corpus.jsonl")
         config = config_for(tmp_path)
         config.output_dir.mkdir()
@@ -1240,7 +1244,7 @@ class TestStageRecordKeyOrder:
         assert list(profiles[0]) == list(STAGE_RECORD["ingest"])
         for name, stage in (("classify", stage_classify), ("bin", stage_bin)):
             before = list(profiles[0])
-            stage(profiles, config, config.output_dir)
+            list(stage([[(profiles[0], None)]], config, config.output_dir))
             assert list(profiles[0]) == before + list(STAGE_RECORD[name]), name
 
     def test_hand_edited_key_order_is_kept(self, tmp_path):
@@ -1372,6 +1376,33 @@ class TestFilesAfterFailure:
         assert sorted(tree_bytes(out)) == ["FAILED", "accepted.jsonl", "rejections.json"]
         assert (out / "FAILED").read_text().startswith("StorageError: cannot read sample corpus")
 
+    def test_bin_failure_in_run_leaves_whole_earlier_files(self, tmp_path):
+        """A future birthday at record 400 fails bin in its second batch. The
+        stages before it still run to their end, so `run` leaves the files
+        and the marker that `ingest`, `classify` and `bin` leave."""
+        records = [record(i) for i in range(self.N)]
+        records[400]["birthday"] = "2030-01-01"
+        self.inputs(tmp_path, records)
+        staged = tmp_path / "staged"
+        for step, code in (("ingest", 0), ("classify", 0), ("bin", 1)):
+            assert self.stage(tmp_path, staged, step) == code, step
+        assert self.run(tmp_path, tmp_path / "run") == 1
+        assert tree_bytes(tmp_path / "run") == tree_bytes(staged)
+        assert sorted(tree_bytes(staged)) == [
+            "FAILED", "accepted.jsonl", "classified.jsonl", "rejections.json"]
+
+    def test_earliest_stage_fault_wins_in_run(self, tmp_path):
+        """A future birthday at record 10 fails bin in the first batch, but
+        ingest, the earlier stage, meets a duplicate id at record 500: its
+        fault is the one `run` reports, and no file is left."""
+        records = self.duplicated()
+        records[10]["birthday"] = "2030-01-01"
+        self.inputs(tmp_path, records)
+        out = tmp_path / "run"
+        assert self.run(tmp_path, out) == 1
+        assert sorted(tree_bytes(out)) == ["FAILED"]
+        assert (out / "FAILED").read_text().startswith("DuplicateIdError: ")
+
     @pytest.mark.parametrize(
         "command,input_name",
         [("classify", "accepted.jsonl"), ("bin", "classified.jsonl"),
@@ -1408,7 +1439,7 @@ class TestFilesAfterFailure:
 
 class TestFileMode:
     """Every file `run` and the stage subcommands write, the FAILED marker
-    included, has mode 0600 whatever the umask: ``io_utils.atomic_write_text``
+    included, has mode 0600 whatever the umask: ``io_utils.atomic_writer``
     creates it with ``os.open(..., 0o600)``, which a umask can only narrow."""
 
     def test_every_output_file_is_0600(self, tmp_path):

@@ -287,7 +287,7 @@ class TestReportDigests:
 
     def test_report_tree_matches_recorded_digests(self, tmp_path):
         config = RunConfig(input_path=tmp_path / "binned.jsonl", output_dir=tmp_path, run_id="digests")
-        artifacts = stage_report(DIGEST_PROFILES, config, tmp_path)
+        artifacts = stage_report([[(p, None) for p in DIGEST_PROFILES]], config, tmp_path)
         base = tmp_path / "reports" / "digests"
         digests = {
             path.relative_to(base).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()

@@ -2,14 +2,15 @@
 whole-file references in ``reference_paths``: same records, same
 ParseIssues, same error types and the same bytes, on arbitrary byte files.
 Also bounds the memory a stage file costs to write and to read back, and the
-memory each stage subcommand holds, and checks what a stage that fails
-partway through its input leaves behind."""
+memory `run` and each stage subcommand hold, and checks what a stage that
+fails partway through its input leaves behind."""
 
 import gc
 import json
 import os
 import tracemalloc
 from datetime import date
+from itertools import repeat
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from socialminer import ingest
 from socialminer.ingest import (
     Gender, _encode_record, load_corpus, load_profiles, persist_corpus, rejection_reason,
 )
-from socialminer.io_utils import BATCH_SIZE, atomic_write_text, batches, json_lines
+from socialminer.io_utils import BATCH_SIZE, atomic_writer, batches, json_lines
 from socialminer.knn import ClassLabel, load_sample_corpus
 from socialminer.pipeline import RunConfig, stage_bin, stage_classify
 from socialminer.synth import make_corpus_records, make_profile_records, write_jsonl
@@ -296,13 +297,10 @@ class TestStreamedWriter:
             )
 
     def test_failed_stream_leaves_no_file(self, tmp_path):
-        def records():
-            yield "first\n"
-            raise RuntimeError("stop")
-
-        path = tmp_path / "out.jsonl"
         with pytest.raises(RuntimeError):
-            atomic_write_text(path, records())
+            with atomic_writer(tmp_path / "out.jsonl") as write:
+                write("first\n")
+                raise RuntimeError("stop")
         assert list(tmp_path.iterdir()) == []
 
 
@@ -350,6 +348,12 @@ def stage_steps(inputs, out):
     )
 
 
+def run_options(inputs):
+    """The options of `run` on ``inputs``' files, but for --out."""
+    return ["--input", str(inputs / "profiles.jsonl"), "--corpus", str(inputs / "corpus.jsonl"),
+            "--ref-date", "2015-06-01"]
+
+
 def write_inputs(inputs, profiles):
     inputs.mkdir()
     write_jsonl(inputs / "profiles.jsonl", profiles)
@@ -357,24 +361,39 @@ def write_inputs(inputs, profiles):
 
 
 def stage_peaks(tmp_path, n):
-    """The tracemalloc peak of each stage subcommand on ``n`` profiles,
-    above what was allocated when it started."""
+    """The tracemalloc peak of `run` and of each stage subcommand on ``n``
+    profiles, above what was allocated when it started, once the garbage
+    left by the one before was collected."""
     inputs, out = tmp_path / f"in-{n}", tmp_path / f"out-{n}"
     write_inputs(inputs, make_profile_records(n, seed=3))
+    commands = [("run", run_options(inputs), tmp_path / f"run-{n}")]
+    commands += [(command, argv, out) for command, argv in stage_steps(inputs, out)]
     peaks = {}
     tracemalloc.start()
     try:
-        for command, argv in stage_steps(inputs, out):
+        for command, argv, target in commands:
+            gc.collect()
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            assert main([command, *argv, "--out", str(out)]) == 0, command
+            assert main([command, *argv, "--out", str(target)]) == 0, command
             peaks[command] = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     return peaks
 
 
-def test_stage_memory_does_not_grow_with_the_input(tmp_path):
+@pytest.fixture(scope="module")
+def peaks_1000_and_4000(tmp_path_factory):
+    """``stage_peaks`` on 1,000 and on 4,000 profiles, after every command
+    ran once on 10: the first call of a command in a process also allocates
+    what stays for the next (about 30 KB for ingest), which would count
+    against the smaller input alone."""
+    tmp_path = tmp_path_factory.mktemp("peaks")
+    stage_peaks(tmp_path, 10)
+    return stage_peaks(tmp_path, 1000), stage_peaks(tmp_path, 4000)
+
+
+def test_stage_memory_does_not_grow_with_the_input(peaks_1000_and_4000):
     """Each streamed stage holds one batch of records, not the file: 3,000
     more records cost less than 128 bytes each, where holding them would
     cost about 1,000. What grows is the set of ids ingest checks duplicates
@@ -382,10 +401,18 @@ def test_stage_memory_does_not_grow_with_the_input(tmp_path):
     classes met. That set keeps no ``str`` per id (``ingest._parse_lines``):
     it costs ingest under 40 bytes a record, where a dict of the ids took
     about 71."""
-    small, large = stage_peaks(tmp_path, 1000), stage_peaks(tmp_path, 4000)
+    small, large = peaks_1000_and_4000
     for command in ("ingest", "classify", "bin", "arff", "report"):
         assert large[command] - small[command] < 3000 * 128, (command, small[command], large[command])
     assert large["ingest"] - small["ingest"] < 3000 * 40, (small["ingest"], large["ingest"])
+
+
+def test_run_memory_does_not_grow_with_the_input(peaks_1000_and_4000):
+    """`run` passes each batch through every stage before it reads the
+    next, and keeps no list of the profiles: 3,000 more profiles cost it
+    less than 128 bytes each, where that list cost about 1,100."""
+    small, large = peaks_1000_and_4000
+    assert large["run"] - small["run"] < 3000 * 128, (small["run"], large["run"])
 
 
 def open_fds():
@@ -398,11 +425,13 @@ def open_fds():
     [
         ("ingest", "duplicate id"), ("classify", "corrupt line"), ("bin", "corrupt line"),
         ("bin", "future birthday"), ("arff", "corrupt line"), ("report", "corrupt line"),
+        ("run", "duplicate id"), ("run", "future birthday"),
     ],
 )
 def test_failure_after_the_first_batch_leaves_no_temp_file_or_handle(tmp_path, command, fault):
     """A stage that fails partway through its input, in its reader or in its
-    work on a later batch, removes its temp file and closes its input."""
+    work on a later batch, removes its temp file and closes its input; so
+    does `run`, whose stages all have a writer open when one of them fails."""
     if not os.path.isdir("/proc/self/fd"):
         pytest.skip("counting open descriptors needs /proc/self/fd")
     profiles = make_profile_records(600, seed=4)
@@ -412,9 +441,9 @@ def test_failure_after_the_first_batch_leaves_no_temp_file_or_handle(tmp_path, c
         profiles[400]["birthday"] = "2020-01-01"
     inputs, out = tmp_path / "in", tmp_path / "out"
     write_inputs(inputs, profiles)
-    steps = dict(stage_steps(inputs, out))
+    steps = dict(stage_steps(inputs, out), run=run_options(inputs))
     for step in ("ingest", "classify", "bin", "arff", "report"):
-        if step == command:
+        if command in (step, "run"):
             break
         assert main([step, *steps[step], "--out", str(out)]) == 0, step
     if fault == "corrupt line":
@@ -491,9 +520,9 @@ def assert_written_like_the_full_encode(directory, data: bytes, command: str) ->
                        corpus_path=directory / "corpus.jsonl",
                        reference_date=date.fromisoformat(REF_DATE))
     records = reference_paths.load_corpus(given)
-    stage(records, config, directory / "listed")
+    list(stage(batches(zip(records, repeat(None))), config, directory / "listed"))
     reference_paths.persist_corpus(records, directory / "reference.jsonl")
-    stage(load_corpus(given), config, directory / "read")
+    list(stage(batches(load_corpus(given).lines()), config, directory / "read"))
     assert (directory / "read" / name).read_bytes() == (directory / "reference.jsonl").read_bytes()
 
 
@@ -575,10 +604,10 @@ class TestWriteBack:
 
 
 def count_whole_encodes(monkeypatch) -> list[int]:
-    """Count, per ``persist_corpus`` call, the records ``ingest._encode_record``
+    """Count, per ``persist_batches`` call, the records ``ingest._encode_record``
     encodes whole (those with an id), as opposed to added keys alone."""
     counts: list[int] = []
-    encode, persist = ingest._encode_record, ingest.persist_corpus
+    encode, persist = ingest._encode_record, ingest.persist_batches
 
     def counting_encode(record):
         counts[-1] += "id" in record
@@ -589,5 +618,5 @@ def count_whole_encodes(monkeypatch) -> list[int]:
         return persist(*args, **kwargs)
 
     monkeypatch.setattr(ingest, "_encode_record", counting_encode)
-    monkeypatch.setattr("socialminer.pipeline.persist_corpus", counting_persist)
+    monkeypatch.setattr("socialminer.pipeline.persist_batches", counting_persist)
     return counts
