@@ -251,21 +251,11 @@ else:
         return "".join(_encode_chunks(record, 0))  # a list, or a tuple on 3.12+
 
 
-def persist_corpus(
-    profiles: Iterable[dict],
-    path: str | Path,
-    prepare: Callable[[dict], None] | None = None,
-    adds: Collection[str] = (),
-) -> int:
-    """Write the stage-file records as JSON lines through
-    ``persist_batches``, in batches of ``io_utils.batches``; returns the
-    number of records written. Only a ``StageFile`` given with ``adds`` is
-    written back by its lines; other records are encoded whole."""
-    if adds and isinstance(profiles, StageFile):
-        pairs = profiles.lines()
-    else:
-        pairs = zip(profiles, repeat(None))
-    return sum(map(len, persist_batches(batches(pairs), path, prepare, adds)))
+def persist_corpus(profiles: Iterable[dict], path: str | Path) -> int:
+    """Write the stage-file records as JSON lines, each encoded whole,
+    through ``persist_batches`` in batches of ``io_utils.batches``; returns
+    the number of records written."""
+    return sum(map(len, persist_batches(batches(zip(profiles, repeat(None))), path)))
 
 
 def persist_batches(
@@ -360,36 +350,12 @@ def _member_value(key: str, value) -> str:
         return FIELD_ENUMS[key](value)._value_
 
 
-class StageFile:
-    """The records of a stage file, as ``load_corpus`` describes them, read
-    anew by each iteration."""
-
-    def __init__(self, path: str | Path):
-        self.path = path
-
-    def __iter__(self) -> Iterator[dict]:
-        return map(itemgetter(0), self.lines())
-
-    def lines(self) -> Iterator[tuple[dict, str]]:
-        """Each checked record, paired with the line it was read from."""
-        path = self.path
-        for line_no, line in json_lines(path, "corpus "):
-            try:
-                record = json_object(line)
-                check_stage_record(record)
-                if line[0] != "{" or not line.endswith(("}\n", "}")):
-                    raise ValueError("blanks outside the object")
-            except KeyError as exc:  # check_stage_record raises it for a missing key only
-                raise StorageError(f"corrupt corpus {path}:{line_no}: missing key {exc}") from exc
-            except (TypeError, ValueError) as exc:
-                raise StorageError(f"corrupt corpus {path}:{line_no}: {exc}") from exc
-            yield record, line
-
-
-def load_corpus(path: str | Path) -> StageFile:
+def load_corpus(path: str | Path) -> Iterator[tuple[dict, str]]:
     """Read back a stage file one record at a time, through
-    ``io_utils.json_lines``, yielding each decoded record as its line holds
-    it, keys in the line's order. The file is opened when iteration starts.
+    ``io_utils.json_lines``, yielding each decoded record, keys in the
+    line's order, paired with the line it was read from, so that
+    ``persist_batches`` can write the line back as it was read. The file is
+    opened by the first ``next``.
 
     An unreadable file raises StorageError, and so does a line that
     ``io_utils.json_object`` or ``check_stage_record`` refuses (another key,
@@ -397,7 +363,15 @@ def load_corpus(path: str | Path) -> StageFile:
     empty id or a record ingest would reject), or that holds a blank before
     the object's "{" or after its "}" (checked last); the message names the
     path and the line. The first fault met in file order is the one reported.
-    A stage reads a ``StageFile`` by its ``lines``, so that
-    ``persist_batches`` can write a line back as it was read.
     """
-    return StageFile(path)
+    for line_no, line in json_lines(path, "corpus "):
+        try:
+            record = json_object(line)
+            check_stage_record(record)
+            if line[0] != "{" or not line.endswith(("}\n", "}")):
+                raise ValueError("blanks outside the object")
+        except KeyError as exc:  # check_stage_record raises it for a missing key only
+            raise StorageError(f"corrupt corpus {path}:{line_no}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise StorageError(f"corrupt corpus {path}:{line_no}: {exc}") from exc
+        yield record, line

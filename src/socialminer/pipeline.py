@@ -22,8 +22,8 @@ from .binning import (
     bin_wall_count,
 )
 from .errors import ParameterError, StorageError
-from .ingest import (FIELD_ENUMS, STAGE_RECORD, StageFile, load_profiles, parse_birthday,
-                     persist_batches, validate_and_filter)
+from .ingest import (FIELD_ENUMS, STAGE_RECORD, load_profiles, parse_birthday, persist_batches,
+                     validate_and_filter)
 from .ingest import persist_corpus  # noqa: F401 (perfbench/tracer.py wraps it here)
 from .io_utils import atomic_write_text, atomic_writer, batches, make_output_dir
 from .knn import ClassLabel, CorpusIndex, classify_text, load_sample_corpus
@@ -317,14 +317,15 @@ def failure_marker(out_dir: Path) -> Iterator[None]:
 def run_stages(
     config: RunConfig,
     stages: Sequence[Stage] = STAGES,
-    read: Callable[[Path], StageFile] | None = None,
+    read: Callable[[Path], Iterator[tuple[dict, str]]] | None = None,
 ) -> RunSummary:
     """Make the output directory, then run ``stages`` as one chain under one
     failure marker: each stage is fed the batches the one before it yields,
     so a batch passes through every stage before the next is read. The
     first stage reads ``--input``: ingest the raw profiles, any other stage
-    the lines of the stage file that ``read`` (passed by a subcommand)
-    returns. ``summary.json`` is written last when ``read`` is not given.
+    the (record, line) pairs that ``read`` (a subcommand passes
+    ``ingest.load_corpus``, which opens the file at its first ``next``)
+    yields. ``summary.json`` is written last when ``read`` is not given.
     When a stage fails, the stages before it are first drained to their
     end, and a fault one of them meets replaces the later one: a failure
     leaves the files, and raises the fault, of running the stages one after
@@ -336,7 +337,7 @@ def run_stages(
         links: list[Iterator[list]] = []  # the batches each stage but report yields
         stream = None
         if read is not None and stages[0].reads is not None:
-            stream = batches(read(config.input_path).lines())
+            stream = batches(read(config.input_path))
         fault = None
         try:
             for stage in stages:

@@ -465,13 +465,13 @@ class TestCorpusRoundTrip:
     def test_empty(self, tmp_path):
         p = tmp_path / "corpus.jsonl"
         persist_corpus([], p)
-        assert list(load_corpus(p)) == []
+        assert [record for record, _ in load_corpus(p)] == []
 
     def test_five_profiles(self, tmp_path):
         p = tmp_path / "corpus.jsonl"
         profiles = [make_profile(i) for i in range(5)]
         persist_corpus(profiles, p)
-        assert list(load_corpus(p)) == profiles
+        assert [record for record, _ in load_corpus(p)] == profiles
 
     def test_round_trip_with_derived_fields(self, tmp_path):
         p = tmp_path / "corpus.jsonl"
@@ -484,11 +484,16 @@ class TestCorpusRoundTrip:
             activity_interest_class=ShareClass.LOW,
         )
         persist_corpus([enriched], p)
-        assert list(load_corpus(p)) == [enriched]
+        assert [record for record, _ in load_corpus(p)] == [enriched]
 
     def test_missing_path(self, tmp_path):
         with pytest.raises(StorageError):
             list(load_corpus(tmp_path / "nope.jsonl"))
+
+    def test_missing_path_is_opened_at_the_first_next(self, tmp_path):
+        pairs = load_corpus(tmp_path / "nope.jsonl")
+        with pytest.raises(StorageError):
+            next(pairs)
 
     def test_deterministic_bytes(self, tmp_path):
         profiles = [make_profile(i) for i in range(3)]
@@ -506,7 +511,7 @@ class TestCorpusRoundTrip:
         os.close(fd)
         try:
             persist_corpus(profiles, name)
-            assert list(load_corpus(name)) == profiles
+            assert [record for record, _ in load_corpus(name)] == profiles
         finally:
             os.unlink(name)
 

@@ -171,7 +171,7 @@ def stage_file(tmp_path_factory):
 def stage_outcome(path, line):
     """What ``load_corpus`` makes of a stage file whose line 2 is ``line``."""
     path.write_text(STAGE_LINE + "\n" + line, encoding="utf-8", newline="")
-    return outcome(lambda given: list(load_corpus(given)), path)
+    return outcome(lambda given: [record for record, _ in load_corpus(given)], path)
 
 
 class TestObjectAlone:

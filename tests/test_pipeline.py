@@ -209,6 +209,17 @@ class TestStageClassify:
         assert "k=10000" in capsys.readouterr().err
         assert (out / "FAILED").read_text().startswith("ParameterError")
 
+    def test_classify_checks_k_before_it_opens_its_input(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(
+            ["classify", "--input", str(tmp_path / "missing.jsonl"),
+             "--corpus", str(REPO / "data" / "sample_corpus.jsonl"),
+             "--k", "100000", "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: k=100000 outside [1, 600]\n"
+        assert (out / "FAILED").read_text().startswith("ParameterError")
+
 
 class TestCli:
     def run_inputs(self, tmp_path):

@@ -107,7 +107,7 @@ def read_profiles(path):
 
 
 def read_corpus(path):
-    return list(load_corpus(path))
+    return [record for record, _ in load_corpus(path)]
 
 
 def read_sample_corpus(path):
@@ -228,10 +228,9 @@ class TestStageFileLines:
         data = lines[0] + lines[1][:-1] + "\r\n" + "\n \t\n" + lines[2] + lines[3][:-1]
         path = tmp_path / "classified.jsonl"
         path.write_bytes(data.encode("utf-8"))
-        stage_file = load_corpus(path)
-        records, read = zip(*stage_file.lines())
+        records, read = zip(*load_corpus(path))
         assert list(read) == [lines[0], lines[1], lines[2], lines[3][:-1]]
-        assert list(records) == list(stage_file) == [json.loads(line) for line in lines]
+        assert list(records) == [json.loads(line) for line in lines]
 
 
 class TestBlankLines:
@@ -325,7 +324,7 @@ def test_stage_file_memory_stays_under_half_the_file(tmp_path):
 
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        loaded = list(load_corpus(path))
+        loaded = [record for record, _ in load_corpus(path)]
         current, peak = tracemalloc.get_traced_memory()
         read_peak = peak - current  # above the profiles it keeps
     finally:
@@ -522,7 +521,7 @@ def assert_written_like_the_full_encode(directory, data: bytes, command: str) ->
     records = reference_paths.load_corpus(given)
     list(stage(batches(zip(records, repeat(None))), config, directory / "listed"))
     reference_paths.persist_corpus(records, directory / "reference.jsonl")
-    list(stage(batches(load_corpus(given).lines()), config, directory / "read"))
+    list(stage(batches(load_corpus(given)), config, directory / "read"))
     assert (directory / "read" / name).read_bytes() == (directory / "reference.jsonl").read_bytes()
 
 
